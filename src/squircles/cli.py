@@ -11,18 +11,20 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import fields2d, fields3d, mesh_io, oracle
 from .contour2d import Domain2D, frantz_polyline, marching_squares, sample_grid2d
-from .fields2d import ShapeSpec2D, make_field2d
-from .fields3d import ShapeSpec3D, make_field3d
+from .fields2d import FAMILY_RECORDS_2D, ShapeSpec2D, frantz_point, make_field2d
+from .fields3d import FAMILY_RECORDS_3D, ShapeSpec3D, make_field3d
 from .polygonize3d import Domain3D, marching_cubes, sample_grid3d
 
 CURVE_FORMATS = ("svg", "csv")
 SURFACE_FORMATS = ("obj", "stl")
+# ShapeSpec3D fields with a flag of the same name; 2D output rejects them
+SPEC_3D_ONLY = ("R", "a", "b", "c", "k", "cc")
 SWEEP_PARAMS = {"squareness": "s", "s": "s", "exponent": "p", "p": "p", "overshoot": "h", "h": "h"}
 EMPTY_NOTICE = "empty level set"
 
@@ -70,6 +72,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # a negative number or pi token such as -pi/2 is a value, not a flag
+        try:
+            pi_float(arg_string)
+        except argparse.ArgumentTypeError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _shape_flags(p, three_d):
     p.add_argument("--family", required=True)
@@ -78,13 +88,10 @@ def _shape_flags(p, three_d):
     p.add_argument("--radius", "--r", dest="radius", type=pi_float, default=1.0,
                    help="scale (tube radius for the toroid)")
     p.add_argument("--overshoot", type=pi_float, default=0.0)
-    if three_d:
-        p.add_argument("--R", dest="hole_R", type=pi_float, default=2.0, help="toroid center distance")
-        p.add_argument("--a", type=pi_float, default=1.0)
-        p.add_argument("--b", type=pi_float, default=1.0)
-        p.add_argument("--c", type=pi_float, default=1.0)
-        p.add_argument("--k", type=pi_float, default=1.0)
-        p.add_argument("--cc", type=pi_float, default=2.0)
+    if three_d:  # unset flags keep the ShapeSpec3D defaults
+        p.add_argument("--R", type=pi_float, help="toroid center distance")
+        for name in SPEC_3D_ONLY[1:]:
+            p.add_argument(f"--{name}", type=pi_float)
 
 
 def _output_flags(p, grid, formats):
@@ -93,7 +100,7 @@ def _output_flags(p, grid, formats):
     p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--domain", type=float, nargs="*", default=None,
+    p.add_argument("--domain", type=pi_float, nargs="*", default=None,
                    help="explicit bounds: xmin xmax ymin ymax [zmin zmax]")
 
 
@@ -131,15 +138,11 @@ def _build_parser():
 
 
 def _make_spec(ns, three_d):
-    if three_d:
-        if ns.family not in fields3d.FAMILIES_3D:
-            raise UsageError(f"unknown 3D family {ns.family!r}")
-        return ShapeSpec3D(family=ns.family, p=ns.exponent, s=ns.squareness, r=ns.radius,
-                           h=ns.overshoot, R=ns.hole_R, a=ns.a, b=ns.b, c=ns.c, k=ns.k, cc=ns.cc)
-    if ns.family not in fields2d.FAMILIES_2D:
-        raise UsageError(f"unknown 2D family {ns.family!r}")
-    return ShapeSpec2D(family=ns.family, p=ns.exponent, s=ns.squareness, r=ns.radius,
-                       h=ns.overshoot)
+    extra = {name: getattr(ns, name) for name in SPEC_3D_ONLY if getattr(ns, name, None) is not None}
+    if extra and not three_d:
+        raise UsageError("3D-only flags need --format obj or stl: " + " ".join(f"--{name}" for name in extra))
+    spec = ShapeSpec3D if three_d else ShapeSpec2D
+    return spec(family=ns.family, p=ns.exponent, s=ns.squareness, r=ns.radius, h=ns.overshoot, **extra)
 
 
 def parse_args(argv) -> Command:
@@ -153,9 +156,7 @@ def parse_args(argv) -> Command:
         cmd.grid = ns.grid
         return cmd
 
-    three_d = ns.subcommand == "surface" or (
-        ns.subcommand == "sweep" and ns.fmt in SURFACE_FORMATS
-    )
+    three_d = ns.fmt in SURFACE_FORMATS  # surface, or a sweep writing meshes
     try:
         cmd.spec = _make_spec(ns, three_d)
     except ValueError as exc:
@@ -181,35 +182,14 @@ def parse_args(argv) -> Command:
 
 
 def default_domain2d(spec: ShapeSpec2D, grid: int, tiles: int) -> Domain2D:
-    ext = 2.5 * tiles if spec.family == "phase_grid" else 1.2 * spec.r * tiles
-    return Domain2D(-ext, ext, -ext, ext, grid, grid)
+    return Domain2D(*FAMILY_RECORDS_2D[spec.family].bounds(spec, tiles), grid, grid)
 
 
 def default_domain3d(spec: ShapeSpec3D, grid: int, tiles: int) -> Domain3D:
-    f = spec.family
-    if f in ("sphube", "periodic3d", "oblique3d"):
-        # unit cell: the periodic families grow far sheets past |x| = r
-        ext = spec.r * tiles
-        bounds = (-ext, ext, -ext, ext, -ext, ext)
-    elif f in ("toroid", "toroid_octic"):
-        ext = 1.15 * (spec.R + spec.r) * tiles
-        zext = 1.5 * spec.r
-        bounds = (-ext, ext, -ext, ext, -zext, zext)
-    elif f == "cone_fg":
-        bounds = (-1.2, 1.2, -1.2, 1.2, -0.1 * spec.c, 1.1 * spec.c)
-    elif f == "cone_lame":
-        ext = 1.2 * max(spec.a, spec.b)
-        bounds = (-ext, ext, -ext, ext, -0.1 * spec.c, 1.1 * spec.c)
-    elif f == "cuboctahedron":
-        ext = 1.25 * spec.k * tiles
-        bounds = (-ext, ext, -ext, ext, -ext, ext)
-    else:
-        ext = 1.2 * spec.r * tiles
-        bounds = (-ext, ext, -ext, ext, -ext, ext)
-    nx = ny = grid
+    bounds = FAMILY_RECORDS_3D[spec.family].bounds(spec, tiles)
     xext, zspan = bounds[1] - bounds[0], bounds[5] - bounds[4]
     nz = max(8, int(round(grid * zspan / xext / 2.0)) * 2)
-    return Domain3D(*bounds, nx, ny, nz)
+    return Domain3D(*bounds, grid, grid, nz)
 
 
 def _write(path, writer):
@@ -223,16 +203,14 @@ def _write(path, writer):
 
 def _run_curve(cmd: Command) -> int:
     spec = cmd.spec
+    if cmd.domain:
+        domain = Domain2D(*cmd.domain, cmd.grid, cmd.grid)
+    else:
+        domain = default_domain2d(spec, cmd.grid, cmd.tiles)
     if spec.family == "frantz":
         polylines = [frantz_polyline(spec.s, spec.r, cmd.samples)]
-        ext = 1.2 * spec.r
-        domain = Domain2D(-ext, ext, -ext, ext, cmd.grid, cmd.grid)
     else:
         field = make_field2d(spec)
-        if cmd.domain:
-            domain = Domain2D(*cmd.domain, cmd.grid, cmd.grid)
-        else:
-            domain = default_domain2d(spec, cmd.grid, cmd.tiles)
         grid = sample_grid2d(field, domain, workers=cmd.workers)
         polylines = marching_squares(grid)
         length = sum(
@@ -268,10 +246,7 @@ def _run_surface(cmd: Command) -> int:
 
 
 def _describe_spec(spec) -> str:
-    if isinstance(spec, ShapeSpec3D):
-        return (f"{spec.family} p={spec.p} s={spec.s} r={spec.r} h={spec.h} "
-                f"R={spec.R} a={spec.a} b={spec.b} c={spec.c} k={spec.k} cc={spec.cc}")
-    return f"{spec.family} p={spec.p} s={spec.s} r={spec.r} h={spec.h}"
+    return " ".join([spec.family] + [f"{f.name}={getattr(spec, f.name)}" for f in fields(spec)[1:]])
 
 
 def _run_sweep(cmd: Command) -> int:
@@ -289,29 +264,11 @@ def _run_sweep(cmd: Command) -> int:
     return rc
 
 
-FAMILY_INFO = {
-    "lame": "superellipse |x|^p + |y|^p = r^p; p in [1, inf], p=2 circle, p=inf axis square, p=1 tilted square",
-    "fg": "Fernandez-Guasti quartic x^2 + y^2 - (s^2/r^2) x^2 y^2 = r^2; s in [0, 1]",
-    "periodic": "doubly-periodic cos(s pi x/2r) cos(s pi y/2r) = cos(s pi/2); s in (0, 1], square grid at s=1",
-    "oblique": "doubly-periodic cos(s pi x/r) + cos(s pi y/r) = 1 + cos(s pi) - floor(s) h; tilted square at s=1, overshoot h in [0, 2]",
-    "frantz": "parametric x = r tanh(s cos t)/tanh s, y = r tanh(s sin t)/tanh s; s > 0, square as s -> inf",
-    "phase_grid": "sin(pi x) sin(pi y) = 0; grid lines through every integer coordinate",
-    "lame3d": "superellipsoid |x|^p + |y|^p + |z|^p = r^p; sphere to cube (or octahedron for p in [1, 2])",
-    "sphube": "sphube: sphere-cube blend with squareness s in [0, 1]",
-    "periodic3d": "triply-periodic cosine product; cube with side 2r at s=1",
-    "oblique3d": "triply-periodic cosine sum; sham octahedron at s=1, overshoot h in [0, 4], sham Schwarz at s=1 r=pi h=1",
-    "toroid": "squircular toroid (sqrt form), R > r > 0, cross-section squareness s",
-    "toroid_octic": "squircular toroid, equivalent octic polynomial form",
-    "cone_fg": "squircular cone over a Fernandez-Guasti base, height c, clipped to 0 <= z <= c",
-    "cone_lame": "squircular cone over a Lame lower base, exponent p in [1, 2], semi-axes a, b, height c",
-    "cuboctahedron": "sham cuboctahedron sextic with scale k and cross-term constant cc in [1.5, 4]",
-}
-
-
 def _run_info(family: str) -> int:
-    if family not in FAMILY_INFO:
+    record = FAMILY_RECORDS_2D.get(family) or FAMILY_RECORDS_3D.get(family)
+    if record is None:
         raise UsageError(f"unknown family {family!r}")
-    print(f"{family}: {FAMILY_INFO[family]}")
+    print(f"{family}: {record.info}")
     return 0
 
 
@@ -322,8 +279,6 @@ def _check_line(name, value, bound_desc, ok):
 
 
 def _verify_limits(results):
-    from .fields2d import frantz_point
-
     angles = 2.0 * np.pi * (np.arange(360) + 0.5) / 360
 
     exact = [
@@ -381,12 +336,10 @@ def _verify_square(results):
 
 
 def _verify_equivalence(results):
-    from .fields3d import eval_toroid, eval_toroid_octic
-
     R, r = 2.0, 0.5
     for s in (0.0, 0.5, 1.0):
-        ref = lambda x, y, z, s=s: eval_toroid(x, y, z, s, R, r)
-        alt = lambda x, y, z, s=s: eval_toroid_octic(x, y, z, s, R, r)
+        ref = lambda x, y, z, s=s: fields3d.eval_toroid(x, y, z, s, R, r)
+        alt = lambda x, y, z, s=s: fields3d.eval_toroid_octic(x, y, z, s, R, r)
         v = oracle.zero_set_residual(ref, alt, 1000, seed_point=(R, 0.0, 0.0), r_max=2.0)
         bound = 1e-9 * R**4
         results.append(_check_line(f"toroid_octic_s{s}", v, f"{bound:.1e}", v <= bound))

@@ -105,29 +105,39 @@ class Polyline:
             raise ValueError("polyline needs at least 2 points")
 
 
-def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D:
-    """Evaluate a field on the domain lattice, partitioned over row bands.
+def _sample_banded(field, axes, workers):
+    """Samples of field over the lattice spanned by axes (x first), indexed
+    slowest axis first and evaluated in bands of the slowest axis.
 
     The result is independent of the worker count: each sample is one scalar
     expression and bands are reassembled in index order.
     """
-    xs, ys = domain.xs(), domain.ys()
-    X = np.broadcast_to(xs, (len(ys), len(xs)))
+    n = len(axes)
+    # axis k varies along array dimension n - 1 - k
+    coords = [a.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, a in enumerate(axes)]
+    shape = tuple(len(a) for a in reversed(axes))
+
+    def run(lo, hi):
+        out = np.asarray(field(*coords[:-1], coords[-1][lo:hi]), dtype=float)
+        return np.broadcast_to(out, (hi - lo,) + shape[1:])
+
     workers = default_workers() if workers is None else max(1, workers)
-    if workers == 1 or len(ys) < 4 * workers:
-        samples = np.asarray(field(X, ys[:, None]), dtype=float)
-        samples = np.broadcast_to(samples, X.shape).copy()
+    if workers == 1 or shape[0] < 4 * workers:
+        vals = run(0, shape[0]).copy()
     else:
-        bounds = np.linspace(0, len(ys), workers + 1).astype(int)
-        chunks = [(ys[a:b], X[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        bounds = np.linspace(0, shape[0], workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: np.asarray(field(c[1], c[0][:, None]), dtype=float), chunks))
-        parts = [np.broadcast_to(p, c[1].shape) for p, c in zip(parts, chunks)]
-        samples = np.concatenate(parts, axis=0)
-    if not np.isfinite(samples).all():
-        j, i = np.argwhere(~np.isfinite(samples))[0]
-        raise ValueError(f"non-finite field value at sample ({xs[i]}, {ys[j]})")
-    return Grid2D(domain, samples, field=field)
+            vals = np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])), axis=0)
+    if not np.isfinite(vals).all():
+        index = np.argwhere(~np.isfinite(vals))[0][::-1]
+        where = ", ".join(f"{a[i]}" for a, i in zip(axes, index))
+        raise ValueError(f"non-finite field value at sample ({where})")
+    return vals
+
+
+def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D:
+    """Evaluate a field on the domain lattice, partitioned over row bands."""
+    return Grid2D(domain, _sample_banded(field, (domain.xs(), domain.ys()), workers), field=field)
 
 
 def _nudged(samples):

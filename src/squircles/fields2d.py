@@ -7,12 +7,12 @@ or numpy arrays and are pure, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-FAMILIES_2D = ("lame", "fg", "periodic", "oblique", "frantz", "phase_grid")
 
 # Below this squareness the Frantz ratio tanh(s*cos t)/tanh(s) loses precision,
 # so the exact circle limit is substituted instead.
@@ -21,6 +21,41 @@ FRANTZ_CIRCLE_CUTOFF = 1e-6
 
 class ParametricOnlyError(ValueError):
     """Raised when an implicit field is requested for a parametric-only family."""
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package encodes about one shape family: field(spec) builds
+    its inside-negative field, each of checks(spec) raises ValueError on a bad
+    parameter, bounds(spec, tiles) is the default (xmin, xmax, ymin, ymax[,
+    zmin, zmax]) and info is the `info` text."""
+
+    field: Callable
+    checks: tuple
+    bounds: Callable
+    info: str
+
+
+def _check_spec(spec, families, dims):
+    if spec.family not in families:
+        raise ValueError(f"unknown {dims} family {spec.family!r}")
+    if not spec.r > 0:
+        raise ValueError(f"scale r must be positive, got {spec.r}")
+    for check in families[spec.family].checks:
+        check(spec)
+
+
+def _require(ok, message):
+    # a check raising ValueError(message filled in from the spec's fields) unless ok(spec)
+    def check(spec):
+        if not ok(spec):
+            raise ValueError(message.format(**vars(spec)))
+
+    return check
+
+
+_P_AT_LEAST_1 = _require(lambda sp: sp.p >= 1, "{family} exponent p must be >= 1, got {p}")
+_UNIT_S = _require(lambda sp: 0 <= sp.s <= 1, "squareness must be in [0, 1], got {s}")
 
 
 @dataclass(frozen=True)
@@ -38,26 +73,15 @@ class ShapeSpec2D:
     h: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES_2D:
-            raise ValueError(f"unknown 2D family {self.family!r}")
-        if not self.r > 0:
-            raise ValueError(f"scale r must be positive, got {self.r}")
-        if self.family == "lame" and not self.p >= 1:
-            raise ValueError(f"lame exponent p must be >= 1, got {self.p}")
-        if self.family in ("fg", "periodic", "oblique") and not 0 <= self.s <= 1:
-            raise ValueError(f"squareness must be in [0, 1], got {self.s}")
-        if self.family == "frantz" and not self.s >= 0:
-            raise ValueError(f"frantz squareness must be >= 0, got {self.s}")
-        if self.family == "oblique" and not 0 <= self.h <= 2:
-            raise ValueError(f"2D overshoot h must be in [0, 2], got {self.h}")
+        _check_spec(self, FAMILY_RECORDS_2D, "2D")
 
 
-def _scaled_pnorm(ax, ay, p):
-    # (ax^p + ay^p)^(1/p) with the larger component factored out, so large
-    # exponents cannot overflow. ax, ay must be non-negative.
-    m = np.maximum(ax, ay)
+def _scaled_pnorm(p, *parts):
+    # (sum of part^p)^(1/p) with the largest part factored out, so large
+    # exponents cannot overflow. The parts must be non-negative.
+    m = functools.reduce(np.maximum, parts)
     safe = np.where(m > 0, m, 1.0)
-    return m * ((ax / safe) ** p + (ay / safe) ** p) ** (1.0 / p)
+    return m * sum((part / safe) ** p for part in parts) ** (1.0 / p)
 
 
 def eval_lame(x, y, p, r):
@@ -65,7 +89,7 @@ def eval_lame(x, y, p, r):
     ax, ay = np.abs(x), np.abs(y)
     if math.isinf(p):
         return np.maximum(ax, ay) - r
-    return _scaled_pnorm(ax, ay, p) - r
+    return _scaled_pnorm(p, ax, ay) - r
 
 
 def eval_fg(x, y, s, r):
@@ -106,23 +130,55 @@ def frantz_point(t, s, r):
     return r * np.tanh(s * np.cos(t)) / d, r * np.tanh(s * np.sin(t)) / d
 
 
+def _round_at_s0(build):
+    # the periodic and oblique families reduce to 0 = 0 at s = 0; substitute
+    # their proven limit, the circle (sphere) of radius r
+    return lambda sp: (lambda *xyz: sum(np.square(c) for c in xyz) - sp.r * sp.r) if sp.s == 0 else build(sp)
+
+
+def _parametric_only(spec):
+    raise ParametricOnlyError(f"{spec.family} squircle is parametric-only; it has no implicit field")
+
+
+def _square(ext):
+    return (-ext, ext, -ext, ext)
+
+
+FAMILY_RECORDS_2D = {
+    "lame": Family(
+        field=lambda sp: lambda x, y: eval_lame(x, y, sp.p, sp.r), checks=(_P_AT_LEAST_1,),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        info="superellipse |x|^p + |y|^p = r^p; p in [1, inf], p=2 circle, p=inf axis square, p=1 tilted square"),
+    "fg": Family(
+        field=lambda sp: lambda x, y: eval_fg(x, y, sp.s, sp.r), checks=(_UNIT_S,),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        info="Fernandez-Guasti quartic x^2 + y^2 - (s^2/r^2) x^2 y^2 = r^2; s in [0, 1]"),
+    "periodic": Family(
+        field=_round_at_s0(lambda sp: lambda x, y: eval_periodic(x, y, sp.s, sp.r)), checks=(_UNIT_S,),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        info="doubly-periodic cos(s pi x/2r) cos(s pi y/2r) = cos(s pi/2); s in (0, 1], square grid at s=1"),
+    "oblique": Family(
+        field=_round_at_s0(lambda sp: lambda x, y: eval_oblique(x, y, sp.s, sp.r, sp.h)),
+        checks=(_UNIT_S, _require(lambda sp: 0 <= sp.h <= 2, "2D overshoot h must be in [0, 2], got {h}")),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        info="doubly-periodic cos(s pi x/r) + cos(s pi y/r) = 1 + cos(s pi) - floor(s) h; "
+        "tilted square at s=1, overshoot h in [0, 2]"),
+    "frantz": Family(
+        field=_parametric_only,
+        checks=(_require(lambda sp: sp.s >= 0, "frantz squareness must be >= 0, got {s}"),),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r),  # one closed polyline: --tiles does not widen it
+        info="parametric x = r tanh(s cos t)/tanh s, y = r tanh(s sin t)/tanh s; s > 0, square as s -> inf"),
+    "phase_grid": Family(
+        field=lambda sp: eval_phase_grid, checks=(), bounds=lambda sp, tiles: _square(2.5 * tiles),
+        info="sin(pi x) sin(pi y) = 0; grid lines through every integer coordinate"),
+}
+FAMILIES_2D = tuple(FAMILY_RECORDS_2D)
+
+
 def make_field2d(spec: ShapeSpec2D):
     """Build the canonical inside-negative field for a 2D shape spec.
 
     The degenerate s = 0 periodic/oblique equations are mapped to the exact
     circle field x^2 + y^2 - r^2, matching their proven limits.
     """
-    family, p, s, r, h = spec.family, spec.p, spec.s, spec.r, spec.h
-    if family == "frantz":
-        raise ParametricOnlyError("frantz squircle is parametric-only; it has no implicit field")
-    if family == "lame":
-        return lambda x, y: eval_lame(x, y, p, r)
-    if family == "fg":
-        return lambda x, y: eval_fg(x, y, s, r)
-    if family == "phase_grid":
-        return eval_phase_grid
-    if s == 0:  # periodic/oblique reduce to 0 = 0; substitute the circle limit
-        return lambda x, y: np.square(x) + np.square(y) - r * r
-    if family == "periodic":
-        return lambda x, y: eval_periodic(x, y, s, r)
-    return lambda x, y: eval_oblique(x, y, s, r, h)
+    return FAMILY_RECORDS_2D[spec.family].field(spec)

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES_3D = (
-    "lame3d",
-    "sphube",
-    "periodic3d",
-    "oblique3d",
-    "toroid",
-    "toroid_octic",
-    "cone_fg",
-    "cone_lame",
-    "cuboctahedron",
+from .fields2d import (
+    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _square,
 )
 
 
@@ -47,47 +39,17 @@ class ShapeSpec3D:
     cc: float = 2.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES_3D:
-            raise ValueError(f"unknown 3D family {self.family!r}")
-        if not self.r > 0:
-            raise ValueError(f"scale r must be positive, got {self.r}")
-        if self.family == "lame3d" and not self.p >= 1:
-            raise ValueError(f"lame3d exponent p must be >= 1, got {self.p}")
-        if self.family in ("sphube", "periodic3d", "oblique3d", "toroid", "toroid_octic", "cone_fg"):
-            if not 0 <= self.s <= 1:
-                raise ValueError(f"squareness must be in [0, 1], got {self.s}")
-        if self.family == "oblique3d" and not 0 <= self.h <= 4:
-            raise ValueError(f"3D overshoot h must be in [0, 4], got {self.h}")
-        if self.family in ("toroid", "toroid_octic") and not self.R > self.r:
-            raise ValueError(f"ring torus requires R > r, got R={self.R}, r={self.r}")
-        if self.family in ("cone_fg", "cone_lame") and not self.c > 0:
-            raise ValueError(f"cone height c must be positive, got {self.c}")
-        if self.family == "cone_lame":
-            if not (self.a > 0 and self.b > 0):
-                raise ValueError("cone semi-axes a, b must be positive")
-            if not 1 <= self.p <= 2:
-                raise ValueError(f"cone_lame exponent p must be in [1, 2], got {self.p}")
-        if self.family == "cuboctahedron":
-            if not self.k > 0:
-                raise ValueError(f"cuboctahedron scale k must be positive, got {self.k}")
-            if not 1.5 <= self.cc <= 4:
-                # heuristic quality range, not a hard constraint
-                warnings.warn(
-                    f"cuboctahedron constant cc={self.cc} outside the recommended [1.5, 4]",
-                    stacklevel=2,
-                )
+        _check_spec(self, FAMILY_RECORDS_3D, "3D")
 
 
-def _scaled_pnorm2(ax, ay, p):
-    m = np.maximum(ax, ay)
-    safe = np.where(m > 0, m, 1.0)
-    return m * ((ax / safe) ** p + (ay / safe) ** p) ** (1.0 / p)
+def _warn_cc(spec):
+    if not 1.5 <= spec.cc <= 4:  # heuristic quality range, not a hard constraint
+        # stacklevel 4 is the ShapeSpec3D constructor
+        warnings.warn(f"cuboctahedron constant cc={spec.cc} outside the recommended [1.5, 4]", stacklevel=4)
 
 
-def _scaled_pnorm3(ax, ay, az, p):
-    m = np.maximum(np.maximum(ax, ay), az)
-    safe = np.where(m > 0, m, 1.0)
-    return m * ((ax / safe) ** p + (ay / safe) ** p + (az / safe) ** p) ** (1.0 / p)
+_RING_TORUS = _require(lambda sp: sp.R > sp.r, "ring torus requires R > r, got R={R}, r={r}")
+_CONE_HEIGHT = _require(lambda sp: sp.c > 0, "cone height c must be positive, got {c}")
 
 
 def eval_lame3d(x, y, z, p, r):
@@ -95,7 +57,7 @@ def eval_lame3d(x, y, z, p, r):
     ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
     if math.isinf(p):
         return np.maximum(np.maximum(ax, ay), az) - r
-    return _scaled_pnorm3(ax, ay, az, p) - r
+    return _scaled_pnorm(p, ax, ay, az) - r
 
 
 def eval_sphube(x, y, z, s, r):
@@ -163,7 +125,7 @@ def eval_cone_fg(x, y, z, s, c):
 def eval_cone_lame(x, y, z, p, a, b, c):
     """Squircular cone over a Lame lower-squircle base, closed by height caps."""
     z = np.asarray(z, dtype=float)
-    lateral = _scaled_pnorm2(np.abs(np.divide(x, a)), np.abs(np.divide(y, b)), p) - z / c
+    lateral = _scaled_pnorm(p, np.abs(np.divide(x, a)), np.abs(np.divide(y, b))) - z / c
     f = np.maximum(lateral, -z)
     return np.maximum(f, z - c)
 
@@ -178,22 +140,72 @@ def eval_sham_cuboctahedron(x, y, z, k=1.0, cc=2.0):
         + cc * (x2 * y2 * z2) / (k2 * k2 * k2)
         - 1.0
     )
-    f = np.maximum(sextic, np.abs(x) - k)
-    f = np.maximum(f, np.abs(y) - k)
-    return np.maximum(f, np.abs(z) - k)
+    return _box_clip(sextic, x, y, z, k)
 
 
-def _box_clip(raw, ext):
+def _box_clip(f, x, y, z, ext):
     # Intersect with the cube |x|,|y|,|z| <= ext. On the cube surface the clip
     # term is exactly 0, which overrides the raw field's rounding noise there
     # (it can be a few ulps of either sign where the true value is 0), and
     # beyond it the extra far sheets of the equation are cut away.
-    def field(x, y, z):
-        f = np.maximum(raw(x, y, z), np.abs(x) - ext)
-        f = np.maximum(f, np.abs(y) - ext)
-        return np.maximum(f, np.abs(z) - ext)
+    f = np.maximum(f, np.abs(x) - ext)
+    f = np.maximum(f, np.abs(y) - ext)
+    return np.maximum(f, np.abs(z) - ext)
 
-    return field
+
+def _cube(ext):
+    return _square(ext) + (-ext, ext)
+
+
+def _toroid_bounds(sp, tiles):
+    return _square(1.15 * (sp.R + sp.r) * tiles) + (-1.5 * sp.r, 1.5 * sp.r)
+
+
+FAMILY_RECORDS_3D = {
+    "lame3d": Family(
+        field=lambda sp: lambda x, y, z: eval_lame3d(x, y, z, sp.p, sp.r), checks=(_P_AT_LEAST_1,),
+        bounds=lambda sp, tiles: _cube(1.2 * sp.r * tiles),
+        info="superellipsoid |x|^p + |y|^p + |z|^p = r^p; sphere to cube (or octahedron for p in [1, 2])"),
+    "sphube": Family(
+        field=lambda sp: lambda x, y, z: _box_clip(eval_sphube(x, y, z, sp.s, sp.r), x, y, z, sp.r),
+        checks=(_UNIT_S,), bounds=lambda sp, tiles: _cube(sp.r * tiles),
+        info="sphube: sphere-cube blend with squareness s in [0, 1]"),
+    # unit cells: the periodic families grow far sheets past |x| = r
+    "periodic3d": Family(
+        field=_round_at_s0(lambda sp: lambda x, y, z: eval_periodic3d(x, y, z, sp.s, sp.r)),
+        checks=(_UNIT_S,), bounds=lambda sp, tiles: _cube(sp.r * tiles),
+        info="triply-periodic cosine product; cube with side 2r at s=1"),
+    "oblique3d": Family(
+        field=_round_at_s0(lambda sp: lambda x, y, z: eval_oblique3d(x, y, z, sp.s, sp.r, sp.h)),
+        checks=(_UNIT_S, _require(lambda sp: 0 <= sp.h <= 4, "3D overshoot h must be in [0, 4], got {h}")),
+        bounds=lambda sp, tiles: _cube(sp.r * tiles),
+        info="triply-periodic cosine sum; sham octahedron at s=1, overshoot h in [0, 4], "
+        "sham Schwarz at s=1 r=pi h=1"),
+    "toroid": Family(
+        field=lambda sp: lambda x, y, z: np.maximum(eval_toroid(x, y, z, sp.s, sp.R, sp.r), np.abs(z) - sp.r),
+        checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
+        info="squircular toroid (sqrt form), R > r > 0, cross-section squareness s"),
+    "toroid_octic": Family(
+        field=lambda sp: lambda x, y, z: eval_toroid_octic(x, y, z, sp.s, sp.R, sp.r),
+        checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
+        info="squircular toroid, equivalent octic polynomial form"),
+    "cone_fg": Family(
+        field=lambda sp: lambda x, y, z: eval_cone_fg(x, y, z, sp.s, sp.c), checks=(_UNIT_S, _CONE_HEIGHT),
+        bounds=lambda sp, tiles: _square(1.2) + (-0.1 * sp.c, 1.1 * sp.c),
+        info="squircular cone over a Fernandez-Guasti base, height c, clipped to 0 <= z <= c"),
+    "cone_lame": Family(
+        field=lambda sp: lambda x, y, z: eval_cone_lame(x, y, z, sp.p, sp.a, sp.b, sp.c),
+        checks=(_CONE_HEIGHT, _require(lambda sp: sp.a > 0 and sp.b > 0, "cone semi-axes a, b must be positive"),
+                _require(lambda sp: 1 <= sp.p <= 2, "cone_lame exponent p must be in [1, 2], got {p}")),
+        bounds=lambda sp, tiles: _square(1.2 * max(sp.a, sp.b)) + (-0.1 * sp.c, 1.1 * sp.c),
+        info="squircular cone over a Lame lower base, exponent p in [1, 2], semi-axes a, b, height c"),
+    "cuboctahedron": Family(
+        field=lambda sp: lambda x, y, z: eval_sham_cuboctahedron(x, y, z, sp.k, sp.cc),
+        checks=(_require(lambda sp: sp.k > 0, "cuboctahedron scale k must be positive, got {k}"), _warn_cc),
+        bounds=lambda sp, tiles: _cube(1.25 * sp.k * tiles),
+        info="sham cuboctahedron sextic with scale k and cross-term constant cc in [1.5, 4]"),
+}
+FAMILIES_3D = tuple(FAMILY_RECORDS_3D)
 
 
 def make_field3d(spec: ShapeSpec3D):
@@ -206,25 +218,4 @@ def make_field3d(spec: ShapeSpec3D):
     removes the far sheets (|q - R| > r with |z| > r) without touching the
     toroid itself.
     """
-    f = spec.family
-    if f == "lame3d":
-        return lambda x, y, z: eval_lame3d(x, y, z, spec.p, spec.r)
-    if f == "sphube":
-        return _box_clip(lambda x, y, z: eval_sphube(x, y, z, spec.s, spec.r), spec.r)
-    if f in ("periodic3d", "oblique3d") and spec.s == 0:
-        return lambda x, y, z: np.square(x) + np.square(y) + np.square(z) - spec.r * spec.r
-    if f == "periodic3d":
-        return lambda x, y, z: eval_periodic3d(x, y, z, spec.s, spec.r)
-    if f == "oblique3d":
-        return lambda x, y, z: eval_oblique3d(x, y, z, spec.s, spec.r, spec.h)
-    if f == "toroid":
-        return lambda x, y, z: np.maximum(
-            eval_toroid(x, y, z, spec.s, spec.R, spec.r), np.abs(z) - spec.r
-        )
-    if f == "toroid_octic":
-        return lambda x, y, z: eval_toroid_octic(x, y, z, spec.s, spec.R, spec.r)
-    if f == "cone_fg":
-        return lambda x, y, z: eval_cone_fg(x, y, z, spec.s, spec.c)
-    if f == "cone_lame":
-        return lambda x, y, z: eval_cone_lame(x, y, z, spec.p, spec.a, spec.b, spec.c)
-    return lambda x, y, z: eval_sham_cuboctahedron(x, y, z, spec.k, spec.cc)
+    return FAMILY_RECORDS_3D[spec.family].field(spec)

@@ -7,12 +7,11 @@ regardless of how the sampling work is partitioned.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour2d import ZERO_NUDGE, default_workers
+from .contour2d import ZERO_NUDGE, _sample_banded
 from .mc_tables import TRI_TABLE
 
 
@@ -105,25 +104,8 @@ def csg_intersect(a, b):
 
 def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D:
     """Evaluate a field on the voxel lattice, partitioned over z-slabs."""
-    xs, ys, zs = domain.xs(), domain.ys(), domain.zs()
-    shape = (len(zs), len(ys), len(xs))
-    workers = default_workers() if workers is None else max(1, workers)
-
-    def run(z_band):
-        out = field(xs[None, None, :], ys[None, :, None], z_band[:, None, None])
-        return np.broadcast_to(np.asarray(out, dtype=float), (len(z_band),) + shape[1:]).copy()
-
-    if workers == 1 or len(zs) < 4 * workers:
-        vals = run(zs)
-    else:
-        bounds = np.linspace(0, len(zs), workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, [zs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))
-        vals = np.concatenate(parts, axis=0)
-    if not np.isfinite(vals).all():
-        k, j, i = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(f"non-finite field value at sample ({xs[i]}, {ys[j]}, {zs[k]})")
-    return Grid3D(domain, vals.reshape(-1))
+    axes = (domain.xs(), domain.ys(), domain.zs())
+    return Grid3D(domain, _sample_banded(field, axes, workers).reshape(-1))
 
 
 def _edge_vertices(vals, lo_axis_coords, axis):

@@ -1,0 +1,57 @@
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+import squircles
+from squircles import cli
+
+
+class TestNumericFlags:
+    def test_domain_takes_negative_pi_tokens(self):
+        cmd = cli.parse_args(["curve", "--family", "fg", "--domain", "-pi", "pi", "-pi", "pi",
+                              "--out", "c.svg"])
+        assert cmd.domain == (-math.pi, math.pi, -math.pi, math.pi)
+
+    def test_domain_takes_pi_tokens_and_plain_numbers(self):
+        cmd = cli.parse_args(["curve", "--family", "fg", "--domain", "pi", "4", "-3", "3",
+                              "--out", "c.svg"])
+        assert cmd.domain == (math.pi, 4.0, -3.0, 3.0)
+
+    def test_sweep_from_negative_pi_token(self):
+        cmd = cli.parse_args(["sweep", "--family", "fg", "--param", "s", "--from", "-pi/2",
+                              "--to", "1", "--steps", "2", "--out", "c.svg"])
+        assert cmd.sweep_values == (-math.pi / 2, 1.0)
+
+
+class TestSweepFlags:
+    @pytest.mark.parametrize("fmt", ["svg", "csv"])
+    @pytest.mark.parametrize("flag", ["--R", "--a", "--b", "--c", "--k", "--cc"])
+    def test_2d_sweep_rejects_3d_only_flags(self, tmp_path, capsys, fmt, flag):
+        rc = cli.main(["sweep", "--family", "fg", "--param", "s", "--from", "0", "--to", "1",
+                       "--steps", "2", "--format", fmt, flag, "5",
+                       "--out", str(tmp_path / f"c.{fmt}")])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def test_frantz_curve_honours_domain(tmp_path):
+    out = tmp_path / "f.svg"
+    assert cli.main(["curve", "--family", "frantz", "-s", "2", "--domain", "-2", "2", "-1", "1",
+                     "--out", str(out)]) == 0
+    assert 'viewBox="-2.000000000 -1.000000000 4.000000000 2.000000000"' in out.read_text()
+
+
+def test_python_m_squircles(capsys):
+    assert cli.main(["info", "--family", "fg"]) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(squircles.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "squircles", "info", "--family", "fg"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    assert proc.stderr == ""
