@@ -237,7 +237,7 @@ def _run_surface(cmd: Command) -> int:
     # a zero set of isolated points (full overshoot recession) leaves only
     # sub-cell slivers around nudged samples; report it as empty
     floor_area = 1e-9 * domain.dx * domain.dy
-    if mesh.empty or mesh_io.mesh_stats(mesh).total_area < floor_area:
+    if mesh.empty or mesh_io.mesh_area(mesh) < floor_area:
         print(EMPTY_NOTICE)
     comment = _describe_spec(spec)
     writer = mesh_io.write_obj if cmd.fmt == "obj" else mesh_io.write_stl

@@ -44,8 +44,8 @@ class ShapeSpec3D:
 
 def _warn_cc(spec):
     if not 1.5 <= spec.cc <= 4:  # heuristic quality range, not a hard constraint
-        # stacklevel 4 is the ShapeSpec3D constructor
-        warnings.warn(f"cuboctahedron constant cc={spec.cc} outside the recommended [1.5, 4]", stacklevel=4)
+        # stacklevel 5 is the caller of the ShapeSpec3D constructor
+        warnings.warn(f"cuboctahedron constant cc={spec.cc} outside the recommended [1.5, 4]", stacklevel=5)
 
 
 _RING_TORUS = _require(lambda sp: sp.R > sp.r, "ring torus requires R > r, got R={R}, r={r}")
@@ -169,7 +169,7 @@ FAMILY_RECORDS_3D = {
     "sphube": Family(
         field=lambda sp: lambda x, y, z: _box_clip(eval_sphube(x, y, z, sp.s, sp.r), x, y, z, sp.r),
         checks=(_UNIT_S,), bounds=lambda sp, tiles: _cube(sp.r * tiles),
-        info="sphube: sphere-cube blend with squareness s in [0, 1]"),
+        info="sphere-cube blend with squareness s in [0, 1]"),
     # unit cells: the periodic families grow far sheets past |x| = r
     "periodic3d": Family(
         field=_round_at_s0(lambda sp: lambda x, y, z: eval_periodic3d(x, y, z, sp.s, sp.r)),

@@ -1,7 +1,10 @@
 """Serialization of polylines and meshes, plus mesh diagnostics.
 
 All writers are byte-deterministic: fixed 9-fractional-digit text formatting,
-fixed attribute order, little-endian binary STL.
+fixed attribute order, little-endian binary STL. The text writers format a
+whole array with one `%` operation; `%.9f` on a Python float gives the same
+bytes as `"{:.9f}".format`, so every coordinate is still written with exactly
+9 fractional digits.
 """
 
 from __future__ import annotations
@@ -28,37 +31,39 @@ class MeshStats:
     total_area: float
 
 
+def mesh_area(mesh: TriangleMesh) -> float:
+    """Summed triangle area, without the edge counting of `mesh_stats`."""
+    tri = mesh.vertices[mesh.triangles]
+    return float(0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
+
+
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     """Count vertices/undirected edges/faces and sum triangle areas."""
     v_count = len(mesh.vertices)
     t_count = len(mesh.triangles)
     if t_count == 0:
         return MeshStats(v_count, 0, 0, v_count, v_count == 0, 0, 0.0)
-    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    edges, counts = np.unique(pairs, axis=0, return_counts=True)
+    a, b = mesh.triangles, mesh.triangles[:, [1, 2, 0]]
+    # one int64 key lo * v_count + hi per undirected edge, counted by a 1-D sort
+    _, counts = np.unique(np.minimum(a, b) * v_count + np.maximum(a, b), return_counts=True)
     boundary = int((counts == 1).sum())
     watertight = boundary == 0 and bool((counts == 2).all())
-    tri = mesh.vertices[mesh.triangles]
-    area = float(0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
     return MeshStats(
         vertex_count=v_count,
-        edge_count=len(edges),
+        edge_count=len(counts),
         triangle_count=t_count,
-        euler_characteristic=v_count - len(edges) + t_count,
+        euler_characteristic=v_count - len(counts) + t_count,
         watertight=watertight,
         boundary_edge_count=boundary,
-        total_area=area,
+        total_area=mesh_area(mesh),
     )
 
 
 def write_obj(mesh: TriangleMesh, sink, comment: str = "") -> None:
     """Plain-text OBJ: 9-digit vertex lines, 1-based face indices."""
-    lines = ["# squircles mesh export\n", f"# shape: {comment}\n"]
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {_FMT.format(x)} {_FMT.format(y)} {_FMT.format(z)}\n")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}\n")
-    sink.write("".join(lines).encode("utf-8"))
+    sink.write(f"# squircles mesh export\n# shape: {comment}\n".encode("utf-8"))
+    sink.write((("v %.9f %.9f %.9f\n" * len(mesh.vertices)) % tuple(mesh.vertices.ravel().tolist())).encode())
+    sink.write((("f %d %d %d\n" * len(mesh.triangles)) % tuple((mesh.triangles + 1).ravel().tolist())).encode())
 
 
 def write_stl(mesh: TriangleMesh, sink, comment: str = "") -> None:
@@ -93,13 +98,11 @@ def write_svg(polylines: list[Polyline], domain: Domain2D, sink, stroke_width: f
     ]
     flip = domain.ymin + domain.ymax
     for pl in polylines:
-        cmds = []
-        for idx, (x, y) in enumerate(pl.points):
-            cmds.append(f"{'M' if idx == 0 else 'L'} {_FMT.format(x)} {_FMT.format(flip - y)}")
-        if pl.closed:
-            cmds.append("Z")
+        # a Polyline holds at least 2 points
+        cmds = "M %.9f %.9f" + " L %.9f %.9f" * (len(pl.points) - 1) + (" Z" if pl.closed else "")
+        xy = np.column_stack((pl.points[:, 0], flip - pl.points[:, 1]))
         out.append(
-            f'<path d="{" ".join(cmds)}" fill="none" stroke="black" '
+            f'<path d="{cmds % tuple(xy.ravel().tolist())}" fill="none" stroke="black" '
             f'stroke-width="{_FMT.format(stroke_width)}"/>\n'
         )
     out.append("</svg>\n")
@@ -111,6 +114,7 @@ def write_csv(polylines: list[Polyline], sink) -> None:
     rows = ["polyline_id,point_index,x,y,closed\n"]
     for pid, pl in enumerate(polylines):
         flag = "true" if pl.closed else "false"
-        for idx, (x, y) in enumerate(pl.points):
-            rows.append(f"{pid},{idx},{_FMT.format(x)},{_FMT.format(y)},{flag}\n")
+        # the point index rides along as an exact float64 and prints through %d
+        cols = np.column_stack((np.arange(len(pl.points), dtype=float), pl.points))
+        rows.append((f"{pid},%d,%.9f,%.9f,{flag}\n" * len(cols)) % tuple(cols.ravel().tolist()))
     sink.write("".join(rows).encode("utf-8"))

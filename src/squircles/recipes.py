@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import os
 
-from . import cli
-
 
 def _c(*args):  # curve
     return ["curve", *map(str, args)]
@@ -107,6 +105,10 @@ def recipe_argv(name: str, out_dir: str) -> list[list[str]]:
 
 def run_recipe(name: str, out_dir: str) -> int:
     """Run every command of one recipe; returns the first nonzero exit code."""
+    # imported here: a module-level import would load cli with the package and
+    # make `python -m squircles.cli` warn that it was already imported
+    from . import cli
+
     for argv in recipe_argv(name, out_dir):
         rc = cli.main(argv)
         if rc != 0:

@@ -55,3 +55,12 @@ def test_python_m_squircles(capsys):
     assert proc.returncode == 0
     assert proc.stdout == expected
     assert proc.stderr == ""
+
+
+def test_python_m_squircles_cli_does_not_warn():
+    src = os.path.dirname(os.path.dirname(squircles.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "squircles.cli", "info",
+                           "--family", "fg"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fg: ")

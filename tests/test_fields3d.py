@@ -42,6 +42,11 @@ class TestShapeSpec3D:
         with pytest.warns(UserWarning):
             ShapeSpec3D("cuboctahedron", cc=5.0)
 
+    def test_cuboctahedron_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            ShapeSpec3D("cuboctahedron", cc=5.0)
+        assert record[0].filename == __file__
+
 
 class TestLame3d:
     def test_sphere_pole(self):

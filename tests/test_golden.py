@@ -141,7 +141,7 @@ INFO_STDOUT = {
     "frantz": "frantz: parametric x = r tanh(s cos t)/tanh s, y = r tanh(s sin t)/tanh s; s > 0, square as s -> inf\n",
     "phase_grid": "phase_grid: sin(pi x) sin(pi y) = 0; grid lines through every integer coordinate\n",
     "lame3d": "lame3d: superellipsoid |x|^p + |y|^p + |z|^p = r^p; sphere to cube (or octahedron for p in [1, 2])\n",
-    "sphube": "sphube: sphube: sphere-cube blend with squareness s in [0, 1]\n",
+    "sphube": "sphube: sphere-cube blend with squareness s in [0, 1]\n",
     "periodic3d": "periodic3d: triply-periodic cosine product; cube with side 2r at s=1\n",
     "oblique3d": "oblique3d: triply-periodic cosine sum; sham octahedron at s=1, overshoot h in [0, 4], sham Schwarz at s=1 r=pi h=1\n",
     "toroid": "toroid: squircular toroid (sqrt form), R > r > 0, cross-section squareness s\n",
