@@ -34,7 +34,6 @@ from .polygonize3d import (
     Domain3D,
     Grid3D,
     TriangleMesh,
-    csg_intersect,
     marching_cubes,
     sample_grid3d,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ShapeSpec2D",
     "ShapeSpec3D",
     "TriangleMesh",
-    "csg_intersect",
     "frantz_point",
     "frantz_polyline",
     "limit_convergence_check",

@@ -2,7 +2,12 @@
 
 Mesh vertices live on global grid edges and are welded by edge identity, so
 adjacent cells share vertices exactly and the output is byte-deterministic
-regardless of how the sampling work is partitioned.
+regardless of how the sampling work is partitioned. The vertex order is a
+contract: every x-edge crossing in (k, j, i) lattice order, then every y-edge
+crossing, then every z-edge crossing. The triangles use every crossing, so
+compacting to the used ids drops none. Extraction visits only the active
+cells (corners of both signs) and the crossing edges; it builds no per-edge
+id volume and never writes to the samples.
 """
 
 from __future__ import annotations
@@ -93,108 +98,99 @@ class TriangleMesh:
         return len(self.triangles) == 0
 
 
-def csg_intersect(a, b):
-    """Pointwise maximum of two inside-negative fields (solid intersection)."""
-
-    def field(x, y, z):
-        return np.maximum(a(x, y, z), b(x, y, z))
-
-    return field
-
-
 def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D:
     """Evaluate a field on the voxel lattice, partitioned over z-slabs."""
     axes = (domain.xs(), domain.ys(), domain.zs())
     return Grid3D(domain, _sample_banded(field, axes, workers).reshape(-1))
 
 
-def _edge_vertices(vals, lo_axis_coords, axis):
-    """Interpolated crossing positions and an id volume for one edge axis."""
-    if axis == 0:  # x edges
-        v0, v1 = vals[:, :, :-1], vals[:, :, 1:]
-    elif axis == 1:  # y edges
-        v0, v1 = vals[:, :-1, :], vals[:, 1:, :]
-    else:  # z edges
-        v0, v1 = vals[:-1, :, :], vals[1:, :, :]
-    cross = (v0 < 0) != (v1 < 0)
-    ids = np.full(v0.shape, -1, dtype=np.int64)
-    n = int(cross.sum())
-    ids[cross] = np.arange(n)
-    t = v0[cross] / (v0[cross] - v1[cross])
-    kk, jj, ii = np.nonzero(cross)
-    xs, ys, zs, dx, dy, dz = lo_axis_coords
-    px = xs[ii] + (t * dx if axis == 0 else 0.0)
-    py = ys[jj] + (t * dy if axis == 1 else 0.0)
-    pz = zs[kk] + (t * dz if axis == 2 else 0.0)
-    return np.column_stack([px, py, pz]), ids
+# (dk, dj, di) lattice offset of cell corners 0-7 in mc_tables' numbering
+_CORNERS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 1, 0))
+# cell edges 0-11 in mc_tables' numbering: the edge's axis (0 = x) and the
+# (dk, dj, di) lattice offset of its low end
+_EDGES = (
+    (0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0),
+    (0, 1, 0, 0), (1, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0),
+    (2, 0, 0, 0), (2, 0, 0, 1), (2, 0, 1, 1), (2, 0, 1, 0),
+)
+# A cell's sign code is built with corner (dk, dj, di) at bit 4dk + 2dj + di,
+# where the table has corner c at bit c. _TRIANGLES is the table re-indexed by
+# that code, as (code, triangle, corner) cell edge ids in int8, with each
+# triangle's edges reversed so that windings are counterclockwise seen from
+# the field-increasing (outside) side.
+_CODE_TO_CASE = sum(
+    ((np.arange(256) >> (4 * dk + 2 * dj + di)) & 1) << c for c, (dk, dj, di) in enumerate(_CORNERS)
+)
+_TRIANGLES = TRI_TABLE[_CODE_TO_CASE, :15].reshape(256, 5, 3)[:, :, ::-1].astype(np.int8)
 
 
 def marching_cubes(grid: Grid3D) -> TriangleMesh:
     """Extract the zero isosurface as a welded, deterministic triangle mesh.
 
-    Classic 256-case tables with linear edge interpolation; exact-zero samples
-    are nudged toward positive first and unused vertices are compacted.
+    Classic 256-case tables with linear edge interpolation. Only active cells
+    (corners of both signs) are visited and only crossing edges get a vertex:
+    the whole-volume passes work on one byte per sample, and no id volume is
+    built. Vertex order: every x-edge crossing in (k, j, i) lattice order,
+    then every y-edge, then every z-edge crossing; every crossing is used by a
+    triangle, so none is compacted away. Triangles follow cell order.
+    Exact-zero samples count as outside and are nudged toward positive where
+    they end a crossing edge; `grid.samples` is left untouched.
     """
     dom = grid.domain
-    vals = grid.view3d().copy()
-    scale = float(np.max(np.abs(vals))) or 1.0
-    vals[vals == 0.0] = ZERO_NUDGE * scale
-
+    nx, ny, nz = dom.nx, dom.ny, dom.nz
+    vals = grid.view3d()
+    # a zero sample is nudged to +ZERO_NUDGE * scale, so it counts as outside
     inside = vals < 0
-    case = (
-        inside[:-1, :-1, :-1].astype(np.int64)
-        | (inside[:-1, :-1, 1:] << 1)
-        | (inside[:-1, 1:, 1:] << 2)
-        | (inside[:-1, 1:, :-1] << 3)
-        | (inside[1:, :-1, :-1] << 4)
-        | (inside[1:, :-1, 1:] << 5)
-        | (inside[1:, 1:, 1:] << 6)
-        | (inside[1:, 1:, :-1] << 7)
-    )
 
-    coords = (dom.xs(), dom.ys(), dom.zs(), dom.dx, dom.dy, dom.dz)
-    xpts, xid = _edge_vertices(vals, coords, axis=0)
-    ypts, yid = _edge_vertices(vals, coords, axis=1)
-    zpts, zid = _edge_vertices(vals, coords, axis=2)
-    yid = np.where(yid >= 0, yid + len(xpts), -1)
-    zid = np.where(zid >= 0, zid + len(xpts) + len(ypts), -1)
-    vertices = np.concatenate([xpts, ypts, zpts]) if len(xpts) + len(ypts) + len(zpts) else np.zeros((0, 3))
-
-    kk, jj, ii = np.nonzero(TRI_TABLE[case, 0] >= 0)
-    if len(kk) == 0:
+    # sign code of every cell, built one axis at a time
+    bits = inside.view(np.uint8)
+    code = bits[:, :, :-1] | bits[:, :, 1:] << 1
+    code = code[:, :-1] | code[:, 1:] << 2
+    code = code[:-1] | code[1:] << 4
+    cells = np.flatnonzero((code != 0) & (code != 255))
+    if len(cells) == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    code = code.reshape(-1)[cells]
 
-    # global vertex id carried by each of the 12 cell edges
-    cell_edge_ids = np.stack(
-        [
-            xid[kk, jj, ii],
-            yid[kk, jj, ii + 1],
-            xid[kk, jj + 1, ii],
-            yid[kk, jj, ii],
-            xid[kk + 1, jj, ii],
-            yid[kk + 1, jj, ii + 1],
-            xid[kk + 1, jj + 1, ii],
-            yid[kk + 1, jj, ii],
-            zid[kk, jj, ii],
-            zid[kk, jj, ii + 1],
-            zid[kk, jj + 1, ii + 1],
-            zid[kk, jj + 1, ii],
-        ],
-        axis=1,
-    )
+    # Crossing edges of each axis in (k, j, i) order; their vertex ids follow
+    # on from the previous axes' crossings. Slot e of cell c is the edge at c
+    # + (dk, dj, di): the crossing edges that have such a cell, in order, pair
+    # up with the cells whose slot-e edge crosses, in cell order.
+    flat = grid.samples
+    scale = float(max(vals.max(), -vals.min())) or 1.0
+    coords = (dom.xs(), dom.ys(), dom.zs())
+    steps = (dom.dx, dom.dy, dom.dz)
+    points = []
+    cell_edge_ids = np.zeros((12, len(cells)), dtype=np.int64)
+    first_id = 0
+    for axis, stride in enumerate((1, nx + 1, (nx + 1) * (ny + 1))):
+        cross = np.diff(inside, axis=2 - axis)  # not_equal on booleans
+        kk, jj, ii = np.unravel_index(np.flatnonzero(cross), cross.shape)
+        lo = (kk * (ny + 1) + jj) * (nx + 1) + ii
+        v0, v1 = flat[lo], flat[lo + stride]
+        v0[v0 == 0.0] = ZERO_NUDGE * scale
+        v1[v1 == 0.0] = ZERO_NUDGE * scale
+        pts = np.column_stack([coords[0][ii], coords[1][jj], coords[2][kk]])
+        pts[:, axis] += v0 / (v0 - v1) * steps[axis]
+        points.append(pts)
+        for e, (edge_axis, dk, dj, di) in enumerate(_EDGES):
+            if edge_axis != axis:
+                continue
+            low_bit = 4 * dk + 2 * dj + di
+            sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
+            has_cell = (kk >= dk) & (kk - dk < nz) & (jj >= dj) & (jj - dj < ny) & (ii >= di) & (ii - di < nx)
+            cell_edge_ids[e, sel] = first_id + np.flatnonzero(has_cell)
+        first_id += len(pts)
+    vertices = np.concatenate(points)
 
-    rows = TRI_TABLE[case[kk, jj, ii], :15].reshape(-1, 5, 3)
+    rows = _TRIANGLES[code]
     valid = rows[:, :, 0] >= 0
     cell_of_tri = np.nonzero(valid)[0]
-    tri_edges = rows[valid]
-    # reverse the table order so windings are counterclockwise seen from the
-    # field-increasing (outside) side
-    triangles = cell_edge_ids[cell_of_tri[:, None], tri_edges[:, ::-1]]
+    triangles = cell_edge_ids[rows[valid], cell_of_tri[:, None]]
 
-    # sliver triangles from near-node crossings are kept: every cell face is
+    # Sliver triangles from near-node crossings are kept: every cell face is
     # triangulated identically on both sides, which is what keeps the mesh
-    # closed, and dropping a sliver would break its neighbor's edge pairing
-    used = np.unique(triangles)
-    remap = np.full(len(vertices), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriangleMesh(vertices[used], remap[triangles])
+    # closed, and dropping a sliver would break its neighbor's edge pairing.
+    # Each case's triangles use every crossing edge of the cell, so every
+    # crossing is a vertex of some triangle and no compaction is needed.
+    return TriangleMesh(vertices, triangles)
