@@ -168,6 +168,10 @@ def parse_args(argv) -> Command:
         raise UsageError("--grid must be >= 8")
     if cmd.tiles < 1:
         raise UsageError("--tiles must be >= 1")
+    if cmd.samples < 8:
+        raise UsageError("--samples must be >= 8")
+    if cmd.workers is not None and cmd.workers < 1:
+        raise UsageError("--workers must be >= 1")
     if ns.domain is not None:
         want = 6 if three_d else 4
         if len(ns.domain) != want:

@@ -3,12 +3,19 @@
 Vertices are interpolated on grid edges and welded by global edge identity, so
 adjacent cells share endpoints exactly and segments chain into maximal
 polylines. Output order and bytes are deterministic for fixed inputs.
+
+Marching squares visits only the active cells (corners of both signs) and the
+crossing edges, and never writes to the samples. Its vertex order is every
+x-edge crossing in (j, i) lattice order, then every y-edge crossing. Segments
+follow cell order, and chains follow segment order: each chain starts at the
+first segment no earlier chain used, grows forward from its tail, then
+backward from its head.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -20,25 +27,28 @@ from .fields2d import frantz_point
 # vertex sitting on the contour.
 ZERO_NUDGE = 1e-12
 
-# Segment endpoints per marching-squares case, as cell-local edge ids
-# (0 bottom, 1 right, 2 top, 3 left). Saddle cases 5 and 10 are resolved at
-# runtime from the cell-center sign.
-_CASE_SEGMENTS = {
-    0: [],
-    1: [(3, 0)],
-    2: [(0, 1)],
-    3: [(3, 1)],
-    4: [(1, 2)],
-    6: [(0, 2)],
-    7: [(3, 2)],
-    8: [(2, 3)],
-    9: [(0, 2)],
-    11: [(1, 2)],
-    12: [(3, 1)],
-    13: [(0, 1)],
-    14: [(3, 0)],
-    15: [],
-}
+# Most samples one field call evaluates (a band is at least one row). A band's
+# float64 temporaries then stay near 1 MB each however large the grid is, which
+# keeps sampling's peak within 1.5x its output from grid 128 up.
+BAND_SAMPLES = 1 << 17
+
+# Segments of each cell, indexed by the cell's sign code (corner (dj, di) at
+# bit 2 dj + di) plus 16 when the cell center is inside, as pairs of cell edge
+# slots (0 bottom, 1 right, 2 top, 3 left); -1 pads. Only the saddles, codes 6
+# and 9, depend on the center: an inside center joins their two inside
+# corners. The order of a pair's ends sets the direction of a chain that
+# starts at that segment, so it is part of the output contract.
+_NO = (-1, -1)
+_SEGMENTS = np.array(2 * [
+    [_NO, _NO], [(3, 0), _NO], [(0, 1), _NO], [(3, 1), _NO],
+    [(2, 3), _NO], [(0, 2), _NO], [(0, 1), (2, 3)], [(1, 2), _NO],
+    [(1, 2), _NO], [(3, 0), (1, 2)], [(0, 2), _NO], [(3, 2), _NO],
+    [(3, 1), _NO], [(0, 1), _NO], [(3, 0), _NO], [_NO, _NO],
+], dtype=np.int8)
+_SEGMENTS[16 + 6] = [(0, 3), (2, 1)]
+_SEGMENTS[16 + 9] = [(3, 2), (1, 0)]
+# cell edge slots as (axis, (dj, di) lattice offset of the edge's low end)
+_SLOTS = ((0, (0, 0)), (1, (0, 1)), (0, (1, 0)), (1, (0, 0)))
 
 
 def default_workers():
@@ -109,26 +119,33 @@ def _sample_banded(field, axes, workers):
     """Samples of field over the lattice spanned by axes (x first), indexed
     slowest axis first and evaluated in bands of the slowest axis.
 
-    The result is independent of the worker count: each sample is one scalar
-    expression and bands are reassembled in index order.
+    Each band holds at most BAND_SAMPLES samples (at least one row) and is
+    written straight into the output. The result is independent of the band
+    size and the worker count: each sample is one scalar expression.
     """
     n = len(axes)
     # axis k varies along array dimension n - 1 - k
     coords = [a.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, a in enumerate(axes)]
     shape = tuple(len(a) for a in reversed(axes))
+    vals = np.empty(shape)
 
     def run(lo, hi):
-        out = np.asarray(field(*coords[:-1], coords[-1][lo:hi]), dtype=float)
-        return np.broadcast_to(out, (hi - lo,) + shape[1:])
+        band = vals[lo:hi]
+        band[...] = field(*coords[:-1], coords[-1][lo:hi])
+        return bool(np.isfinite(band).all())
 
     workers = default_workers() if workers is None else max(1, workers)
-    if workers == 1 or shape[0] < 4 * workers:
-        vals = run(0, shape[0]).copy()
-    else:
-        bounds = np.linspace(0, shape[0], workers + 1).astype(int)
+    pooled = workers > 1 and shape[0] >= 4 * workers
+    rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
+    if pooled:
+        rows = min(rows, -(-shape[0] // workers))
+    bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
+    if pooled:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])), axis=0)
-    if not np.isfinite(vals).all():
+            finite = list(pool.map(run, bounds[:-1], bounds[1:]))
+    else:
+        finite = list(map(run, bounds[:-1], bounds[1:]))
+    if not all(finite):
         index = np.argwhere(~np.isfinite(vals))[0][::-1]
         where = ", ".join(f"{a[i]}" for a, i in zip(axes, index))
         raise ValueError(f"non-finite field value at sample ({where})")
@@ -140,132 +157,206 @@ def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D
     return Grid2D(domain, _sample_banded(field, (domain.xs(), domain.ys()), workers), field=field)
 
 
-def _nudged(samples):
-    scale = float(np.max(np.abs(samples)))
-    if scale == 0.0:
-        scale = 1.0
-    out = samples.copy()
-    out[out == 0.0] = ZERO_NUDGE * scale
-    return out
+def _active_cells(inside):
+    """Flat indices (in lattice order) and sign codes of the cells whose
+    corners have both signs.
+
+    A cell's code has the corner at lattice offset (..., dj, di) at bit
+    ... + 2 dj + di. It is built one axis at a time, one byte per sample.
+    """
+    code = inside.view(np.uint8)
+    for axis in range(inside.ndim):
+        dim = inside.ndim - 1 - axis
+        high = code[(slice(None),) * dim + (slice(1, None),)] << (1 << axis)
+        high |= code[(slice(None),) * dim + (slice(None, -1),)]
+        code = high
+    # minus 1 wraps the all-outside 0 to 255, so one compare drops it and the
+    # all-inside code
+    code -= 1
+    cells = np.flatnonzero(code < (1 << (1 << inside.ndim)) - 2)
+    return cells, code.reshape(-1)[cells] + 1
+
+
+def _nudge_zeros(vals, *gathered):
+    """Set the exact zeros in arrays of samples gathered from vals to
+    +ZERO_NUDGE times the largest |sample|, so that they count as outside.
+    The scale takes two passes over vals, made only when there is a zero."""
+    zeros = [g == 0.0 for g in gathered]
+    if any(z.any() for z in zeros):
+        nudge = ZERO_NUDGE * (float(max(vals.max(), -vals.min())) or 1.0)
+        for g, z in zip(gathered, zeros):
+            g[z] = nudge
+
+
+def _crossing_vertices(vals, inside, code, slots, coords, steps):
+    """Vertices on the lattice edges whose ends differ in sign, and the vertex
+    ids at the edge slots of the active cells.
+
+    vals and inside (vals < 0) are indexed slowest axis first; code holds the
+    active cells' sign codes in cell order; slots lists each cell edge as
+    (axis, lattice offset of its low end, slowest axis first), axis 0 being x.
+    The vertices are every x-edge crossing in lattice order, then every y-edge
+    crossing, and so on; ids[e, c] is the vertex of slot e of active cell c
+    wherever that edge crosses. A zero sample ending a crossing edge counts as
+    +ZERO_NUDGE times the largest |sample|; vals is never written.
+    """
+    n = vals.ndim
+    flat = vals.reshape(-1)
+    cell_shape = tuple(s - 1 for s in vals.shape)
+    crossings = []
+    for axis in range(n):
+        cross = np.diff(inside, axis=n - 1 - axis)  # not_equal on booleans
+        index = np.unravel_index(np.flatnonzero(cross), cross.shape)
+        lo = np.ravel_multi_index(index, vals.shape)
+        crossings.append((index, flat[lo], flat[lo + math.prod(vals.shape[n - axis:])]))
+    _nudge_zeros(vals, *(v for _, v0, v1 in crossings for v in (v0, v1)))
+
+    points = []
+    ids = np.zeros((len(slots), len(code)), dtype=np.int64)
+    first_id = 0
+    for axis, (index, v0, v1) in enumerate(crossings):
+        pts = np.column_stack([coords[k][index[n - 1 - k]] for k in range(n)])
+        pts[:, axis] += v0 / (v0 - v1) * steps[axis]
+        points.append(pts)
+        # Slot e of cell c is the edge at c + offset: the crossing edges that
+        # have such a cell, in order, pair up with the cells whose slot-e edge
+        # crosses, in cell order.
+        for e, (edge_axis, offset) in enumerate(slots):
+            if edge_axis != axis:
+                continue
+            low_bit = sum(o << (n - 1 - d) for d, o in enumerate(offset))
+            sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
+            has_cell = np.ones(len(pts), dtype=bool)
+            for i, o, size in zip(index, offset, cell_shape):
+                has_cell &= (i >= o) & (i - o < size)
+            ids[e, sel] = first_id + np.flatnonzero(has_cell)
+        first_id += len(pts)
+    return np.concatenate(points), ids
 
 
 def marching_squares(grid: Grid2D) -> list[Polyline]:
     """Extract the zero level set of a sampled field as polylines.
 
-    Saddle cells are disambiguated by the sign of the cell-center field value
-    (or the corner mean when the grid carries no field handle). Polylines that
-    touch the domain boundary are open; all others are closed. Output is
-    ordered by the row-major index of each chain's first cell.
+    Saddle cells are disambiguated by the sign of the cell-center field value,
+    all centers in one field call (or by the sum of the corners when the grid
+    carries no field handle). Polylines that touch the domain boundary are
+    open; all others are closed.
+
+    Only active cells are visited and only crossing edges get a vertex: every
+    x-edge crossing in (j, i) lattice order, then every y-edge crossing.
+    Exact-zero samples count as outside and are nudged toward positive where
+    they end a crossing edge; `grid.samples` is left untouched. Segments
+    follow cell order, and a segment whose ends coincide is dropped. Each
+    polyline is the chain of one first segment (the first not yet used),
+    grown forward from its tail, then backward from its head; polylines are
+    ordered by their first segment.
     """
     dom = grid.domain
-    vals = _nudged(grid.samples)
+    vals = grid.samples
     xs, ys = dom.xs(), dom.ys()
     inside = vals < 0
-    case = (
-        inside[:-1, :-1].astype(np.int8)
-        | (inside[:-1, 1:] << 1)
-        | (inside[1:, 1:] << 2)
-        | (inside[1:, :-1] << 3)
-    )
-    active = np.argwhere((case != 0) & (case != 15))
+    cells, code = _active_cells(inside)
+    if len(cells) == 0:
+        return []
+    points, cell_edge_ids = _crossing_vertices(vals, inside, code, _SLOTS, (xs, ys), (dom.dx, dom.dy))
 
-    verts: dict[tuple, tuple] = {}
-
-    def edge_key(edge, i, j):
-        # global identity of the grid edge carrying this crossing
-        if edge == 0:
-            return ("h", i, j)
-        if edge == 2:
-            return ("h", i, j + 1)
-        if edge == 1:
-            return ("v", i + 1, j)
-        return ("v", i, j)
-
-    def vertex(key):
-        pt = verts.get(key)
-        if pt is None:
-            kind, i, j = key
-            if kind == "h":
-                v0, v1 = vals[j, i], vals[j, i + 1]
-                t = v0 / (v0 - v1)
-                pt = (xs[i] + t * dom.dx, ys[j])
-            else:
-                v0, v1 = vals[j, i], vals[j + 1, i]
-                t = v0 / (v0 - v1)
-                pt = (xs[i], ys[j] + t * dom.dy)
-            verts[key] = pt
-        return pt
-
-    segments = []  # (key_a, key_b)
-    for j, i in active:
-        c = int(case[j, i])
-        if c in (5, 10):
-            if grid.field is not None:
-                center = float(grid.field(xs[i] + 0.5 * dom.dx, ys[j] + 0.5 * dom.dy))
-            else:
-                center = float(vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1])
-            # connect the two inside corners through the center when it is inside
-            center_inside = center < 0
-            if c == 5:
-                segs = [(3, 2), (1, 0)] if center_inside else [(3, 0), (1, 2)]
-            else:
-                segs = [(0, 3), (2, 1)] if center_inside else [(0, 1), (2, 3)]
+    key = code.astype(np.intp)
+    saddle = np.flatnonzero((code == 6) | (code == 9))
+    if len(saddle):
+        j, i = np.divmod(cells[saddle], dom.nx)
+        if grid.field is not None:
+            center = grid.field(xs[i] + 0.5 * dom.dx, ys[j] + 0.5 * dom.dy)
         else:
-            segs = _CASE_SEGMENTS[c]
-        for ea, eb in segs:
-            ka, kb = edge_key(ea, i, j), edge_key(eb, i, j)
-            if vertex(ka) != vertex(kb):
-                segments.append((ka, kb))
+            corners = [vals[j, i], vals[j, i + 1], vals[j + 1, i], vals[j + 1, i + 1]]
+            _nudge_zeros(vals, *corners)
+            center = corners[0] + corners[1] + corners[2] + corners[3]
+        key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
 
-    return _chain_segments(segments, verts)
+    rows = _SEGMENTS[key]
+    valid = rows[:, :, 0] >= 0
+    cell_of_seg = np.nonzero(valid)[0]
+    ends = rows[valid]
+    a = cell_edge_ids[ends[:, 0], cell_of_seg]
+    b = cell_edge_ids[ends[:, 1], cell_of_seg]
+    keep = (points[a] != points[b]).any(axis=1)
+    return _chains(a[keep], b[keep], points)
 
 
-def _chain_segments(segments, verts):
-    adj = defaultdict(list)
-    for si, (ka, kb) in enumerate(segments):
-        adj[ka].append((kb, si))
-        adj[kb].append((ka, si))
+def _chains(a, b, points):
+    """Polylines of the segments a[s]-b[s] over vertex ids, chained through
+    shared vertices; no vertex has more than two segments.
 
-    used = [False] * len(segments)
-    polylines = []
-    for si, (ka, kb) in enumerate(segments):
-        if used[si]:
-            continue
-        used[si] = True
-        chain = [ka, kb]
-        closed = False
-        # grow forward from the tail, then backward from the head
-        for endpos in (-1, 0):
-            while True:
-                tip = chain[endpos]
-                nxt = None
-                for other, sj in adj[tip]:
-                    if not used[sj]:
-                        nxt = (other, sj)
-                        break
-                if nxt is None:
-                    break
-                used[nxt[1]] = True
-                if endpos == -1:
-                    chain.append(nxt[0])
-                else:
-                    chain.insert(0, nxt[0])
-                if chain[0] == chain[-1]:
-                    closed = True
-                    chain.pop()
-                    break
-            if closed:
-                break
-        points = [verts[k] for k in chain]
-        deduped = [points[0]]
-        for pt in points[1:]:
-            if pt != deduped[-1]:
-                deduped.append(pt)
-        if closed and len(deduped) > 1 and deduped[0] == deduped[-1]:
-            deduped.pop()
-        if len(deduped) >= (3 if closed else 2):
-            polylines.append(Polyline(np.array(deduped), closed))
-    return polylines
+    Each connected set of segments is one chain, started by its lowest
+    segment s0 in the direction a[s0] -> b[s0]: a path runs from the end on
+    the a[s0] side to the end on the b[s0] side, a cycle from a[s0] through
+    b[s0] around. Both are found by pointer doubling over the 2n directed
+    segments (d < n runs a[d] -> b[d], d + n the reverse), so the Python loop
+    runs over polylines, not segments.
+    """
+    n = len(a)
+    if n == 0:
+        return []
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    directed = np.arange(2 * n)
+    reverse = np.concatenate([directed[n:], directed[:n]])
+    # the directed segments leaving each vertex, one per segment there
+    out = np.full((len(points), 2), -1, dtype=np.int64)
+    out[tail, 0] = directed
+    second = out[tail, 0] != directed
+    out[tail[second], 1] = directed[second]
+    # successor: leave the head along its other segment; 2n marks an end
+    nxt_out = out[head]
+    succ = np.where(nxt_out[:, 0] == reverse, nxt_out[:, 1], nxt_out[:, 0])
+    end = 2 * n
+    succ = np.append(np.where(succ < 0, end, succ), end)
+
+    # lowest segment reachable forward; once a doubling changes nothing, no
+    # later one would, and the forward reaches of d and of its reverse cover
+    # the whole chain
+    lowest = np.append(directed % n, n)
+    jump = succ
+    while True:
+        step = np.minimum(lowest, lowest[jump])
+        if np.array_equal(step, lowest):
+            break
+        lowest, jump = step, jump[jump]
+    first = np.minimum(lowest[:n], lowest[n:2 * n])  # each segment's chain
+    closed = np.ones(n, dtype=bool)  # indexed by a chain's first segment
+    closed[first[np.flatnonzero(succ[:-1] == end) % n]] = False
+
+    # open each cycle just before its first segment, in both directions
+    s0 = np.flatnonzero(closed & (first == np.arange(n)))
+    succ[reverse[succ[s0 + n]]] = end
+    succ[s0 + n] = end
+
+    # steps to the end and the last directed segment, by pointer doubling
+    rank = (succ != end).astype(np.int64)
+    last = np.arange(2 * n + 1)
+    jump = succ
+    while True:
+        going = jump != end
+        if not going.any():
+            break
+        last = np.where(going, last[jump], last)
+        rank = rank + rank[jump]
+        jump = jump[jump]
+
+    # each segment in its chain's direction, placed by its rank
+    seg = np.arange(n)
+    chain_dir = np.where(last[:n] == last[first], seg, seg + n)
+    length = np.bincount(first, minlength=n)
+    offset = np.cumsum(length) - length
+    walk = np.empty(n, dtype=np.int64)
+    walk[offset[first] + length[first] - 1 - rank[chain_dir]] = chain_dir
+
+    starts = np.flatnonzero(length)
+    is_closed = closed[starts]
+    stops = offset[starts] + length[starts]
+    opened = stops[~is_closed]
+    verts = np.insert(tail[walk], opened, head[walk[opened - 1]])
+    sizes = length[starts] + ~is_closed
+    pieces = np.split(points[verts], np.cumsum(sizes)[:-1])
+    return [Polyline(p, bool(c)) for p, c in zip(pieces, is_closed)]
 
 
 def frantz_polyline(s, r, n) -> Polyline:

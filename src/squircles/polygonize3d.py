@@ -7,7 +7,8 @@ contract: every x-edge crossing in (k, j, i) lattice order, then every y-edge
 crossing, then every z-edge crossing. The triangles use every crossing, so
 compacting to the used ids drops none. Extraction visits only the active
 cells (corners of both signs) and the crossing edges; it builds no per-edge
-id volume and never writes to the samples.
+id volume and never writes to the samples. The cell codes and the edge
+kernel are shared with marching squares (`contour2d`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour2d import ZERO_NUDGE, _sample_banded
+from .contour2d import _active_cells, _crossing_vertices, _sample_banded
 from .mc_tables import TRI_TABLE
 
 
@@ -108,10 +109,10 @@ def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D
 _CORNERS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 1, 0))
 # cell edges 0-11 in mc_tables' numbering: the edge's axis (0 = x) and the
 # (dk, dj, di) lattice offset of its low end
-_EDGES = (
-    (0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0),
-    (0, 1, 0, 0), (1, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0),
-    (2, 0, 0, 0), (2, 0, 0, 1), (2, 0, 1, 1), (2, 0, 1, 0),
+_SLOTS = (
+    (0, (0, 0, 0)), (1, (0, 0, 1)), (0, (0, 1, 0)), (1, (0, 0, 0)),
+    (0, (1, 0, 0)), (1, (1, 0, 1)), (0, (1, 1, 0)), (1, (1, 0, 0)),
+    (2, (0, 0, 0)), (2, (0, 0, 1)), (2, (0, 1, 1)), (2, (0, 1, 0)),
 )
 # A cell's sign code is built with corner (dk, dj, di) at bit 4dk + 2dj + di,
 # where the table has corner c at bit c. _TRIANGLES is the table re-indexed by
@@ -137,51 +138,14 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
     they end a crossing edge; `grid.samples` is left untouched.
     """
     dom = grid.domain
-    nx, ny, nz = dom.nx, dom.ny, dom.nz
     vals = grid.view3d()
     # a zero sample is nudged to +ZERO_NUDGE * scale, so it counts as outside
     inside = vals < 0
-
-    # sign code of every cell, built one axis at a time
-    bits = inside.view(np.uint8)
-    code = bits[:, :, :-1] | bits[:, :, 1:] << 1
-    code = code[:, :-1] | code[:, 1:] << 2
-    code = code[:-1] | code[1:] << 4
-    cells = np.flatnonzero((code != 0) & (code != 255))
+    cells, code = _active_cells(inside)
     if len(cells) == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    code = code.reshape(-1)[cells]
-
-    # Crossing edges of each axis in (k, j, i) order; their vertex ids follow
-    # on from the previous axes' crossings. Slot e of cell c is the edge at c
-    # + (dk, dj, di): the crossing edges that have such a cell, in order, pair
-    # up with the cells whose slot-e edge crosses, in cell order.
-    flat = grid.samples
-    scale = float(max(vals.max(), -vals.min())) or 1.0
-    coords = (dom.xs(), dom.ys(), dom.zs())
-    steps = (dom.dx, dom.dy, dom.dz)
-    points = []
-    cell_edge_ids = np.zeros((12, len(cells)), dtype=np.int64)
-    first_id = 0
-    for axis, stride in enumerate((1, nx + 1, (nx + 1) * (ny + 1))):
-        cross = np.diff(inside, axis=2 - axis)  # not_equal on booleans
-        kk, jj, ii = np.unravel_index(np.flatnonzero(cross), cross.shape)
-        lo = (kk * (ny + 1) + jj) * (nx + 1) + ii
-        v0, v1 = flat[lo], flat[lo + stride]
-        v0[v0 == 0.0] = ZERO_NUDGE * scale
-        v1[v1 == 0.0] = ZERO_NUDGE * scale
-        pts = np.column_stack([coords[0][ii], coords[1][jj], coords[2][kk]])
-        pts[:, axis] += v0 / (v0 - v1) * steps[axis]
-        points.append(pts)
-        for e, (edge_axis, dk, dj, di) in enumerate(_EDGES):
-            if edge_axis != axis:
-                continue
-            low_bit = 4 * dk + 2 * dj + di
-            sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
-            has_cell = (kk >= dk) & (kk - dk < nz) & (jj >= dj) & (jj - dj < ny) & (ii >= di) & (ii - di < nx)
-            cell_edge_ids[e, sel] = first_id + np.flatnonzero(has_cell)
-        first_id += len(pts)
-    vertices = np.concatenate(points)
+    vertices, cell_edge_ids = _crossing_vertices(
+        vals, inside, code, _SLOTS, (dom.xs(), dom.ys(), dom.zs()), (dom.dx, dom.dy, dom.dz))
 
     rows = _TRIANGLES[code]
     valid = rows[:, :, 0] >= 0

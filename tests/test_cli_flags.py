@@ -64,3 +64,31 @@ def test_python_m_squircles_cli_does_not_warn():
                            "--family", "fg"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("fg: ")
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("value", ["7", "0", "-1"])
+    def test_samples_below_8_is_a_usage_error(self, tmp_path, capsys, value):
+        rc = cli.main(["curve", "--family", "frantz", "-s", "2", "--samples", value,
+                       "--out", str(tmp_path / "f.svg")])
+        assert rc == 1
+        assert "--samples" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--family", "fg", "--grid", "16", "--out", "c.svg"],
+        ["surface", "--family", "sphube", "--grid", "8", "--out", "s.obj"],
+        ["sweep", "--family", "fg", "--param", "s", "--from", "0", "--to", "1", "--steps", "2",
+         "--out", "c.svg"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_1_is_a_usage_error(self, tmp_path, capsys, argv, value):
+        argv = [str(tmp_path / a) if a.endswith((".svg", ".obj")) else a for a in argv]
+        assert cli.main(argv + ["--workers", value]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_smallest_counts_parse(self):
+        cmd = cli.parse_args(["curve", "--family", "frantz", "--samples", "8", "--workers", "1",
+                              "--out", "f.svg"])
+        assert (cmd.samples, cmd.workers) == (8, 1)

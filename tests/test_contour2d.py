@@ -1,16 +1,27 @@
 import math
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from squircles import contour2d
+from squircles.cli import default_domain2d, default_domain3d
 from squircles.contour2d import (
+    ZERO_NUDGE,
     Domain2D,
     Grid2D,
+    Polyline,
     frantz_polyline,
     marching_squares,
     sample_grid2d,
 )
-from squircles.fields2d import ShapeSpec2D, make_field2d
+from squircles.fields2d import FAMILY_RECORDS_2D, ShapeSpec2D, make_field2d
+from squircles.fields3d import FAMILIES_3D, ShapeSpec3D, make_field3d
+from squircles.polygonize3d import Domain3D, sample_grid3d
 
 
 def circle_field(x, y):
@@ -154,3 +165,285 @@ class TestGrid2D:
         dom = Domain2D(-1, 1, -1, 1, 4, 4)
         with pytest.raises(ValueError):
             Grid2D(dom, np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-cell marching squares that the active-cell kernel
+# replaced, kept verbatim (dict case table, scalar saddle calls, dict chainer).
+
+REF_CASE_SEGMENTS = {
+    0: [],
+    1: [(3, 0)],
+    2: [(0, 1)],
+    3: [(3, 1)],
+    4: [(1, 2)],
+    6: [(0, 2)],
+    7: [(3, 2)],
+    8: [(2, 3)],
+    9: [(0, 2)],
+    11: [(1, 2)],
+    12: [(3, 1)],
+    13: [(0, 1)],
+    14: [(3, 0)],
+    15: [],
+}
+
+
+def ref_nudged(samples):
+    scale = float(np.max(np.abs(samples)))
+    if scale == 0.0:
+        scale = 1.0
+    out = samples.copy()
+    out[out == 0.0] = ZERO_NUDGE * scale
+    return out
+
+
+def ref_marching_squares(grid):
+    dom = grid.domain
+    vals = ref_nudged(grid.samples)
+    xs, ys = dom.xs(), dom.ys()
+    inside = vals < 0
+    case = (
+        inside[:-1, :-1].astype(np.int8)
+        | (inside[:-1, 1:] << 1)
+        | (inside[1:, 1:] << 2)
+        | (inside[1:, :-1] << 3)
+    )
+    active = np.argwhere((case != 0) & (case != 15))
+
+    verts = {}
+
+    def edge_key(edge, i, j):
+        if edge == 0:
+            return ("h", i, j)
+        if edge == 2:
+            return ("h", i, j + 1)
+        if edge == 1:
+            return ("v", i + 1, j)
+        return ("v", i, j)
+
+    def vertex(key):
+        pt = verts.get(key)
+        if pt is None:
+            kind, i, j = key
+            if kind == "h":
+                v0, v1 = vals[j, i], vals[j, i + 1]
+                t = v0 / (v0 - v1)
+                pt = (xs[i] + t * dom.dx, ys[j])
+            else:
+                v0, v1 = vals[j, i], vals[j + 1, i]
+                t = v0 / (v0 - v1)
+                pt = (xs[i], ys[j] + t * dom.dy)
+            verts[key] = pt
+        return pt
+
+    segments = []
+    for j, i in active:
+        c = int(case[j, i])
+        if c in (5, 10):
+            if grid.field is not None:
+                center = float(grid.field(xs[i] + 0.5 * dom.dx, ys[j] + 0.5 * dom.dy))
+            else:
+                center = float(vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1])
+            center_inside = center < 0
+            if c == 5:
+                segs = [(3, 2), (1, 0)] if center_inside else [(3, 0), (1, 2)]
+            else:
+                segs = [(0, 3), (2, 1)] if center_inside else [(0, 1), (2, 3)]
+        else:
+            segs = REF_CASE_SEGMENTS[c]
+        for ea, eb in segs:
+            ka, kb = edge_key(ea, i, j), edge_key(eb, i, j)
+            if vertex(ka) != vertex(kb):
+                segments.append((ka, kb))
+
+    return ref_chain_segments(segments, verts)
+
+
+def ref_chain_segments(segments, verts):
+    adj = defaultdict(list)
+    for si, (ka, kb) in enumerate(segments):
+        adj[ka].append((kb, si))
+        adj[kb].append((ka, si))
+
+    used = [False] * len(segments)
+    polylines = []
+    for si, (ka, kb) in enumerate(segments):
+        if used[si]:
+            continue
+        used[si] = True
+        chain = [ka, kb]
+        closed = False
+        for endpos in (-1, 0):
+            while True:
+                tip = chain[endpos]
+                nxt = None
+                for other, sj in adj[tip]:
+                    if not used[sj]:
+                        nxt = (other, sj)
+                        break
+                if nxt is None:
+                    break
+                used[nxt[1]] = True
+                if endpos == -1:
+                    chain.append(nxt[0])
+                else:
+                    chain.insert(0, nxt[0])
+                if chain[0] == chain[-1]:
+                    closed = True
+                    chain.pop()
+                    break
+            if closed:
+                break
+        points = [verts[k] for k in chain]
+        deduped = [points[0]]
+        for pt in points[1:]:
+            if pt != deduped[-1]:
+                deduped.append(pt)
+        if closed and len(deduped) > 1 and deduped[0] == deduped[-1]:
+            deduped.pop()
+        if len(deduped) >= (3 if closed else 2):
+            polylines.append(Polyline(np.array(deduped), closed))
+    return polylines
+
+
+def assert_same_polylines(grid):
+    got, want = marching_squares(grid), ref_marching_squares(grid)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.closed == w.closed
+        assert g.points.dtype == w.points.dtype
+        assert g.points.tobytes() == w.points.tobytes()
+    return got
+
+
+def saddle_field(x, y):
+    # polynomial, so scalar and array calls give the same bits
+    return (x - 0.3) * (y + 0.2) - 0.05
+
+
+@st.composite
+def small_grids(draw):
+    """Unequal small dims, random bounds, integer samples in [-2, 2] with
+    signed zeros, with or without a field handle for the saddle centers."""
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    # far from the origin a nudged crossing can round onto its corner
+    origin = st.one_of(st.floats(-5, 5), st.floats(-1e7, 1e7))
+    x0, y0 = draw(origin), draw(origin)
+    dom = Domain2D(x0, x0 + draw(st.floats(0.1, 10)), y0, y0 + draw(st.floats(0.1, 10)), nx, ny)
+    samples = draw(st.one_of(
+        hnp.arrays(np.float64, (ny + 1, nx + 1), elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])),
+        st.sampled_from([-2.0, -0.0, 0.0, 1.0]).map(lambda v: np.full((ny + 1, nx + 1), v)),
+    ))
+    return Grid2D(dom, samples, field=draw(st.sampled_from([None, saddle_field])))
+
+
+FIELD_FAMILIES_2D = tuple(f for f in FAMILY_RECORDS_2D if f != "frantz")  # frantz has no field
+
+
+class TestActiveCellKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(small_grids())
+    def test_small_grids_match_reference(self, grid):
+        assert_same_polylines(grid)
+
+    @pytest.mark.parametrize("family", FIELD_FAMILIES_2D)
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(8, 64), tiles=st.integers(1, 3), s=st.floats(0, 1),
+           shift=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)))
+    def test_families_match_reference(self, family, n, tiles, s, shift):
+        spec = ShapeSpec2D(family, s=s, p=1.0 + 4.0 * s)
+        d = default_domain2d(spec, n, tiles)
+        ox, oy = shift[0] * d.dx, shift[1] * d.dy
+        dom = Domain2D(d.xmin + ox, d.xmax + ox, d.ymin + oy, d.ymax + oy, n, n)
+        assert_same_polylines(sample_grid2d(make_field2d(spec), dom))
+
+    def test_chains_follow_undirected_adjacency(self):
+        # Around a lone outside sample the four cells emit right->top,
+        # bottom->right, left->bottom and left->top: the last segment runs
+        # against the loop, so chaining by segment direction would split it.
+        samples = -np.ones((3, 3))
+        samples[1, 1] = 1.0
+        (loop,) = assert_same_polylines(Grid2D(Domain2D(0, 2, 0, 2, 2, 2), samples))
+        assert loop.closed and len(loop.points) == 4
+
+    def test_saddle_fallback_sums_nudged_corners(self):
+        # Cell (0, 0) is a saddle (inside corners [0, 0] and [1, 1]) whose
+        # corner sum is negative on the raw samples but positive once its zero
+        # corner is nudged. The nudged sum keeps the two inside corners apart:
+        # an open line around [0, 0] and a closed loop around [1, 1].
+        samples = np.ones((3, 3))
+        samples[:2, :2] = [[-1.0, 0.0], [2.0 - 1e-12, -1.0]]
+        corners = [samples[0, 0], samples[0, 1], samples[1, 0], samples[1, 1]]
+        raw = corners[0] + corners[1] + corners[2] + corners[3]
+        nudged = corners[0] + ZERO_NUDGE * float(np.max(np.abs(samples))) + corners[2] + corners[3]
+        assert raw < 0 < nudged
+        polylines = assert_same_polylines(Grid2D(Domain2D(0, 2, 0, 2, 2, 2), samples))
+        assert [pl.closed for pl in polylines] == [False, True]
+
+    def test_samples_left_untouched(self):
+        # a lattice with many exact zeros, which the kernel nudges positive
+        dom = Domain2D(-2, 2, -2, 2, 16, 16)
+        grid = sample_grid2d(lambda x, y: np.round(x + y) * np.sign(y - 0.1) + 0 * x, dom)
+        assert np.count_nonzero(grid.samples == 0.0) > 30
+        before = grid.samples.copy()
+        assert assert_same_polylines(grid)
+        assert grid.samples.tobytes() == before.tobytes()
+
+    def test_peak_memory_below_reference(self):
+        spec = ShapeSpec2D("periodic", s=0.8)
+        grid = sample_grid2d(make_field2d(spec), default_domain2d(spec, 1024, 3))
+
+        def peak(kernel):
+            tracemalloc.start()
+            try:
+                kernel(grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(marching_squares) <= 0.5 * peak(ref_marching_squares)
+
+
+class TestBoundedBands:
+    def test_band_split_matches_one_call(self, monkeypatch):
+        # 3 rows and a bit per band: 65 rows do not divide into bands evenly
+        dom = Domain2D(-2, 2, -2, 2, 48, 64)
+        field = make_field2d(ShapeSpec2D("oblique", s=0.8))
+        whole = np.asarray(field(dom.xs()[None, :], dom.ys()[:, None]), dtype=float)
+        monkeypatch.setattr(contour2d, "BAND_SAMPLES", 3 * 49 + 7)
+        for workers in (1, 3):
+            assert sample_grid2d(field, dom, workers=workers).samples.tobytes() == whole.tobytes()
+
+    def test_scalar_field_fills_every_band(self, monkeypatch):
+        monkeypatch.setattr(contour2d, "BAND_SAMPLES", 50)
+        dom = Domain3D(-1, 1, -1, 1, -1, 1, 6, 5, 20)
+        for workers in (1, 2):
+            assert np.array_equal(sample_grid3d(lambda x, y, z: 2.5, dom, workers=workers).samples,
+                                  np.full(7 * 6 * 21, 2.5))
+
+    def test_first_non_finite_sample_is_named(self, monkeypatch):
+        # bad samples in two later bands: the first in index order is reported
+        monkeypatch.setattr(contour2d, "BAND_SAMPLES", 2 * 9)
+        dom = Domain2D(0, 8, 0, 16, 8, 16)
+
+        def field(x, y):
+            return np.where((x == 3) & (y == 11), np.inf, np.where((x == 5) & (y == 7), np.nan, 1.0))
+
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=r"non-finite field value at sample \(5\.0, 7\.0\)"):
+                sample_grid2d(field, dom, workers=workers)
+
+    @pytest.mark.parametrize("family", FAMILIES_3D)
+    def test_peak_memory_near_output(self, family):
+        # one worker: each thread in flight holds its own band's temporaries
+        spec = ShapeSpec3D(family, s=0.75)
+        dom = default_domain3d(spec, 128, 1)
+        field = make_field3d(spec)
+        tracemalloc.start()
+        try:
+            grid = sample_grid3d(field, dom, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid.samples.nbytes
