@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fields2d, fields3d, mesh_io, oracle
-from .contour2d import Domain2D, frantz_polyline, marching_squares, sample_grid2d
+from .contour2d import Domain2D, default_workers, frantz_polyline, marching_squares, sample_grid2d
 from .fields2d import FAMILY_RECORDS_2D, ShapeSpec2D, frantz_point, make_field2d
 from .fields3d import FAMILY_RECORDS_3D, ShapeSpec3D, make_field3d
 from .polygonize3d import Domain3D, marching_cubes, sample_grid3d
@@ -151,6 +151,13 @@ def parse_args(argv) -> Command:
     if ns.subcommand == "info":
         cmd.suite = ns.family
         return cmd
+    if getattr(ns, "workers", None) is None:  # sampling will read SQUIRCLES_WORKERS
+        try:
+            default_workers()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    if ns.grid < 8:
+        raise UsageError("--grid must be >= 8")
     if ns.subcommand == "verify":
         cmd.suite = ns.suite
         cmd.grid = ns.grid
@@ -164,8 +171,6 @@ def parse_args(argv) -> Command:
     cmd.grid, cmd.tiles, cmd.fmt, cmd.out = ns.grid, ns.tiles, ns.fmt, ns.out
     cmd.workers = ns.workers
     cmd.samples = getattr(ns, "samples", 512)
-    if cmd.grid < 8:
-        raise UsageError("--grid must be >= 8")
     if cmd.tiles < 1:
         raise UsageError("--tiles must be >= 1")
     if cmd.samples < 8:

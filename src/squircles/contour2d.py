@@ -52,10 +52,18 @@ _SLOTS = ((0, (0, 0)), (1, (0, 1)), (0, (1, 0)), (1, (0, 0)))
 
 
 def default_workers():
+    """Sampling threads when none are given: SQUIRCLES_WORKERS if set, else
+    the CPU count. A value that is not an integer >= 1 is a ValueError."""
     env = os.environ.get("SQUIRCLES_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SQUIRCLES_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 @dataclass(frozen=True)

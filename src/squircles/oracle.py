@@ -1,6 +1,13 @@
 """Independent numerical verification: radial profiles by bisection,
 limit-replication convergence rates, periodicity probes and cross-form
 zero-set equivalences.
+
+Zeros are found along rays: each ray is scanned for its first sign change,
+then its bracket is bisected. A check bisects all its rays at once
+(_bisect_rays), with the per-ray rules, so a radius is the same bits as one
+bisected alone wherever the field evaluates a point the same on an array as
+on a scalar. Scans evaluate at most contour2d.BAND_SAMPLES points per field
+call.
 """
 
 from __future__ import annotations
@@ -9,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour2d import BAND_SAMPLES
 from .fields2d import eval_oblique, eval_periodic
 
 
@@ -35,20 +43,63 @@ class ConvergenceReport:
     ratios: np.ndarray
 
 
-def _bisect_ray(field_on_ray, lo, hi, tol):
-    flo = field_on_ray(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > tol:
+def _bisect_rays(f_at, lo, hi, tol):
+    """Roots of many rays at once, each bisected from its bracket [lo, hi].
+
+    f_at(t, rays) is the field at parameter t[i] on ray rays[i]. Every ray
+    keeps the per-ray rules: an exact zero at lo or at a midpoint is the root,
+    a ray stops once hi - lo <= tol, and the root is then 0.5 * (lo + hi).
+    The side of a midpoint is judged against the sign at lo. Rays that stop
+    leave the batch, so each call evaluates only the open rays.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    roots = lo.copy()  # a ray with an exact zero at lo keeps it
+    flo = f_at(lo, np.arange(lo.size))
+    rays = np.flatnonzero(flo != 0.0)
+    lo, hi, neg = lo[rays], hi[rays], flo[rays] < 0
+    while True:
+        live = hi - lo > tol
+        roots[rays[~live]] = 0.5 * (lo[~live] + hi[~live])
+        rays, lo, hi, neg = rays[live], lo[live], hi[live], neg[live]
+        if not rays.size:
+            return roots
         mid = 0.5 * (lo + hi)
-        fm = field_on_ray(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        fm = f_at(mid, rays)
+        zero = fm == 0.0
+        roots[rays[zero]] = mid[zero]
+        same = (fm < 0) == neg
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        rays, lo, hi, neg = rays[~zero], lo[~zero], hi[~zero], neg[~zero]
+
+
+def _first_positive(samples, n_rays, n_ts):
+    """Index of the first positive sample on each ray, or -1 if there is none.
+
+    samples(rays) gives the (rays, n_ts) scan of a slice of rays; each call
+    holds at most BAND_SAMPLES samples (at least one ray).
+    """
+    first = np.empty(n_rays, dtype=np.intp)
+    step = max(1, BAND_SAMPLES // n_ts)
+    for start in range(0, n_rays, step):
+        pos = np.asarray(samples(slice(start, start + step))) > 0
+        k = pos.argmax(axis=1)
+        k[~pos.any(axis=1)] = -1
+        first[start:start + step] = k
+    return first
+
+
+def _radial_roots(field, angles, r_max, tol, scan):
+    # first zero crossing of a 2D field along each ray; the error names the
+    # first angle without a sign change
+    if not field(0.0, 0.0) < 0:
+        raise NoSignChangeError("field is not negative at the origin")
+    ct, st = np.cos(angles), np.sin(angles)
+    ts = np.linspace(0.0, r_max, scan + 1)
+    k = _first_positive(lambda rays: field(ts * ct[rays, None], ts * st[rays, None]), len(angles), len(ts))
+    missing = np.flatnonzero(k < 0)
+    if missing.size:
+        raise NoSignChangeError(f"no sign change along theta={angles[missing[0]]}")
+    return _bisect_rays(lambda t, rays: field(t * ct[rays], t * st[rays]), ts[k - 1], ts[k], tol)
 
 
 def radial_profile(field, theta, r_max, tol=1e-12, scan=1024):
@@ -58,22 +109,17 @@ def radial_profile(field, theta, r_max, tol=1e-12, scan=1024):
     radius; scanning (rather than a single end bracket) keeps thin positive
     windows near tangential zero sets detectable.
     """
-    ct, st = np.cos(theta), np.sin(theta)
-    if not field(0.0, 0.0) < 0:
-        raise NoSignChangeError("field is not negative at the origin")
-    ts = np.linspace(0.0, r_max, scan + 1)
-    vals = np.asarray(field(ts * ct, ts * st))
-    pos = np.nonzero(vals > 0)[0]
-    if len(pos) == 0:
-        raise NoSignChangeError(f"no sign change along theta={theta}")
-    k = pos[0]
-    return _bisect_ray(lambda t: field(t * ct, t * st), ts[k - 1], ts[k], tol)
+    return _radial_roots(field, np.array([theta]), r_max, tol, scan)[0]
 
 
 def radial_profile_report(field, r_max, reference, n_angles=360) -> RadialProfileReport:
-    """Profile at n half-offset angles against a reference radius function."""
+    """Profile at n half-offset angles against a reference radius function.
+
+    All rays are scanned and bisected together, with the radii of
+    radial_profile at each angle.
+    """
     angles = 2.0 * np.pi * (np.arange(n_angles) + 0.5) / n_angles
-    radii = np.array([radial_profile(field, t, r_max) for t in angles])
+    radii = _radial_roots(field, angles, r_max, 1e-12, 1024)
     ref = np.asarray(reference(angles), dtype=float)
     ref = np.broadcast_to(ref, radii.shape)
     return RadialProfileReport(angles, radii, ref, float(np.max(np.abs(radii - ref))))
@@ -168,32 +214,36 @@ def zero_set_residual(reference, alternate, sample_count, seed_point=(0.0, 0.0, 
     """Max |alternate| over reference zeros found by ray bisection from a seed.
 
     Directions without a sign bracket inside r_max are skipped; if fewer than
-    sample_count zeros can be collected the seeding is considered failed.
+    sample_count zeros can be collected within 20 * sample_count directions
+    the seeding is considered failed. Directions are drawn in batches from the
+    same random stream as one draw per direction, the first sample_count
+    bracketed ones are kept in draw order, and all of them are bisected and
+    checked together.
     """
     seed_point = np.asarray(seed_point, dtype=float)
     if not reference(*seed_point) < 0:
         raise NoSignChangeError("seed point is not inside the reference zero set")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    found = 0
-    attempts = 0
     ts = np.linspace(0.0, r_max, 1025)
+    origin = seed_point[:, None, None]
+    dirs, firsts = [np.empty((0, 3))], [np.empty(0, dtype=np.intp)]
+    found = attempts = 0
     while found < sample_count:
         if attempts >= 20 * sample_count:
             raise NoSignChangeError("could not bracket enough reference zeros")
-        attempts += 1
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        pts = seed_point[None, :] + ts[:, None] * d[None, :]
-        vals = np.asarray(reference(pts[:, 0], pts[:, 1], pts[:, 2]))
-        pos = np.nonzero(vals > 0)[0]
-        if len(pos) == 0:
-            continue
-        k = pos[0]
-        root = _bisect_ray(
-            lambda t: reference(*(seed_point + t * d)), ts[k - 1], ts[k], 1e-13 * r_max
-        )
-        p = seed_point + root * d
-        worst = max(worst, float(np.abs(alternate(p[0], p[1], p[2]))))
-        found += 1
-    return worst
+        d = rng.normal(size=(min(sample_count - found, 20 * sample_count - attempts), 3))
+        attempts += len(d)
+        # row norms by the BLAS dot that np.linalg.norm uses, for the same bits
+        d /= np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+        k = _first_positive(lambda rays: reference(*(origin + ts * d[rays].T[:, :, None])), len(d), len(ts))
+        bracketed = k >= 0
+        dirs.append(d[bracketed])
+        firsts.append(k[bracketed])
+        found += int(bracketed.sum())
+    d, k = np.concatenate(dirs).T, np.concatenate(firsts)
+    roots = _bisect_rays(
+        lambda t, rays: reference(*(seed_point[:, None] + t * d[:, rays])), ts[k - 1], ts[k], 1e-13 * r_max
+    )
+    residuals = np.abs(alternate(*(seed_point[:, None] + roots * d)))
+    # NaN residuals are skipped, as max() over floats skips them
+    return float(np.fmax.reduce(residuals, initial=0.0))

@@ -7,6 +7,7 @@ import pytest
 
 import squircles
 from squircles import cli
+from squircles.contour2d import default_workers
 
 
 class TestNumericFlags:
@@ -92,3 +93,46 @@ class TestCountFlags:
         cmd = cli.parse_args(["curve", "--family", "frantz", "--samples", "8", "--workers", "1",
                               "--out", "f.svg"])
         assert (cmd.samples, cmd.workers) == (8, 1)
+
+
+class TestWorkersEnvironment:
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--family", "fg", "--grid", "16", "--out", "c.svg"],
+        ["surface", "--family", "sphube", "--grid", "8", "--out", "s.obj"],
+        ["verify", "--suite", "mesh", "--grid", "8"],
+    ])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("SQUIRCLES_WORKERS", value)
+        argv = [str(tmp_path / a) if a.endswith((".svg", ".obj")) else a for a in argv]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert f"usage error: SQUIRCLES_WORKERS must be an integer >= 1, got {value!r}" in out.err
+        assert out.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_library_callers_get_a_value_error(self, monkeypatch, value):
+        monkeypatch.setenv("SQUIRCLES_WORKERS", value)
+        with pytest.raises(ValueError, match=f"^SQUIRCLES_WORKERS must be an integer >= 1, got '{value}'$"):
+            default_workers()
+
+    def test_good_value_and_flag_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SQUIRCLES_WORKERS", "2")
+        assert default_workers() == 2
+        monkeypatch.setenv("SQUIRCLES_WORKERS", "0")
+        # --workers takes precedence, so the variable is not read
+        assert cli.main(["curve", "--family", "fg", "--grid", "16", "--workers", "1",
+                         "--out", str(tmp_path / "c.svg")]) == 0
+
+
+class TestVerifyGrid:
+    @pytest.mark.parametrize("value", ["1", "4", "7", "-1"])
+    def test_grid_below_8_is_a_usage_error(self, capsys, value):
+        assert cli.main(["verify", "--suite", "mesh", "--grid", value]) == 1
+        out = capsys.readouterr()
+        assert "usage error: --grid must be >= 8" in out.err
+        assert out.out == ""
+
+    def test_grid_8_parses(self):
+        assert cli.parse_args(["verify", "--grid", "8"]).grid == 8

@@ -2,8 +2,8 @@
 
 The sha256 of every file written by every FIGURE_RECIPES entry and by one
 command per shape family (the determinism command list of the acceptance
-gate), plus the exact stdout of `info --family F` for every family. A
-refactor that keeps these green changed no output byte.
+gate), plus the exact stdout of `info --family F` for every family and of
+`verify --suite all`. A refactor that keeps these green changed no output byte.
 
 Generated with Python 3.11.7 and numpy 2.4.6. Another numpy may round some
 transcendental functions differently in the last ulp; regenerate the table
@@ -152,6 +152,43 @@ INFO_STDOUT = {
 }
 
 
+# the exact stdout of `verify --suite all`, every value to 7 significant digits
+VERIFY_STDOUT = (
+    "circle_limit_lame_p2                 value=1.136868e-13 bound=1e-12      PASS\n"
+    "circle_limit_fg_s0                   value=1.136868e-13 bound=1e-12      PASS\n"
+    "circle_limit_periodic                value=1.027729e-07 bound=1e-03      PASS\n"
+    "circle_limit_oblique                 value=2.055676e-07 bound=1e-03      PASS\n"
+    "circle_limit_frantz                  value=1.666159e-07 bound=1e-03      PASS\n"
+    "convergence_periodic                 value=7.121957e-03 bound=0.5        PASS\n"
+    "convergence_oblique                  value=3.786867e-03 bound=0.5        PASS\n"
+    "periodicity_periodic_2d              value=1.332268e-15 bound=1e-09      PASS\n"
+    "periodicity_oblique_2d               value=1.332268e-15 bound=1e-09      PASS\n"
+    "periodicity_periodic_3d              value=1.165734e-15 bound=1e-09      PASS\n"
+    "periodicity_oblique_3d               value=1.776357e-15 bound=1e-09      PASS\n"
+    "nonperiodic_fg                       value=2.733201e+02 bound=> 0.1      PASS\n"
+    "nonperiodic_lame                     value=4.000000e+00 bound=> 0.1      PASS\n"
+    "square_case_periodic                 value=3.673738e-16 bound=1e-12      PASS\n"
+    "square_case_oblique                  value=3.552714e-15 bound=1e-12      PASS\n"
+    "square_case_periodic_r3              value=1.255494e-15 bound=1e-12      PASS\n"
+    "square_metric_lame_inf               value=3.423928e-13 bound=1e-09      PASS\n"
+    "square_metric_lame_p1                value=3.583800e-13 bound=1e-09      PASS\n"
+    "square_metric_fg                     value=3.423928e-13 bound=1e-09      PASS\n"
+    "square_metric_periodic               value=3.423928e-13 bound=1e-09      PASS\n"
+    "square_metric_oblique                value=3.583800e-13 bound=1e-09      PASS\n"
+    "toroid_octic_s0.0                    value=1.080025e-12 bound=1.6e-08    PASS\n"
+    "toroid_octic_s0.5                    value=1.051603e-12 bound=1.6e-08    PASS\n"
+    "toroid_octic_s1.0                    value=1.051603e-12 bound=1.6e-08    PASS\n"
+    "sham_schwarz_reduction               value=4.996004e-16 bound=1e-12      PASS\n"
+    "sphube_fg_z0                         value=0.000000e+00 bound=0          PASS\n"
+    "periodic3d_periodic_z0               value=0.000000e+00 bound=0          PASS\n"
+    "mesh_sphere                          value=2.000000e+00 bound=chi=2      PASS\n"
+    "mesh_sphere_area                     value=4.405793e-04 bound=1e-02      PASS\n"
+    "mesh_torus                           value=0.000000e+00 bound=chi=0      PASS\n"
+    "mesh_cone_fg                         value=2.000000e+00 bound=chi=2      PASS\n"
+    "mesh_cuboctahedron                   value=2.000000e+00 bound=chi=2      PASS\n"
+)
+
+
 def _digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
 
@@ -181,3 +218,8 @@ def test_info_text(capsys):
         assert cli.main(["info", "--family", family]) == 0
         out[family] = capsys.readouterr().out
     assert out == INFO_STDOUT
+
+
+def test_verify_text(capsys):
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT
