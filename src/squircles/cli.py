@@ -241,8 +241,8 @@ def _run_surface(cmd: Command) -> int:
         domain = Domain3D(*cmd.domain, cmd.grid, cmd.grid, cmd.grid)
     else:
         domain = default_domain3d(spec, cmd.grid, cmd.tiles)
-    grid = sample_grid3d(field, domain, workers=cmd.workers)
-    mesh = marching_cubes(grid)
+    # the samples are freed once extraction returns
+    mesh = marching_cubes(sample_grid3d(field, domain, workers=cmd.workers))
     # a zero set of isolated points (full overshoot recession) leaves only
     # sub-cell slivers around nudged samples; report it as empty
     floor_area = 1e-9 * domain.dx * domain.dy
@@ -378,8 +378,7 @@ def _verify_mesh(results, grid):
         ("mesh_cuboctahedron", ShapeSpec3D("cuboctahedron"), 2),
     ]
     for name, spec, chi in cases:
-        g = sample_grid3d(make_field3d(spec), default_domain3d(spec, grid, 1))
-        stats = mesh_io.mesh_stats(marching_cubes(g))
+        stats = mesh_io.mesh_stats(marching_cubes(sample_grid3d(make_field3d(spec), default_domain3d(spec, grid, 1))))
         ok = stats.watertight and stats.euler_characteristic == chi
         results.append(_check_line(name, float(stats.euler_characteristic), f"chi={chi}", ok))
         if name == "mesh_sphere":

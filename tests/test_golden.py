@@ -1,9 +1,10 @@
 """Golden output hashes: every byte the CLI writes is pinned.
 
-The sha256 of every file written by every FIGURE_RECIPES entry and by one
+The sha256 of every file written by every FIGURE_RECIPES entry, by one
 command per shape family (the determinism command list of the acceptance
-gate), plus the exact stdout of `info --family F` for every family and of
-`verify --suite all`. A refactor that keeps these green changed no output byte.
+gate) and by two commands full of exact rounding ties, plus the exact stdout
+of `info --family F` for every family and of `verify --suite all`. A refactor
+that keeps these green changed no output byte.
 
 Generated with Python 3.11.7 and numpy 2.4.6. Another numpy may round some
 transcendental functions differently in the last ulp; regenerate the table
@@ -38,6 +39,22 @@ FAMILY_COMMANDS = [
     ["surface", "--family", "cuboctahedron", "--grid", "32", "--format", "stl",
      "--out", "cubocta.stl"],
 ]
+
+# Commands whose coordinates are exact decimal ties of "%.9f", which rounds
+# them half-to-even: a lattice step of 2**-10 puts 51,072 of the 153,378 OBJ
+# coordinates and 4,096 CSV values exactly on a half of the 9th decimal.
+TIE_COMMANDS = [
+    ["surface", "--family", "sphube", "-s", "0.5", "--radius", "0.05",
+     "--domain", "-0.0625", "0.0625", "-0.0625", "0.0625", "-0.0625", "0.0625",
+     "--grid", "128", "--format", "obj", "--out", "tie_sphube.obj"],
+    ["curve", "--family", "fg", "-s", "0.5", "--domain", "-1", "1", "-1", "1",
+     "--grid", "2048", "--format", "csv", "--out", "tie_fg.csv"],
+]
+
+TIE_SHA256 = {
+    "tie_fg.csv": "6a655be7b35336e48a11f776940be56ae0276a7ca59758a6ccc5578fdc282b9e",
+    "tie_sphube.obj": "95fc58c7fe2ec971856a07dcb18220b74f3f7e371141a5b1b6623cfec8ad6b65",
+}
 
 RECIPE_SHA256 = {
     "fig2/fig2_00.svg": "94b6beb73160b89cf6434ead68c33fd937d69a6becd47d0ffea83e32bd0ad36a",
@@ -203,13 +220,21 @@ def test_recipe_bytes(tmp_path, capsys):
     assert digests == RECIPE_SHA256
 
 
-def test_family_command_bytes(tmp_path, capsys):
-    for argv in FAMILY_COMMANDS:
+def _run_commands(commands, directory):
+    for argv in commands:
         argv = list(argv)
         at = argv.index("--out") + 1
-        argv[at] = str(tmp_path / argv[at])
+        argv[at] = str(directory / argv[at])
         assert cli.main(argv) == 0, argv
-    assert _digests(tmp_path) == COMMAND_SHA256
+    return _digests(directory)
+
+
+def test_family_command_bytes(tmp_path, capsys):
+    assert _run_commands(FAMILY_COMMANDS, tmp_path) == COMMAND_SHA256
+
+
+def test_tie_command_bytes(tmp_path, capsys):
+    assert _run_commands(TIE_COMMANDS, tmp_path) == TIE_SHA256
 
 
 def test_info_text(capsys):

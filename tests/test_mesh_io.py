@@ -1,14 +1,15 @@
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squircles.contour2d import Domain2D, Polyline, marching_squares, sample_grid2d
+from squircles.contour2d import BAND_SAMPLES, Domain2D, Polyline, marching_squares, sample_grid2d
 from squircles.mesh_io import MeshStats, mesh_area, mesh_stats, write_csv, write_obj, write_stl, write_svg
 from squircles.polygonize3d import Domain3D, TriangleMesh, marching_cubes, sample_grid3d
 
@@ -141,7 +142,7 @@ class TestWriteCsv:
 
 # ---------------------------------------------------------------- references
 # Per-value "{:.9f}".format writers and an np.unique(axis=0) edge count, kept
-# here as independent references for the whole-array writers and the packed
+# here as independent references for the word-table writers and the packed
 # edge keys of mesh_io.
 
 _F = "{:.9f}"
@@ -180,10 +181,8 @@ def ref_stats(mesh):
     pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, counts = np.unique(pairs, axis=0, return_counts=True)
     boundary = int((counts == 1).sum())
-    tri = mesh.vertices[mesh.triangles]
-    area = float(0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
     return MeshStats(v, len(edges), t, v - len(edges) + t, boundary == 0 and bool((counts == 2).all()),
-                     boundary, area)
+                     boundary, ref_mesh_area(mesh))
 
 
 # -0.0, values that print as +-0.000000000, values >= 1e12 and everything else
@@ -202,11 +201,11 @@ def meshes(draw, coords=COORDS, max_vertices=12):
 
 
 @st.composite
-def polyline_lists(draw):
+def polyline_lists(draw, coords=COORDS):
     out = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(2, 12))
-        out.append(Polyline(draw(hnp.arrays(np.float64, (n, 2), elements=COORDS)), draw(st.booleans())))
+        out.append(Polyline(draw(hnp.arrays(np.float64, (n, 2), elements=coords)), draw(st.booleans())))
     return out
 
 
@@ -239,6 +238,9 @@ class TestWholeArrayWriters:
         sink = io.BytesIO()
         write_csv([], sink)
         assert sink.getvalue() == ref_csv([])
+        sink = io.BytesIO()
+        write_svg([], Domain2D(-1, 1, -1, 1, 8, 8), sink)
+        assert sink.getvalue().endswith(b'">\n</svg>\n')
 
     def test_signed_zero_and_large_values(self):
         sink = io.BytesIO()
@@ -263,3 +265,172 @@ class TestPackedEdgeStats:
             assert mesh_area(mesh) == mesh_stats(mesh).total_area
         stats = mesh_stats(fan)
         assert (stats.edge_count, stats.boundary_edge_count, stats.watertight) == (6, 2, False)
+
+
+# ------------------------------------------------------- the word-table kernel
+# The writers round x * 1e9 with np.rint and settle exact half-integer
+# products by the sign of the product's rounding error; values that are not
+# finite or have |x * 1e9| >= 2**52 go to "%.9f" one by one. These strategies
+# aim at each of those branches.
+
+_LIMIT = 2.0**52 / 1e9
+
+
+def _neighbours(x):
+    return st.sampled_from([x, float(np.nextafter(x, math.inf)), float(np.nextafter(x, -math.inf))])
+
+
+# k / 2**m is an exact tie of the 9th decimal for many k once m >= 10
+DYADIC = st.builds(lambda k, m: k / 2.0**m, st.integers(-2**40, 2**40), st.integers(10, 40)).flatmap(_neighbours)
+CARRIES = st.sampled_from([999.9999999995, 0.9999999995, 9.9999999995, 99999.9999999995, 0.0000000005,
+                           1.0000000005, 0.0000000015, 0.0000000025, 2.5e-9, 4503599.6274999995]).flatmap(
+    lambda x: _neighbours(x).flatmap(lambda v: st.sampled_from([v, -v])))
+ZEROS = st.sampled_from([0.0, -0.0, -1e-300, -5e-324, 5e-324, -4.9e-10, -1e-12, 1e-12])
+NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+NEAR_LIMIT = st.floats(0.999999 * _LIMIT, 1.000001 * _LIMIT).flatmap(lambda v: st.sampled_from([v, -v]))
+KERNEL_FLOATS = st.one_of(st.floats(-1e3, 1e3), DYADIC, CARRIES, ZEROS, NON_FINITE, NEAR_LIMIT,
+                          st.sampled_from([_LIMIT, -_LIMIT]).flatmap(_neighbours))
+# face ids at the edges of 3-digit groups, plus large and (for an invalid
+# mesh) negative int64 values
+FACE_IDS = st.one_of(
+    st.sampled_from([1, 9, 10, 99, 100, 999, 1000, 1001, 999999, 10**6, 10**6 + 1, 10**9 - 1, 10**9,
+                     2**32 - 1, 2**32, 2**63 - 1, -1, -999, -1000, -2**63 + 1]),
+    st.integers(1, 2**63 - 1), st.integers(-2**63 + 1, 2**63 - 1))
+
+
+def _with_face_ids(ids):
+    # TriangleMesh only checks the largest index against the vertex count, and
+    # the writer reads nothing else, so large ids skip building the vertices
+    mesh = TriangleMesh(np.zeros((1, 3)), np.zeros((0, 3), dtype=np.int64))
+    mesh.triangles = np.asarray(ids, dtype=np.int64).reshape(-1, 3) - 1
+    return mesh
+
+
+# whole-mesh mesh_area and write_stl, kept as references for the banded ones
+def ref_mesh_area(mesh):
+    tri = mesh.vertices[mesh.triangles]
+    return float(0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum())
+
+
+def ref_write_stl(mesh, sink, comment=""):
+    header = f"squircles mesh export {comment}".encode("utf-8")[:80]
+    sink.write(header.ljust(80, b"\0"))
+    sink.write(struct.pack("<I", len(mesh.triangles)))
+    if mesh.empty:
+        return
+    tri = mesh.vertices[mesh.triangles].astype("<f4")
+    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).astype("<f8")
+    lengths = np.linalg.norm(normals, axis=1)
+    lengths[lengths == 0] = 1.0
+    normals = (normals / lengths[:, None]).astype("<f4")
+    record = np.zeros(len(tri), dtype=np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")]))
+    record["n"] = normals
+    record["v"] = tri
+    sink.write(record.tobytes())
+
+
+def banded_mesh(seed=0):
+    """A mesh of 2.5 bands of triangles, some of zero area (repeated corners)."""
+    rng = np.random.default_rng(seed)
+    vertices = rng.uniform(-2.0, 2.0, (5000, 3))
+    triangles = rng.integers(0, len(vertices), (BAND_SAMPLES * 5 // 2, 3))
+    triangles[::7, 2] = triangles[::7, 0]
+    triangles[::11, 1:] = triangles[::11, :1]
+    return TriangleMesh(vertices, triangles)
+
+
+class _NullSink:
+    def write(self, data):
+        return memoryview(data).nbytes
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWordTableKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(meshes(coords=KERNEL_FLOATS), st.text(max_size=4))
+    def test_obj_vertices(self, mesh, comment):
+        sink = io.BytesIO()
+        write_obj(mesh, sink, comment=comment)
+        assert sink.getvalue() == ref_obj(mesh, comment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FACE_IDS, max_size=30).map(lambda ids: ids[:len(ids) // 3 * 3]))
+    def test_obj_face_ids(self, ids):
+        mesh = _with_face_ids(ids)
+        sink = io.BytesIO()
+        write_obj(mesh, sink)
+        assert sink.getvalue() == ref_obj(mesh, "")
+
+    @settings(max_examples=200, deadline=None)
+    @given(polyline_lists(coords=KERNEL_FLOATS))
+    def test_svg_paths(self, polylines):
+        # ymin + ymax = 0, so the flipped y of a tie is still a tie
+        domain = Domain2D(-2.0, 2.0, -1.0, 1.0, 16, 16)
+        sink = io.BytesIO()
+        write_svg(polylines, domain, sink)
+        text = sink.getvalue().decode()
+        assert [p.split('"')[0] for p in text.split('<path d="')[1:]] == ref_svg_paths(polylines, domain)
+
+    @settings(max_examples=200, deadline=None)
+    @given(polyline_lists(coords=KERNEL_FLOATS))
+    def test_csv_rows(self, polylines):
+        sink = io.BytesIO()
+        write_csv(polylines, sink)
+        assert sink.getvalue() == ref_csv(polylines)
+
+    @staticmethod
+    def _obj_lines(rows):
+        sink = io.BytesIO()
+        write_obj(TriangleMesh(np.array(rows, dtype=float), np.zeros((0, 3), dtype=np.int64)), sink)
+        return sink.getvalue()
+
+    def test_ties_and_carries(self):
+        # k / 2**10 * 1e9 = k * 5**9 / 2, so the 9th decimal of every odd k is
+        # an exact tie; with both neighbours, which are not
+        base = np.arange(-3 * 2**11, 3 * 2**11) / 2.0**10
+        rows = np.concatenate([base, np.nextafter(base, math.inf), np.nextafter(base, -math.inf)]).reshape(-1, 3)
+        text = self._obj_lines(rows)
+        assert text == ref_obj(TriangleMesh(rows, np.zeros((0, 3), dtype=np.int64)), "")
+        # 2929687.5 and 976562.5 both round to even, one up and one down
+        assert b"v -0.002929688 -0.001953125 -0.000976562\n" in text
+        # a carry out of the fraction adds an integer digit
+        assert self._obj_lines([[999.9999999995, -99.9999999999, 9.99999999951]]).endswith(
+            b"v 1000.000000000 -100.000000000 10.000000000\n")
+
+    def test_fallback_values_spliced_in_order(self):
+        rows = [[math.nan, -math.inf, 1e300], [-0.0, _LIMIT, -1e-12], [math.inf, 2.5e-9, -2.5e-9]]
+        assert self._obj_lines(rows).split(b"\n")[2:5] == [
+            b"v nan -inf " + b"%.9f" % 1e300,
+            b"v -0.000000000 " + b"%.9f" % _LIMIT + b" -0.000000000",
+            b"v inf " + b"%.9f %.9f" % (2.5e-9, -2.5e-9),
+        ]
+
+
+
+class TestBandedAreaAndStl:
+    def test_area_matches_reference(self):
+        for mesh in (banded_mesh(0), banded_mesh(1), sphere_mesh(24), TRI, EMPTY):
+            assert mesh_area(mesh) == ref_mesh_area(mesh)
+
+    def test_stl_matches_reference(self):
+        for mesh in (banded_mesh(0), sphere_mesh(24), TRI, EMPTY):
+            a, b = io.BytesIO(), io.BytesIO()
+            write_stl(mesh, a, comment="c")
+            ref_write_stl(mesh, b, comment="c")
+            assert a.getvalue() == b.getvalue()
+
+    def test_peak_memory_is_banded(self):
+        # 5 bands of triangles; measured 31 MB (area) and 24 MB (stl) against
+        # 131 MB and 102 MB for the whole-mesh references
+        rng = np.random.default_rng(3)
+        mesh = TriangleMesh(rng.uniform(-1, 1, (1000, 3)), rng.integers(0, 1000, (5 * BAND_SAMPLES, 3)))
+        assert _peak(lambda: mesh_area(mesh)) <= 0.4 * _peak(lambda: ref_mesh_area(mesh))
+        assert _peak(lambda: write_stl(mesh, _NullSink())) <= 0.4 * _peak(lambda: ref_write_stl(mesh, _NullSink()))
