@@ -35,6 +35,7 @@ from .polygonize3d import (
     Grid3D,
     TriangleMesh,
     marching_cubes,
+    polygonize,
     sample_grid3d,
 )
 from .recipes import FIGURE_RECIPES, run_recipe
@@ -68,6 +69,7 @@ __all__ = [
     "marching_squares",
     "mesh_stats",
     "periodicity_check",
+    "polygonize",
     "radial_profile",
     "radial_profile_report",
     "run_recipe",

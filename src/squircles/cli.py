@@ -19,7 +19,8 @@ from . import fields2d, fields3d, mesh_io, oracle
 from .contour2d import Domain2D, default_workers, frantz_polyline, marching_squares, sample_grid2d
 from .fields2d import FAMILY_RECORDS_2D, ShapeSpec2D, frantz_point, make_field2d
 from .fields3d import FAMILY_RECORDS_3D, ShapeSpec3D, make_field3d
-from .polygonize3d import Domain3D, marching_cubes, sample_grid3d
+# sample_grid3d is not called here; sqbench's thread probe reads it from here
+from .polygonize3d import Domain3D, polygonize, sample_grid3d
 
 CURVE_FORMATS = ("svg", "csv")
 SURFACE_FORMATS = ("obj", "stl")
@@ -241,8 +242,8 @@ def _run_surface(cmd: Command) -> int:
         domain = Domain3D(*cmd.domain, cmd.grid, cmd.grid, cmd.grid)
     else:
         domain = default_domain3d(spec, cmd.grid, cmd.tiles)
-    # the samples are freed once extraction returns
-    mesh = marching_cubes(sample_grid3d(field, domain, workers=cmd.workers))
+    # sampled and meshed slab by slab: the whole volume is never held
+    mesh = polygonize(field, domain, workers=cmd.workers)
     # a zero set of isolated points (full overshoot recession) leaves only
     # sub-cell slivers around nudged samples; report it as empty
     floor_area = 1e-9 * domain.dx * domain.dy
@@ -378,7 +379,7 @@ def _verify_mesh(results, grid):
         ("mesh_cuboctahedron", ShapeSpec3D("cuboctahedron"), 2),
     ]
     for name, spec, chi in cases:
-        stats = mesh_io.mesh_stats(marching_cubes(sample_grid3d(make_field3d(spec), default_domain3d(spec, grid, 1))))
+        stats = mesh_io.mesh_stats(polygonize(make_field3d(spec), default_domain3d(spec, grid, 1)))
         ok = stats.watertight and stats.euler_characteristic == chi
         results.append(_check_line(name, float(stats.euler_characteristic), f"chi={chi}", ok))
         if name == "mesh_sphere":

@@ -32,6 +32,13 @@ ZERO_NUDGE = 1e-12
 # keeps sampling's peak within 1.5x its output from grid 128 up.
 BAND_SAMPLES = 1 << 17
 
+# Fewest bands per worker thread for which `_run_bands` starts a pool. With
+# fewer, starting the threads and splitting the work unevenly cost more than
+# the split saves. Measured on 2 cores, in-process: 3D sampling at grid 64
+# (3 bands) ran ~25% slower pooled, and so did meshing at grids 96-112 (2-3
+# slabs) by ~10%; meshing at grid 128 (5 slabs) ran ~30% faster.
+POOL_MIN_BANDS = 2
+
 # Segments of each cell, indexed by the cell's sign code (corner (dj, di) at
 # bit 2 dj + di) plus 16 when the cell center is inside, as pairs of cell edge
 # slots (0 bottom, 1 right, 2 top, 3 left); -1 pads. Only the saddles, codes 6
@@ -123,13 +130,31 @@ class Polyline:
             raise ValueError("polyline needs at least 2 points")
 
 
-def _sample_banded(field, axes, workers):
+def _run_bands(fn, bounds, workers):
+    """[fn(lo, hi) for each band [lo, hi) between consecutive bounds], in
+    band order.
+
+    This is the only thread pool. The bands run on `workers` threads
+    (default: `default_workers()`) when there are at least POOL_MIN_BANDS of
+    them per worker, and in the calling thread otherwise. A band's work must
+    release the GIL (numpy on arrays of many elements) to gain from the pool.
+    """
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    workers = default_workers() if workers is None else max(1, workers)
+    if workers > 1 and len(spans) >= POOL_MIN_BANDS * workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*spans)))
+    return [fn(lo, hi) for lo, hi in spans]
+
+
+def _sample_banded(field, axes, workers, band_samples=None):
     """Samples of field over the lattice spanned by axes (x first), indexed
     slowest axis first and evaluated in bands of the slowest axis.
 
-    Each band holds at most BAND_SAMPLES samples (at least one row) and is
-    written straight into the output. The result is independent of the band
-    size and the worker count: each sample is one scalar expression.
+    Each band holds at most band_samples samples (default BAND_SAMPLES; at
+    least one row) and is written straight into the output. The result is
+    independent of the band size and the worker count: each sample is one
+    scalar expression.
     """
     n = len(axes)
     # axis k varies along array dimension n - 1 - k
@@ -142,18 +167,9 @@ def _sample_banded(field, axes, workers):
         band[...] = field(*coords[:-1], coords[-1][lo:hi])
         return bool(np.isfinite(band).all())
 
-    workers = default_workers() if workers is None else max(1, workers)
-    pooled = workers > 1 and shape[0] >= 4 * workers
-    rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
-    if pooled:
-        rows = min(rows, -(-shape[0] // workers))
+    rows = max(1, (band_samples or BAND_SAMPLES) // math.prod(shape[1:]))
     bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
-    if pooled:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finite = list(pool.map(run, bounds[:-1], bounds[1:]))
-    else:
-        finite = list(map(run, bounds[:-1], bounds[1:]))
-    if not all(finite):
+    if not all(_run_bands(run, bounds, workers)):
         index = np.argwhere(~np.isfinite(vals))[0][::-1]
         where = ", ".join(f"{a[i]}" for a, i in zip(axes, index))
         raise ValueError(f"non-finite field value at sample ({where})")
@@ -188,7 +204,8 @@ def _active_cells(inside):
 def _nudge_zeros(vals, *gathered):
     """Set the exact zeros in arrays of samples gathered from vals to
     +ZERO_NUDGE times the largest |sample|, so that they count as outside.
-    The scale takes two passes over vals, made only when there is a zero."""
+    vals is the samples or any array with their max and min; the scale takes
+    two passes over it, made only when there is a zero."""
     zeros = [g == 0.0 for g in gathered]
     if any(z.any() for z in zeros):
         nudge = ZERO_NUDGE * (float(max(vals.max(), -vals.min())) or 1.0)
@@ -196,49 +213,74 @@ def _nudge_zeros(vals, *gathered):
             g[z] = nudge
 
 
-def _crossing_vertices(vals, inside, code, slots, coords, steps):
-    """Vertices on the lattice edges whose ends differ in sign, and the vertex
-    ids at the edge slots of the active cells.
-
-    vals and inside (vals < 0) are indexed slowest axis first; code holds the
-    active cells' sign codes in cell order; slots lists each cell edge as
-    (axis, lattice offset of its low end, slowest axis first), axis 0 being x.
-    The vertices are every x-edge crossing in lattice order, then every y-edge
-    crossing, and so on; ids[e, c] is the vertex of slot e of active cell c
-    wherever that edge crosses. A zero sample ending a crossing edge counts as
-    +ZERO_NUDGE times the largest |sample|; vals is never written.
-    """
+def _edge_crossings(vals, inside):
+    """The lattice edges whose ends differ in sign, per axis (x first), in
+    lattice order: the lattice index of each edge's low end (a tuple of
+    arrays, slowest axis first), its flat index into vals and the samples at
+    both ends. vals and inside (vals < 0) are indexed slowest axis first."""
     n = vals.ndim
     flat = vals.reshape(-1)
-    cell_shape = tuple(s - 1 for s in vals.shape)
     crossings = []
     for axis in range(n):
-        cross = np.diff(inside, axis=n - 1 - axis)  # not_equal on booleans
-        index = np.unravel_index(np.flatnonzero(cross), cross.shape)
+        dim = n - 1 - axis
+        shape = vals.shape[:dim] + (vals.shape[dim] - 1,) + vals.shape[dim + 1:]
+        # np.diff is not_equal on booleans; only its nonzero positions are kept
+        index = np.unravel_index(np.flatnonzero(np.diff(inside, axis=dim)), shape)
         lo = np.ravel_multi_index(index, vals.shape)
-        crossings.append((index, flat[lo], flat[lo + math.prod(vals.shape[n - axis:])]))
-    _nudge_zeros(vals, *(v for _, v0, v1 in crossings for v in (v0, v1)))
+        crossings.append((index, lo, flat[lo], flat[lo + math.prod(vals.shape[n - axis:])]))
+    return crossings
 
-    points = []
-    ids = np.zeros((len(slots), len(code)), dtype=np.int64)
-    first_id = 0
-    for axis, (index, v0, v1) in enumerate(crossings):
-        pts = np.column_stack([coords[k][index[n - 1 - k]] for k in range(n)])
-        pts[:, axis] += v0 / (v0 - v1) * steps[axis]
-        points.append(pts)
+
+def _slot_ids(code, slots, indices, cell_shape, first_ids, dtype=np.int64):
+    """ids[e, c]: the id of the crossing at edge slot e of active cell c,
+    wherever that edge crosses, as first_ids[axis] plus the edge's rank among
+    the crossings of its axis.
+
+    code holds the active cells' sign codes in cell order; slots lists each
+    cell edge as (axis, lattice offset of its low end, slowest axis first),
+    axis 0 being x; indices[axis] is the lattice index of that axis's
+    crossings, in lattice order, as `_edge_crossings` gives it.
+    """
+    n = len(cell_shape)
+    ids = np.zeros((len(slots), len(code)), dtype=dtype)
+    for e, (axis, offset) in enumerate(slots):
         # Slot e of cell c is the edge at c + offset: the crossing edges that
         # have such a cell, in order, pair up with the cells whose slot-e edge
         # crosses, in cell order.
-        for e, (edge_axis, offset) in enumerate(slots):
-            if edge_axis != axis:
-                continue
-            low_bit = sum(o << (n - 1 - d) for d, o in enumerate(offset))
-            sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
-            has_cell = np.ones(len(pts), dtype=bool)
-            for i, o, size in zip(index, offset, cell_shape):
-                has_cell &= (i >= o) & (i - o < size)
-            ids[e, sel] = first_id + np.flatnonzero(has_cell)
-        first_id += len(pts)
+        low_bit = sum(o << (n - 1 - d) for d, o in enumerate(offset))
+        sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
+        has_cell = np.ones(len(indices[axis][0]), dtype=bool)
+        for i, o, size in zip(indices[axis], offset, cell_shape):
+            has_cell &= (i >= o) & (i - o < size)
+        ids[e, sel] = first_ids[axis] + np.flatnonzero(has_cell)
+    return ids
+
+
+def _edge_points(index, t, coords, steps, axis):
+    """Points on the axis-parallel edges with low ends at the lattice index
+    (slowest axis first), at the fractions t = v0 / (v0 - v1) of the edges
+    that linear interpolation between the end samples v0, v1 gives."""
+    n = len(coords)
+    pts = np.column_stack([coords[k][index[n - 1 - k]] for k in range(n)])
+    pts[:, axis] += t * steps[axis]
+    return pts
+
+
+def _crossing_vertices(vals, inside, code, slots, coords, steps):
+    """Vertices on the lattice edges whose ends differ in sign, and the vertex
+    ids at the edge slots of the active cells (see `_slot_ids`).
+
+    The vertices are every x-edge crossing in lattice order, then every
+    y-edge crossing, and so on. A zero sample ending a crossing edge counts
+    as +ZERO_NUDGE times the largest |sample|; vals is never written.
+    """
+    crossings = _edge_crossings(vals, inside)
+    _nudge_zeros(vals, *(v for *_, v0, v1 in crossings for v in (v0, v1)))
+    counts = [len(lo) for _, lo, _, _ in crossings]
+    first_ids = np.cumsum([0] + counts[:-1])
+    ids = _slot_ids(code, slots, [c[0] for c in crossings], tuple(s - 1 for s in vals.shape), first_ids)
+    points = [_edge_points(index, v0 / (v0 - v1), coords, steps, axis)
+              for axis, (index, _, v0, v1) in enumerate(crossings)]
     return np.concatenate(points), ids
 
 

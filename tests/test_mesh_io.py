@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from squircles.contour2d import BAND_SAMPLES, Domain2D, Polyline, marching_squares, sample_grid2d
-from squircles.mesh_io import MeshStats, mesh_area, mesh_stats, write_csv, write_obj, write_stl, write_svg
+from squircles.mesh_io import (
+    MESH_BAND,
+    MeshStats,
+    mesh_area,
+    mesh_stats,
+    write_csv,
+    write_obj,
+    write_stl,
+    write_svg,
+)
 from squircles.polygonize3d import Domain3D, TriangleMesh, marching_cubes, sample_grid3d
 
 TRI = TriangleMesh(
@@ -414,6 +423,23 @@ class TestWordTableKernel:
         ]
 
 
+    def test_obj_bands_match_reference(self):
+        # 2.5 bands of vertices and faces; the first band has no negative
+        # value and small integer parts, the next ones negatives, a fallback
+        # value and a tie on each side of the band boundary
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.0, 2.0, (MESH_BAND * 5 // 2, 3))
+        rows[MESH_BAND:] -= 4.0
+        rows[MESH_BAND - 1] = [1234567.25, 0.0009765625, 3.0]
+        rows[MESH_BAND] = [math.nan, -1e300, -0.0009765625]
+        rows[-1] = [-0.0, _LIMIT, 5e5]
+        faces = rng.integers(0, len(rows), (MESH_BAND * 5 // 2, 3))
+        faces[MESH_BAND] = len(rows) - 1
+        mesh = TriangleMesh(rows, faces)
+        sink = io.BytesIO()
+        write_obj(mesh, sink, comment="bands")
+        assert sink.getvalue() == ref_obj(mesh, "bands")
+
 
 class TestBandedAreaAndStl:
     def test_area_matches_reference(self):
@@ -428,8 +454,9 @@ class TestBandedAreaAndStl:
             assert a.getvalue() == b.getvalue()
 
     def test_peak_memory_is_banded(self):
-        # 5 bands of triangles; measured 31 MB (area) and 24 MB (stl) against
-        # 131 MB and 102 MB for the whole-mesh references
+        # 5 * BAND_SAMPLES triangles; measured 8.5 MB (area) and 3.0 MB (stl)
+        # in bands of MESH_BAND rows against 131 MB and 102 MB for the
+        # whole-mesh references
         rng = np.random.default_rng(3)
         mesh = TriangleMesh(rng.uniform(-1, 1, (1000, 3)), rng.integers(0, 1000, (5 * BAND_SAMPLES, 3)))
         assert _peak(lambda: mesh_area(mesh)) <= 0.4 * _peak(lambda: ref_mesh_area(mesh))

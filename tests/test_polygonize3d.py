@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from squircles import contour2d, polygonize3d
 from squircles.cli import default_domain3d
-from squircles.contour2d import ZERO_NUDGE
+from squircles.contour2d import ZERO_NUDGE, _active_cells
 from squircles.fields3d import FAMILIES_3D, ShapeSpec3D, make_field3d
 from squircles.mc_tables import TRI_TABLE
 from squircles.mesh_io import mesh_stats
 from squircles.polygonize3d import (
+    _SLOTS,
+    _TRIANGLES,
     Domain3D,
     Grid3D,
     TriangleMesh,
     marching_cubes,
+    polygonize,
     sample_grid3d,
 )
 
@@ -144,6 +149,11 @@ class TestTriangleMesh:
     def test_index_range_check(self):
         with pytest.raises(ValueError):
             TriangleMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("row", [[-1, -1, -1], [0, -1, 0], [0, 0, -3]])
+    def test_negative_index_rejected(self, row):
+        with pytest.raises(ValueError, match="triangle index out of range"):
+            TriangleMesh(np.zeros((1, 3)), [row])
 
 
 # --- byte-identity against the dense whole-volume kernel -------------------
@@ -314,3 +324,225 @@ class TestActiveCellKernel:
         for case in range(256):
             crossing = {e for e, (a, b) in enumerate(pairs) if (case >> a ^ case >> b) & 1}
             assert set(TRI_TABLE[case, :15][TRI_TABLE[case, :15] >= 0].tolist()) == crossing
+
+
+# --- byte-identity of the slab kernel ---------------------------------------
+#
+# ref_marching_cubes is the whole-volume active-cell kernel that the slab
+# kernel replaced: one pass of cell codes and crossings over the whole
+# sampled volume, the zero nudge scaled by the whole volume's largest
+# |sample|, and the vertex ids of every edge slot paired by rank.
+
+
+def ref_marching_cubes(grid):
+    dom = grid.domain
+    vals = grid.view3d()
+    inside = vals < 0
+    cells, code = _active_cells(inside)
+    if len(cells) == 0:
+        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    n = 3
+    coords, steps = (dom.xs(), dom.ys(), dom.zs()), (dom.dx, dom.dy, dom.dz)
+    flat = vals.reshape(-1)
+    cell_shape = tuple(s - 1 for s in vals.shape)
+    crossings = []
+    for axis in range(n):
+        cross = np.diff(inside, axis=n - 1 - axis)
+        index = np.unravel_index(np.flatnonzero(cross), cross.shape)
+        lo = np.ravel_multi_index(index, vals.shape)
+        crossings.append((index, flat[lo], flat[lo + math.prod(vals.shape[n - axis:])]))
+    gathered = [v for _, v0, v1 in crossings for v in (v0, v1)]
+    if any((g == 0.0).any() for g in gathered):
+        nudge = ZERO_NUDGE * (float(max(vals.max(), -vals.min())) or 1.0)
+        for g in gathered:
+            g[g == 0.0] = nudge
+
+    points = []
+    ids = np.zeros((len(_SLOTS), len(code)), dtype=np.int64)
+    first_id = 0
+    for axis, (index, v0, v1) in enumerate(crossings):
+        pts = np.column_stack([coords[k][index[n - 1 - k]] for k in range(n)])
+        pts[:, axis] += v0 / (v0 - v1) * steps[axis]
+        points.append(pts)
+        for e, (edge_axis, offset) in enumerate(_SLOTS):
+            if edge_axis != axis:
+                continue
+            low_bit = sum(o << (n - 1 - d) for d, o in enumerate(offset))
+            sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
+            has_cell = np.ones(len(pts), dtype=bool)
+            for i, o, size in zip(index, offset, cell_shape):
+                has_cell &= (i >= o) & (i - o < size)
+            ids[e, sel] = first_id + np.flatnonzero(has_cell)
+        first_id += len(pts)
+
+    rows = _TRIANGLES[code]
+    valid = rows[:, :, 0] >= 0
+    cell_of_tri = np.nonzero(valid)[0]
+    return TriangleMesh(np.concatenate(points), ids[rows[valid], cell_of_tri[:, None]])
+
+
+def lattice_field(grid):
+    """A field whose value at each lattice point of grid.domain is the
+    grid's sample there: the slab kernel's sampler calls it on slices of
+    the domain's own axes, so each coordinate is found exactly."""
+    dom, vals = grid.domain, grid.view3d()
+    xs, ys, zs = dom.xs(), dom.ys(), dom.zs()
+
+    def field(x, y, z):
+        return vals[np.searchsorted(zs, z), np.searchsorted(ys, y), np.searchsorted(xs, x)]
+
+    return field
+
+
+def assert_mesh_bytes(got, want):
+    assert got.vertices.dtype == want.vertices.dtype
+    assert got.triangles.dtype == want.triangles.dtype
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.triangles.tobytes() == want.triangles.tobytes()
+
+
+def assert_slab_kernel_matches(grid, layers, workers):
+    """Both entries of the slab kernel, with slabs of `layers` cell layers
+    on `workers` threads (pooled whenever workers > 1), give the bytes of the
+    whole-volume kernel."""
+    d = grid.domain
+    want = ref_marching_cubes(grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygonize3d, "SLAB_SAMPLES", (layers + 1) * (d.nx + 1) * (d.ny + 1))
+        mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        mp.setenv("SQUIRCLES_WORKERS", str(workers))
+        assert len(polygonize3d._slab_bounds(d)) - 1 == -(-d.nz // layers)
+        assert_mesh_bytes(marching_cubes(grid), want)
+        assert_mesh_bytes(polygonize(lattice_field(grid), d, workers=workers), want)
+
+
+@st.composite
+def slab_grids(draw):
+    """Unequal dims 2-40, random bounds, integer samples in [-2, 2] (or all
+    one value), a slab height of 1-3 cell layers and 1-3 workers."""
+    nx, ny, nz = (draw(st.integers(2, 40)) for _ in range(3))
+    lo = [draw(st.floats(-5, 5)) for _ in range(3)]
+    ext = [draw(st.floats(0.1, 10)) for _ in range(3)]
+    dom = Domain3D(lo[0], lo[0] + ext[0], lo[1], lo[1] + ext[1], lo[2], lo[2] + ext[2], nx, ny, nz)
+    n = (nx + 1) * (ny + 1) * (nz + 1)
+    samples = draw(st.one_of(
+        hnp.arrays(np.float64, n, elements=st.integers(-2, 2).map(float)),
+        st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]).map(lambda v: np.full(n, v)),  # all in / all out
+    ))
+    return Grid3D(dom, samples), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+class TestSlabKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(slab_grids())
+    def test_matches_whole_volume_kernel(self, case):
+        assert_slab_kernel_matches(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nz=st.integers(8, 24), layers=st.integers(1, 3), workers=st.integers(1, 3),
+           data=st.data())
+    def test_zeros_nudged_by_a_far_slab(self, nz, layers, workers, data):
+        # samples in {-1, 0, 1} with exact zeros, and the largest |sample|
+        # at one end of the volume, slabs away from the zero that ends a
+        # crossing at plane nz // 2: the nudge must be scaled by that far
+        # sample, not by the zero's own slab
+        dom = Domain3D(-1, 1, -2, 2, 0, 3, 4, 5, nz)
+        vals = data.draw(hnp.arrays(np.float64, (nz + 1, 6, 5), elements=st.sampled_from([-1.0, 0.0, 1.0])))
+        top = data.draw(st.booleans())
+        far = slice(nz + 1 - layers, None) if top else slice(0, layers)
+        vals[far] = 1.0
+        vals[-1 if top else 0, 2, 2] = data.draw(st.sampled_from([-7.0, 7.0]))
+        vals[nz // 2, 2, 2] = 0.0
+        vals[nz // 2, 2, 3] = -1.0  # a crossing edge ending at the zero
+        grid = Grid3D(dom, vals.reshape(-1))
+        assert_slab_kernel_matches(grid, layers, workers)
+
+    @pytest.mark.parametrize("value", [-2.0, -0.0, 0.0, 1.0])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_empty_and_all_inside(self, value, workers):
+        dom = Domain3D(-1, 1, -2, 2, 0, 3, 3, 5, 9)
+        grid = Grid3D(dom, np.full(4 * 6 * 10, value))
+        assert polygonize(lattice_field(grid), dom, workers=workers).empty
+        assert_slab_kernel_matches(grid, 2, workers)
+
+    @pytest.mark.parametrize("family", FAMILIES_3D)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_families_match_sampled_volume(self, family, workers):
+        # slabs of 3 cell layers (4 planes of 41 x 41 samples) at grid 40,
+        # pooled on 2 workers by the default pool rule
+        spec = ShapeSpec3D(family, s=0.75)
+        dom = default_domain3d(spec, 40, 1)
+        field = make_field3d(spec)
+        want = marching_cubes(sample_grid3d(field, dom, workers=1))
+        assert_mesh_bytes(want, ref_marching_cubes(sample_grid3d(field, dom, workers=1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SLAB_SAMPLES", 4 * 41 * 41)
+            assert_mesh_bytes(polygonize(field, dom, workers=workers), want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_sample_in_a_later_slab(self, workers):
+        # bad samples in slabs 3 and 5 of 2-layer slabs: the first in
+        # lattice order is named, with the text sample_grid3d gives
+        dom = Domain3D(0, 4, 0, 5, 0, 12, 4, 5, 12)
+
+        def field(x, y, z):
+            bad = ((z == 5) & (y == 3) & (x == 1)) | ((z == 9) & (y == 0) & (x == 0))
+            return np.where(bad, np.nan, x + y + z - 6.0)
+
+        with pytest.raises(ValueError) as whole:
+            sample_grid3d(field, dom, workers=1)
+        assert str(whole.value) == "non-finite field value at sample (1.0, 3.0, 5.0)"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SLAB_SAMPLES", 3 * 5 * 6)
+            mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+            with pytest.raises(ValueError) as fused:
+                polygonize(field, dom, workers=workers)
+        assert str(fused.value) == str(whole.value)
+
+    @pytest.mark.parametrize("family", ["lame3d", "sphube", "periodic3d", "oblique3d", "cuboctahedron"])
+    def test_peak_memory_below_half_the_volume(self, family):
+        # families whose default lattice at grid 128 is the full 129^3 cube;
+        # the whole-volume path (sample_grid3d, then marching_cubes) peaks
+        # at about twice the volume
+        spec = ShapeSpec3D(family, s=0.75)
+        dom = default_domain3d(spec, 128, 1)
+        assert (dom.nx, dom.ny, dom.nz) == (128, 128, 128)
+        field = make_field3d(spec)
+        tracemalloc.start()
+        try:
+            polygonize(field, dom, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 129**3 * 8
+
+
+class TestThreadPool:
+    def _threads(self, n_bands, workers):
+        seen = []
+
+        def band(lo, hi):
+            seen.append(threading.get_ident())
+            return lo
+
+        assert contour2d._run_bands(band, np.arange(n_bands + 1), workers) == list(range(n_bands))
+        return set(seen)
+
+    def test_pool_only_from_enough_bands_per_worker(self):
+        main = threading.get_ident()
+        per_worker = contour2d.POOL_MIN_BANDS
+        assert self._threads(2 * per_worker - 1, 2) == {main}
+        assert self._threads(50, 1) == {main}
+        assert main not in self._threads(2 * per_worker, 2)
+
+    def test_small_grids_start_no_pool(self, monkeypatch):
+        # the 65^3 lattice of grid 64 is 3 sampling bands and one slab
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(contour2d, "ThreadPoolExecutor", no_pool)
+        spec = ShapeSpec3D("periodic3d", s=0.8)
+        dom = default_domain3d(spec, 64, 3)
+        field = make_field3d(spec)
+        sample_grid3d(field, dom, workers=2)
+        polygonize(field, dom, workers=2)
