@@ -39,17 +39,17 @@ class UsageError(ValueError):
 def pi_float(text: str) -> float:
     """Parse a float flag, accepting pi tokens like 'pi', '2pi', 'pi/2'."""
     text = text.strip().lower()
+    if text in ("inf", "infinity"):
+        return math.inf
     m = _PI_RE.match(text)
-    if m:
+    try:
+        if not m:
+            return float(text)
         mult = m.group(1)
         mult = float(mult) if mult not in ("", "-") else (-1.0 if mult == "-" else 1.0)
         div = float(m.group(2)) if m.group(2) else 1.0
         return mult * math.pi / div
-    if text in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # '.pi', 'pi/0'
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 

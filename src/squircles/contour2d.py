@@ -1,15 +1,15 @@
-"""Regular-grid sampling and marching-squares contour extraction.
+"""Regular-grid sampling, the band kernel and marching-squares extraction.
 
 Vertices are interpolated on grid edges and welded by global edge identity, so
 adjacent cells share endpoints exactly and segments chain into maximal
 polylines. Output order and bytes are deterministic for fixed inputs.
 
-Marching squares visits only the active cells (corners of both signs) and the
-crossing edges, and never writes to the samples. Its vertex order is every
-x-edge crossing in (j, i) lattice order, then every y-edge crossing. Segments
-follow cell order, and chains follow segment order: each chain starts at the
-first segment no earlier chain used, grows forward from its tail, then
-backward from its head.
+`_mesh_bands` is the extraction kernel of marching squares (one band over the
+whole grid) and of marching cubes (z-slabs, in `polygonize3d`). It visits only
+the active cells (corners of both signs) and the crossing edges, and never
+writes to the samples. Marching squares' segments follow cell order, and
+chains follow segment order: each chain starts at the first segment no earlier
+chain used, grows forward from its tail, then backward from its head.
 """
 
 from __future__ import annotations
@@ -201,14 +201,13 @@ def _active_cells(inside):
     return cells, code.reshape(-1)[cells] + 1
 
 
-def _nudge_zeros(vals, *gathered):
-    """Set the exact zeros in arrays of samples gathered from vals to
-    +ZERO_NUDGE times the largest |sample|, so that they count as outside.
-    vals is the samples or any array with their max and min; the scale takes
-    two passes over it, made only when there is a zero."""
+def _nudge_zeros(scale, *gathered):
+    """Set the exact zeros in arrays of gathered samples to +ZERO_NUDGE times
+    the largest |sample|, so that they count as outside. scale() gives that
+    largest |sample|; it is called only when there is a zero."""
     zeros = [g == 0.0 for g in gathered]
     if any(z.any() for z in zeros):
-        nudge = ZERO_NUDGE * (float(max(vals.max(), -vals.min())) or 1.0)
+        nudge = ZERO_NUDGE * (float(scale()) or 1.0)
         for g, z in zip(gathered, zeros):
             g[z] = nudge
 
@@ -231,10 +230,10 @@ def _edge_crossings(vals, inside):
     return crossings
 
 
-def _slot_ids(code, slots, indices, cell_shape, first_ids, dtype=np.int64):
+def _slot_ids(code, slots, indices, cell_shape, first_ids):
     """ids[e, c]: the id of the crossing at edge slot e of active cell c,
     wherever that edge crosses, as first_ids[axis] plus the edge's rank among
-    the crossings of its axis.
+    the crossings of its axis; int32 when every id fits, else int64.
 
     code holds the active cells' sign codes in cell order; slots lists each
     cell edge as (axis, lattice offset of its low end, slowest axis first),
@@ -242,7 +241,8 @@ def _slot_ids(code, slots, indices, cell_shape, first_ids, dtype=np.int64):
     crossings, in lattice order, as `_edge_crossings` gives it.
     """
     n = len(cell_shape)
-    ids = np.zeros((len(slots), len(code)), dtype=dtype)
+    end = first_ids[-1] + len(indices[-1][0])
+    ids = np.zeros((len(slots), len(code)), dtype=np.int32 if end <= np.iinfo(np.int32).max else np.int64)
     for e, (axis, offset) in enumerate(slots):
         # Slot e of cell c is the edge at c + offset: the crossing edges that
         # have such a cell, in order, pair up with the cells whose slot-e edge
@@ -266,22 +266,105 @@ def _edge_points(index, t, coords, steps, axis):
     return pts
 
 
-def _crossing_vertices(vals, inside, code, slots, coords, steps):
-    """Vertices on the lattice edges whose ends differ in sign, and the vertex
-    ids at the edge slots of the active cells (see `_slot_ids`).
+def _band(load, k0, k1, top, slots, cases):
+    """The part of the level set in the band of cell layers k0..k1 along the
+    slowest axis, whose samples load(k0, k1) gives (layers k0..k1 of the
+    lattice, slowest axis first).
 
-    The vertices are every x-edge crossing in lattice order, then every
-    y-edge crossing, and so on. A zero sample ending a crossing edge counts
-    as +ZERO_NUDGE times the largest |sample|; vals is never written.
+    Returns None when no edge of the band crosses, else:
+    - per axis, its crossings as the flat lattice index (within the band) of
+      each edge's low end and the edge fraction v0 / (v0 - v1) of its end
+      samples, plus the positions and end samples of the crossings with an
+      end sample of exactly 0, whose fraction the zero nudge changes;
+    - the rows that cases(k0, cells, code) gives for the band's active cells
+      (band-local flat indices and sign codes), as band-local ids: each
+      axis's crossings are ranked in lattice order, after all the crossings
+      of the axes before it;
+    - the first band-local id of each axis.
+    The ids count every crossing in the band's layers, but the crossings of
+    the other axes in its top layer are returned only when top is set:
+    otherwise the next band's bottom layer holds them.
     """
+    # each array is dropped once read: with the crossings and elements of
+    # the bands before it, a band's largest arrays set the kernel's peak
+    vals = load(k0, k1)
+    inside = vals < 0
     crossings = _edge_crossings(vals, inside)
-    _nudge_zeros(vals, *(v for *_, v0, v1 in crossings for v in (v0, v1)))
-    counts = [len(lo) for _, lo, _, _ in crossings]
-    first_ids = np.cumsum([0] + counts[:-1])
-    ids = _slot_ids(code, slots, [c[0] for c in crossings], tuple(s - 1 for s in vals.shape), first_ids)
-    points = [_edge_points(index, v0 / (v0 - v1), coords, steps, axis)
-              for axis, (index, _, v0, v1) in enumerate(crossings)]
-    return np.concatenate(points), ids
+    del vals
+    if not any(len(lo) for _, lo, _, _ in crossings):
+        return None
+    kept = []
+    for axis, (index, lo, v0, v1) in enumerate(crossings):
+        n = len(lo) if top or axis == len(crossings) - 1 else np.searchsorted(index[0], k1 - k0)
+        v0, v1 = v0[:n], v1[:n]
+        zero = np.flatnonzero((v0 == 0.0) | (v1 == 0.0))
+        kept.append((lo[:n].copy(), v0 / (v0 - v1), zero, v0[zero], v1[zero]))
+    first_ids = np.cumsum([0] + [len(c[1]) for c in crossings[:-1]])
+    indices = [c[0] for c in crossings]
+    del crossings
+    cells, code = _active_cells(inside)
+    cell_shape = tuple(s - 1 for s in inside.shape)
+    del inside
+    ids = _slot_ids(code, slots, indices, cell_shape, first_ids)
+    del indices
+    rows = cases(k0, cells, code)
+    valid = rows[:, :, 0] >= 0
+    return kept, ids[rows[valid], np.nonzero(valid)[0][:, None]], first_ids
+
+
+def _mesh_bands(load, bounds, coords, steps, slots, cases, scale, workers):
+    """Points and elements of the zero level set on the lattice of coords
+    (x first) spaced by steps, in bands of cell layers along the slowest axis
+    (Lorensen & Cline's slice-wise formulation, for any dimension).
+
+    Each band between consecutive bounds runs `_band` on its samples
+    load(k0, k1), on `_run_bands(..., workers)`; a weld in band order turns
+    the band-local ids into global ones. The points are every x-edge crossing
+    in lattice order, then every y-edge crossing, and so on; the elements are
+    the rows of cases(k0, cells, code) over point ids. A zero sample ending a
+    crossing edge counts as +ZERO_NUDGE times scale(), the largest |sample|,
+    asked for only when there is such a zero. The output depends on neither
+    the bands nor the worker count.
+    """
+    n = len(coords)
+    bands = _run_bands(lambda k0, k1: _band(load, k0, k1, k1 == bounds[-1], slots, cases), bounds, workers)
+    parts = [(k0, *band) for k0, band in zip(bounds, bands) if band is not None]
+    del bands  # parts alone holds the bands' output, dropped as it is welded
+
+    # The ids of an axis's crossings start after every crossing of the axes
+    # before it, and a band's after those of the bands below it: a band-local
+    # id of axis a moves by shift[a]. Each band's share of the output is
+    # written in place and then dropped.
+    counts = np.array([[len(c[0]) for c in kept] for _, kept, _, _ in parts], dtype=np.int64).reshape(-1, n)
+    bases = np.cumsum(counts, axis=0) - counts
+    bases += np.cumsum(counts.sum(axis=0)) - counts.sum(axis=0)
+    elements = np.empty((sum(len(e) for _, _, e, _ in parts), n), dtype=np.int64)
+    start = 0
+    for b, base in enumerate(bases):
+        k0, kept, local, first_ids = parts[b]
+        shift = base - first_ids
+        out = elements[start:start + len(local)]
+        np.add(local, shift[0], out=out)
+        for axis in range(1, n):
+            np.add(out, shift[axis] - shift[axis - 1], out=out, where=local >= first_ids[axis])
+        start += len(local)
+        parts[b] = k0, kept
+
+    zeros = [c[1:] for _, kept in parts for c in kept if len(c[2])]
+    _nudge_zeros(scale, *(v for *_, v0, v1 in zeros for v in (v0, v1)))
+    for t, zero, v0, v1 in zeros:
+        t[zero] = v0 / (v0 - v1)
+    shape = tuple(len(c) for c in reversed(coords))
+    points = np.empty((counts.sum(), n))
+    start = 0
+    for axis in range(n):
+        for k0, kept in parts:
+            lo, t = kept[axis][:2]
+            index = np.unravel_index(lo + k0 * math.prod(shape[1:]), shape)
+            points[start:start + len(lo)] = _edge_points(index, t, coords, steps, axis)
+            start += len(lo)
+            kept[axis] = None
+    return points, elements
 
 
 def marching_squares(grid: Grid2D) -> list[Polyline]:
@@ -292,42 +375,43 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     carries no field handle). Polylines that touch the domain boundary are
     open; all others are closed.
 
-    Only active cells are visited and only crossing edges get a vertex: every
-    x-edge crossing in (j, i) lattice order, then every y-edge crossing.
-    Exact-zero samples count as outside and are nudged toward positive where
-    they end a crossing edge; `grid.samples` is left untouched. Segments
-    follow cell order, and a segment whose ends coincide is dropped. Each
-    polyline is the chain of one first segment (the first not yet used),
-    grown forward from its tail, then backward from its head; polylines are
+    This is the band kernel of marching cubes (`_mesh_bands`), run over
+    views of the samples as one band in the calling thread. Only active cells
+    are visited and only crossing edges get a vertex: every x-edge crossing
+    in (j, i) lattice order, then every y-edge crossing. Exact-zero samples
+    count as outside and are nudged toward positive (by ZERO_NUDGE times the
+    largest |sample|, found only when a crossing ends on a zero) where they
+    end a crossing edge; `grid.samples` is left untouched. Segments follow
+    cell order, and a segment whose ends coincide is dropped. Each polyline
+    is the chain of one first segment (the first not yet used), grown
+    forward from its tail, then backward from its head; polylines are
     ordered by their first segment.
     """
     dom = grid.domain
     vals = grid.samples
     xs, ys = dom.xs(), dom.ys()
-    inside = vals < 0
-    cells, code = _active_cells(inside)
-    if len(cells) == 0:
-        return []
-    points, cell_edge_ids = _crossing_vertices(vals, inside, code, _SLOTS, (xs, ys), (dom.dx, dom.dy))
 
-    key = code.astype(np.intp)
-    saddle = np.flatnonzero((code == 6) | (code == 9))
-    if len(saddle):
-        j, i = np.divmod(cells[saddle], dom.nx)
-        if grid.field is not None:
-            center = grid.field(xs[i] + 0.5 * dom.dx, ys[j] + 0.5 * dom.dy)
-        else:
-            corners = [vals[j, i], vals[j, i + 1], vals[j + 1, i], vals[j + 1, i + 1]]
-            _nudge_zeros(vals, *corners)
-            center = corners[0] + corners[1] + corners[2] + corners[3]
-        key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
+    def scale():
+        return max(vals.max(), -vals.min())
 
-    rows = _SEGMENTS[key]
-    valid = rows[:, :, 0] >= 0
-    cell_of_seg = np.nonzero(valid)[0]
-    ends = rows[valid]
-    a = cell_edge_ids[ends[:, 0], cell_of_seg]
-    b = cell_edge_ids[ends[:, 1], cell_of_seg]
+    def cases(k0, cells, code):
+        key = code.astype(np.intp)
+        saddle = np.flatnonzero((code == 6) | (code == 9))
+        if len(saddle):
+            j, i = np.divmod(cells[saddle], dom.nx)
+            j += k0
+            if grid.field is not None:
+                center = grid.field(xs[i] + 0.5 * dom.dx, ys[j] + 0.5 * dom.dy)
+            else:
+                corners = [vals[j, i], vals[j, i + 1], vals[j + 1, i], vals[j + 1, i + 1]]
+                _nudge_zeros(scale, *corners)
+                center = corners[0] + corners[1] + corners[2] + corners[3]
+            key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
+        return _SEGMENTS[key]
+
+    points, segments = _mesh_bands(lambda k0, k1: vals[k0:k1 + 1], (0, dom.ny), (xs, ys),
+                                   (dom.dx, dom.dy), _SLOTS, cases, scale, 1)
+    a, b = segments.T
     keep = (points[a] != points[b]).any(axis=1)
     return _chains(a[keep], b[keep], points)
 

@@ -1,7 +1,10 @@
+import argparse
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,15 @@ class TestNumericFlags:
         cmd = cli.parse_args(["sweep", "--family", "fg", "--param", "s", "--from", "-pi/2",
                               "--to", "1", "--steps", "2", "--out", "c.svg"])
         assert cmd.sweep_values == (-math.pi / 2, 1.0)
+
+    @pytest.mark.parametrize("token", ["pi/0", "-pi/0", "2pi/0.0", ".pi", "-.pi"])
+    def test_bad_pi_token_is_a_usage_error(self, tmp_path, capsys, token):
+        with pytest.raises(argparse.ArgumentTypeError, match="not a number"):
+            cli.pi_float(token)
+        out = tmp_path / "x.svg"
+        assert cli.main(["curve", "--family", "fg", "--radius", token, "--out", str(out)]) == 1
+        assert "usage error: argument --radius/--r" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepFlags:
@@ -125,6 +137,14 @@ class TestWorkersEnvironment:
         assert cli.main(["curve", "--family", "fg", "--grid", "16", "--workers", "1",
                          "--out", str(tmp_path / "c.svg")]) == 0
 
+    def test_flag_overrides_the_variable_on_a_large_curve(self, tmp_path, monkeypatch):
+        # marching_squares runs its one band in the calling thread and must
+        # not read the variable either
+        monkeypatch.setenv("SQUIRCLES_WORKERS", "0")
+        assert cli.main(["curve", "--family", "fg", "-s", "0.8", "--grid", "1024", "--workers", "1",
+                         "--out", str(tmp_path / "c.svg")]) == 0
+        assert (tmp_path / "c.svg").stat().st_size > 0
+
 
 class TestVerifyGrid:
     @pytest.mark.parametrize("value", ["1", "4", "7", "-1"])
@@ -136,3 +156,24 @@ class TestVerifyGrid:
 
     def test_grid_8_parses(self):
         assert cli.parse_args(["verify", "--grid", "8"]).grid == 8
+
+
+def readme_cli_commands():
+    """Each command in README's "CLI" block, split into words, with its `\\`
+    continuations joined and the comments dropped."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln) for ln in lines if ln.strip() and not ln.startswith("#")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    assert [argv[:2] for argv in commands] == [["squircles", c] for c in
+                                               ("curve", "curve", "surface", "sweep", "surface", "verify")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+    expected = {"fg.svg", "square.csv", "torus.obj", "schwarz.obj"} | {f"sphube_0{i}.stl" for i in range(5)}
+    assert {p.name for p in tmp_path.iterdir()} == expected
+    assert all(p.stat().st_size > 0 for p in tmp_path.iterdir())

@@ -405,6 +405,46 @@ class TestActiveCellKernel:
         assert peak(marching_squares) <= 0.5 * peak(ref_marching_squares)
 
 
+class TestBandKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids(), st.integers(1, 3), st.integers(1, 3))
+    def test_band_splits_match_reference(self, grid, rows, workers):
+        # marching_squares runs the kernel as one band; split into bands of
+        # `rows` cell rows (pooled whenever workers > 1) it gives the same
+        # bytes, saddle centers and whole-grid nudge scale included
+        kernel = contour2d._mesh_bands
+
+        def banded(load, bounds, *args):
+            ny = bounds[-1]
+            return kernel(load, np.arange(0, ny + rows, rows).clip(max=ny), *args[:-1], workers)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "_mesh_bands", banded)
+            mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+            assert_same_polylines(grid)
+
+    def test_ids_past_int32_are_exact(self):
+        # a band whose ids pass 2**31 - 1 gets int64 ids, not wrapped ones
+        vals = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, 1.0, -1.0]])
+        inside = vals < 0
+        crossings = contour2d._edge_crossings(vals, inside)
+        _, code = contour2d._active_cells(inside)
+        indices = [c[0] for c in crossings]
+        n_x = len(crossings[0][1])
+
+        def ids(first):
+            return contour2d._slot_ids(code, contour2d._SLOTS, indices, (2, 2), np.array([first, first + n_x]))
+
+        base = 2**31 - 2
+        small, big = ids(0), ids(base)
+        assert small.dtype == np.int32 and big.dtype == np.int64
+        crossing = small != 0
+        crossing[small == 0] = big[small == 0] == base  # id 0 is a crossing too
+        assert big[crossing].min() == base and big[crossing].max() > 2**31
+        assert np.array_equal(big[crossing], small[crossing].astype(np.int64) + base)
+        assert not big[~crossing].any()
+
+
 class TestBoundedBands:
     def test_band_split_matches_one_call(self, monkeypatch):
         # 3 rows and a bit per band: 65 rows do not divide into bands evenly
