@@ -8,6 +8,7 @@ non-finite samples), 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -105,6 +106,7 @@ def _output_flags(p, grid, formats):
                    help="explicit bounds: xmin xmax ymin ymax [zmin zmax]")
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="squircles", allow_abbrev=False,
                      description="squircle curve and surface toolkit")
@@ -146,6 +148,9 @@ def _make_spec(ns, three_d):
     return spec(family=ns.family, p=ns.exponent, s=ns.squareness, r=ns.radius, h=ns.overshoot, **extra)
 
 
+# One parser per process: built on the first call, not at import, and reused
+# by every later one. argparse keeps no state between parses (each starts from
+# a fresh namespace), so a reused parser gives the same results and errors.
 def parse_args(argv) -> Command:
     ns = _build_parser().parse_args(argv)
     cmd = Command(subcommand=ns.subcommand)
@@ -182,6 +187,8 @@ def parse_args(argv) -> Command:
         want = 6 if three_d else 4
         if len(ns.domain) != want:
             raise UsageError(f"--domain takes {want} values for this subcommand")
+        if not all(map(math.isfinite, ns.domain)):
+            raise UsageError("--domain values must be finite")
         cmd.domain = tuple(ns.domain)
     if ns.subcommand == "sweep":
         if ns.steps < 1:
@@ -247,7 +254,7 @@ def _run_surface(cmd: Command) -> int:
     # a zero set of isolated points (full overshoot recession) leaves only
     # sub-cell slivers around nudged samples; report it as empty
     floor_area = 1e-9 * domain.dx * domain.dy
-    if mesh.empty or mesh_io.mesh_area(mesh) < floor_area:
+    if mesh.empty or mesh_io.area_below(mesh, floor_area):
         print(EMPTY_NOTICE)
     comment = _describe_spec(spec)
     writer = mesh_io.write_obj if cmd.fmt == "obj" else mesh_io.write_stl

@@ -39,8 +39,8 @@ class Family:
 def _check_spec(spec, families, dims):
     if spec.family not in families:
         raise ValueError(f"unknown {dims} family {spec.family!r}")
-    if not spec.r > 0:
-        raise ValueError(f"scale r must be positive, got {spec.r}")
+    if not 0 < spec.r < math.inf:
+        raise ValueError(f"scale r must be positive and finite, got {spec.r}")
     for check in families[spec.family].checks:
         check(spec)
 
@@ -52,6 +52,12 @@ def _require(ok, message):
             raise ValueError(message.format(**vars(spec)))
 
     return check
+
+
+def _finite(name):
+    # a check that the spec's parameter `name` is finite
+    return _require(lambda sp: math.isfinite(getattr(sp, name)),
+                    f"{{family}} parameter {name} must be finite, got {{{name}}}")
 
 
 _P_AT_LEAST_1 = _require(lambda sp: sp.p >= 1, "{family} exponent p must be >= 1, got {p}")

@@ -26,7 +26,15 @@ and spliced in.
 `MESH_BAND` rows, so their temporaries do not grow with the mesh; each row's
 result does not depend on the band, so neither do the bits. (A band of OBJ
 rows may reserve fewer digit groups or no sign byte, but those bytes are NUL
-and deleted.)
+and deleted.) `mesh_area` and `write_stl` gather a band's triangle corners
+with `np.take(vertices, ids, axis=0)`: the same values as `vertices[ids]`,
+in less time.
+
+`area_below` decides `mesh_area(mesh) < floor` band by band. Under
+round-to-nearest a sum of non-negative terms is never below any one of its
+terms, in any order, and halving is monotone, so one band whose largest
+`0.5 * norm` reaches the floor proves the whole area does. The full sum is
+taken only when no band proves it.
 """
 
 from __future__ import annotations
@@ -192,13 +200,30 @@ class MeshStats:
     total_area: float
 
 
+def _band_norms(mesh: TriangleMesh, lo: int) -> np.ndarray:
+    """Twice the area of each triangle in the band of rows `lo` to `lo +
+    MESH_BAND`: the norm of its edges' cross product."""
+    tri = np.take(mesh.vertices, mesh.triangles[lo:lo + MESH_BAND], axis=0)
+    return np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+
+
 def mesh_area(mesh: TriangleMesh) -> float:
     """Summed triangle area, without the edge counting of `mesh_stats`."""
     norms = np.empty(len(mesh.triangles))
     for lo in range(0, len(norms), MESH_BAND):
-        tri = mesh.vertices[mesh.triangles[lo:lo + MESH_BAND]]
-        norms[lo:lo + MESH_BAND] = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+        norms[lo:lo + MESH_BAND] = _band_norms(mesh, lo)
     return float(0.5 * norms.sum())
+
+
+def area_below(mesh: TriangleMesh, floor: float) -> bool:
+    """`mesh_area(mesh) < floor`, stopping at the first band whose largest
+    triangle alone reaches `floor`."""
+    norms = np.empty(len(mesh.triangles))
+    for lo in range(0, len(norms), MESH_BAND):
+        band = norms[lo:lo + MESH_BAND] = _band_norms(mesh, lo)
+        if 0.5 * band.max() >= floor:
+            return False
+    return float(0.5 * norms.sum()) < floor
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
@@ -246,7 +271,7 @@ def write_stl(mesh: TriangleMesh, sink, comment: str = "") -> None:
     record = np.zeros(min(len(mesh.triangles), MESH_BAND),
                       dtype=np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")]))
     for lo in range(0, len(mesh.triangles), MESH_BAND):
-        tri = vertices[mesh.triangles[lo:lo + MESH_BAND]]
+        tri = np.take(vertices, mesh.triangles[lo:lo + MESH_BAND], axis=0)
         normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).astype("<f8")
         lengths = np.linalg.norm(normals, axis=1)
         lengths[lengths == 0] = 1.0

@@ -11,6 +11,7 @@ import pytest
 import squircles
 from squircles import cli
 from squircles.contour2d import default_workers
+from squircles.fields3d import ShapeSpec3D
 
 
 class TestNumericFlags:
@@ -177,3 +178,85 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     expected = {"fg.svg", "square.csv", "torus.obj", "schwarz.obj"} | {f"sphube_0{i}.stl" for i in range(5)}
     assert {p.name for p in tmp_path.iterdir()} == expected
     assert all(p.stat().st_size > 0 for p in tmp_path.iterdir())
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("argv, name", [
+        (["curve", "--family", "fg", "--radius", "inf"], "r"),
+        (["surface", "--family", "sphube", "--radius", "inf"], "r"),
+        (["surface", "--family", "toroid", "--R", "inf"], "R"),
+        (["surface", "--family", "toroid_octic", "--R", "inf"], "R"),
+        (["surface", "--family", "cone_fg", "--c", "inf"], "c"),
+        (["surface", "--family", "cone_lame", "--a", "inf"], "a"),
+        (["surface", "--family", "cone_lame", "--b", "inf"], "b"),
+        (["surface", "--family", "cone_lame", "--c", "inf"], "c"),
+        (["surface", "--family", "cuboctahedron", "--k", "inf"], "k"),
+        (["surface", "--family", "cuboctahedron", "--cc", "inf"], "cc"),
+        (["surface", "--family", "cuboctahedron", "--cc", "nan"], "cc"),
+        (["sweep", "--family", "cone_fg", "--c", "inf", "--param", "s", "--from", "0", "--to", "1",
+          "--steps", "2", "--format", "obj"], "c"),
+        (["curve", "--family", "fg", "--domain", "-inf", "inf", "-1", "1"], "--domain"),
+        (["curve", "--family", "fg", "--domain", "-1", "1", "nan", "1"], "--domain"),
+        (["surface", "--family", "sphube", "--domain", "-1", "1", "-1", "1", "-1", "inf"], "--domain"),
+    ])
+    def test_is_a_usage_error(self, tmp_path, capsys, argv, name):
+        ext = "svg" if argv[0] == "curve" else "obj"
+        assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: ") and out.err.count("\n") == 1
+        assert f" {name} must be" in out.err or f"{name} values must be finite" in out.err
+        assert out.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, family, name", [("curve", "lame", "x.svg"),
+                                                       ("surface", "lame3d", "x.obj")])
+    def test_infinite_exponent_is_the_square(self, tmp_path, command, family, name):
+        out = tmp_path / name
+        assert cli.main([command, "--family", family, "-p", "inf", "--grid", "16", "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this squircles."""
+    src = os.path.dirname(os.path.dirname(squircles.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **extra)
+
+
+def _fresh_process(argv, cwd):
+    proc = subprocess.run([sys.executable, "-m", "squircles", *argv], capture_output=True, text=True,
+                          env=_fresh_env(COLUMNS="80"), cwd=cwd, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_each_parse_is_as_in_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+        monkeypatch.chdir(tmp_path)
+        failing = ["curve", "--family", "fg", "--squareness", "2", "--out", "bad.svg"]
+        sequence = [failing, ["curve", "--family", "fg", "--grid", "16", "--out", "c.svg"],
+                    ["surface", "--help"], ["curve", "--family", "fg"], failing]
+        fresh = {}
+        for argv in sequence:
+            rc = cli.main(argv)
+            out = capsys.readouterr()
+            key = tuple(argv)
+            if key not in fresh:
+                fresh[key] = _fresh_process(argv, tmp_path)
+            assert (rc, out.out, out.err) == fresh[key], argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.svg"]
+
+    def test_flags_do_not_leak_into_the_next_parse(self):
+        assert cli.parse_args(["surface", "--family", "toroid", "--R", "3", "--out", "t.obj"]).spec.R == 3.0
+        assert cli.parse_args(["surface", "--family", "toroid", "--out", "t.obj"]).spec.R == ShapeSpec3D("toroid").R
+        assert cli.parse_args(["curve", "--family", "fg", "--domain", "-1", "1", "-1", "1",
+                               "--out", "c.svg"]).domain == (-1.0, 1.0, -1.0, 1.0)
+        assert cli.parse_args(["curve", "--family", "fg", "--out", "c.svg"]).domain is None
+
+    def test_built_once_and_not_at_import(self):
+        cli.parse_args(["info", "--family", "fg"])
+        assert cli._build_parser() is cli._build_parser()
+        code = "from squircles import cli; print(cli._build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(),
+                              timeout=60)
+        assert proc.stdout == "0\n", proc.stderr

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from squircles import mesh_io
 from squircles.contour2d import BAND_SAMPLES, Domain2D, Polyline, marching_squares, sample_grid2d
+from squircles.fields3d import ShapeSpec3D, make_field3d
 from squircles.mesh_io import (
     MESH_BAND,
     MeshStats,
+    area_below,
     mesh_area,
     mesh_stats,
     write_csv,
@@ -20,7 +23,7 @@ from squircles.mesh_io import (
     write_stl,
     write_svg,
 )
-from squircles.polygonize3d import Domain3D, TriangleMesh, marching_cubes, sample_grid3d
+from squircles.polygonize3d import Domain3D, TriangleMesh, marching_cubes, polygonize, sample_grid3d
 
 TRI = TriangleMesh(
     np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -461,3 +464,70 @@ class TestBandedAreaAndStl:
         mesh = TriangleMesh(rng.uniform(-1, 1, (1000, 3)), rng.integers(0, 1000, (5 * BAND_SAMPLES, 3)))
         assert _peak(lambda: mesh_area(mesh)) <= 0.4 * _peak(lambda: ref_mesh_area(mesh))
         assert _peak(lambda: write_stl(mesh, _NullSink())) <= 0.4 * _peak(lambda: ref_write_stl(mesh, _NullSink()))
+
+
+# ------------------------------------------------------------ the area floor
+# area_below(mesh, floor) must equal mesh_area(mesh) < floor, though it stops
+# at the first band whose largest triangle alone reaches the floor.
+
+
+@st.composite
+def floor_cases(draw):
+    """(mesh, floor, band rows): slivers or zero-area triangles, at most one
+    large triangle anywhere (the last one included), and a floor at or next to
+    the mesh's area, its largest triangle's area, or zero."""
+    n = draw(st.integers(0, 24))
+    # sliver thickness; 0 keeps every corner on the x axis, so every area is 0
+    scale = draw(st.sampled_from([0.0, 1e-300, 1e-150, 1e-12, 1e-6]))
+    along = draw(hnp.arrays(np.float64, (3 * n, 1), elements=st.floats(-1.0, 1.0)))
+    across = draw(hnp.arrays(np.float64, (3 * n, 2), elements=st.floats(-1.0, 1.0))) * scale
+    vertices = np.hstack([along, across])
+    if n and draw(st.booleans()):
+        at = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+        vertices[3 * at:3 * at + 3] = np.eye(3) * draw(st.floats(1e-9, 1e3))
+    mesh = TriangleMesh(vertices, np.arange(3 * n).reshape(n, 3))
+    tri = vertices[mesh.triangles]
+    halves = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    anchor = draw(st.sampled_from([ref_mesh_area(mesh), float(halves.max()) if n else 0.0, 0.0]))
+    floor = draw(_neighbours(anchor).filter(lambda f: f >= 0.0))
+    return mesh, floor, draw(st.sampled_from([1, 2, 3, 5, MESH_BAND]))
+
+
+class TestAreaFloor:
+    @settings(max_examples=400, deadline=None)
+    @given(floor_cases())
+    def test_matches_summed_area(self, case):
+        mesh, floor, band = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh_io, "MESH_BAND", band)
+            assert area_below(mesh, floor) == (mesh_area(mesh) < floor)
+
+    def test_fixed_cases(self):
+        slivers = TriangleMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-12, 0.0]]),
+                               np.zeros((6, 3), dtype=np.int64) + [0, 1, 2])
+        area = mesh_area(slivers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh_io, "MESH_BAND", 2)
+            # six slivers of 5e-13 each: no band proves 1e-12, their sum does
+            assert not area_below(slivers, 1e-12)
+            assert area_below(slivers, np.nextafter(area, math.inf))
+            assert not area_below(slivers, area)
+        assert area_below(EMPTY, 1e-300)
+        assert not area_below(EMPTY, 0.0)
+        assert not area_below(TRI, 0.5) and area_below(TRI, np.nextafter(0.5, 1.0))
+
+    def test_sphube_reads_one_band(self):
+        domain = Domain3D(-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 64, 64, 64)
+        mesh = polygonize(make_field3d(ShapeSpec3D("sphube", s=0.75)), domain)
+        assert len(mesh.triangles) > 2 * MESH_BAND
+        seen = []  # the first row of each band the shared norm helper reads
+        band_norms = mesh_io._band_norms
+
+        def counted(mesh, lo):
+            seen.append(lo)
+            return band_norms(mesh, lo)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh_io, "_band_norms", counted)
+            assert not area_below(mesh, 1e-9 * domain.dx * domain.dy)
+        assert seen == [0]
