@@ -193,6 +193,8 @@ def parse_args(argv) -> Command:
     if ns.subcommand == "sweep":
         if ns.steps < 1:
             raise UsageError("--steps must be >= 1")
+        if not (math.isfinite(ns.start) and math.isfinite(ns.stop)):
+            raise UsageError("--from and --to must be finite")
         cmd.sweep_param = SWEEP_PARAMS[ns.param]
         cmd.sweep_values = tuple(np.linspace(ns.start, ns.stop, ns.steps))
     return cmd

@@ -82,12 +82,28 @@ class ShapeSpec2D:
         _check_spec(self, FAMILY_RECORDS_2D, "2D")
 
 
-def _scaled_pnorm(p, *parts):
+def _scaled_pnorm(p, *parts, out=None):
     # (sum of part^p)^(1/p) with the largest part factored out, so large
     # exponents cannot overflow. The parts must be non-negative.
-    m = functools.reduce(np.maximum, parts)
-    safe = np.where(m > 0, m, 1.0)
-    return m * sum((part / safe) ** p for part in parts) ** (1.0 / p)
+    if out is None:
+        m = functools.reduce(np.maximum, parts)
+        safe = np.where(m > 0, m, 1.0)
+        return m * sum((part / safe) ** p for part in parts) ** (1.0 / p)
+    # The same operations written into out with one scratch array. Where m is
+    # 0 every part is 0, so max(m, 5e-324), the least positive float, stands
+    # for both m and safe: each term and the result are +0 either way. It is
+    # rebuilt from the parts (max is exact) rather than held in a second array.
+    low = np.maximum(functools.reduce(np.maximum, parts[:-1]), 5e-324)
+    scratch = np.empty(out.shape)
+    np.divide(parts[0], np.maximum(low, parts[-1], out=out), out=out)
+    out **= p
+    for part in parts[1:]:
+        np.divide(part, np.maximum(low, parts[-1], out=scratch), out=scratch)
+        scratch **= p
+        out += scratch
+    out **= 1.0 / p
+    out *= np.maximum(low, parts[-1], out=scratch)
+    return out
 
 
 def eval_lame(x, y, p, r):
@@ -139,7 +155,17 @@ def frantz_point(t, s, r):
 def _round_at_s0(build):
     # the periodic and oblique families reduce to 0 = 0 at s = 0; substitute
     # their proven limit, the circle (sphere) of radius r
-    return lambda sp: (lambda *xyz: sum(np.square(c) for c in xyz) - sp.r * sp.r) if sp.s == 0 else build(sp)
+    return lambda sp: _sphere(sp.r) if sp.s == 0 else build(sp)
+
+
+def _sphere(r):
+    # x^2 + y^2 [+ z^2] - r^2, summed left to right; the last sum and the
+    # difference are written into out when it is given
+    def field(*xyz, out=None):
+        f = np.add(sum(np.square(c) for c in xyz[:-1]), np.square(xyz[-1]), out=out)
+        return np.subtract(f, r * r, out=out)
+
+    return field
 
 
 def _parametric_only(spec):
@@ -171,7 +197,7 @@ FAMILY_RECORDS_2D = {
         "tilted square at s=1, overshoot h in [0, 2]"),
     "frantz": Family(
         field=_parametric_only,
-        checks=(_require(lambda sp: sp.s >= 0, "frantz squareness must be >= 0, got {s}"),),
+        checks=(_finite("s"), _require(lambda sp: sp.s >= 0, "frantz squareness must be >= 0, got {s}")),
         bounds=lambda sp, tiles: _square(1.2 * sp.r),  # one closed polyline: --tiles does not widen it
         info="parametric x = r tanh(s cos t)/tanh s, y = r tanh(s sin t)/tanh s; s > 0, square as s -> inf"),
     "phase_grid": Family(

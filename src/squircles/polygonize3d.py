@@ -18,11 +18,12 @@ slabs over views of a sampled grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour2d import BAND_SAMPLES, _mesh_bands, _sample_banded
+from .contour2d import BAND_SAMPLES, _mesh_bands, _require_finite, _sample_banded
 from .mc_tables import TRI_TABLE
 
 
@@ -109,7 +110,9 @@ def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D
     """Evaluate a field on the whole voxel lattice, in bands of z-planes.
     `polygonize` meshes a field without holding this volume."""
     axes = (domain.xs(), domain.ys(), domain.zs())
-    return Grid3D(domain, _sample_banded(field, axes, workers).reshape(-1))
+    vals, top, bottom = _sample_banded(field, axes, workers)
+    _require_finite(vals, axes, top, bottom)
+    return Grid3D(domain, vals.reshape(-1))
 
 
 # (dk, dj, di) lattice offset of cell corners 0-7 in mc_tables' numbering
@@ -131,15 +134,12 @@ _CODE_TO_CASE = sum(
 )
 _TRIANGLES = TRI_TABLE[_CODE_TO_CASE, :15].reshape(256, 5, 3)[:, :, ::-1].astype(np.int8)
 
-# Most samples one slab of `polygonize` holds, and most one field call in a
-# slab evaluates, chosen by measurement on 2 cores (sphube, lame3d). Slabs of
-# 2-3x BAND_SAMPLES re-sample their shared planes often enough to run 6-40%
-# slower at grid 256. Field calls of a whole BAND_SAMPLES leave temporaries
-# that lift the fused path's tracemalloc peak at grid 128 above half the
-# sampled volume for lame3d and sphube (0.61x and 0.54x, against 0.45x and
-# 0.47x).
+# Most samples one slab of `polygonize` holds, chosen by measurement on 2
+# cores. Against 4x BAND_SAMPLES, slabs of 2x ran 35-60% slower at grid 256
+# (sphube, oblique3d). Slabs of 8x ran ~20% faster there, but ~30% slower for
+# lame3d at grid 128 (3 slabs, too few to pool), and one such slab alone is
+# half the grid-128 volume, the tracemalloc bound the tests set.
 SLAB_SAMPLES = 4 * BAND_SAMPLES
-SLAB_BAND_SAMPLES = BAND_SAMPLES // 2
 
 
 def _slab_bounds(domain):
@@ -168,19 +168,38 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     `sample_grid3d`, byte for byte, without holding the sampled volume.
 
     This is the band kernel (`contour2d._mesh_bands`) over the slabs of
-    `_slab_bounds`. Each slab samples its own planes (in field calls of at
-    most SLAB_BAND_SAMPLES samples), records their largest |sample| for the
-    zero nudge and extracts its part of the mesh; the plane two slabs share
-    is sampled by both, with the same bits. The slabs run on `workers`
-    threads (default: `contour2d.default_workers()`). A non-finite sample
-    raises the ValueError `sample_grid3d` raises.
+    `_slab_bounds`. Each slab samples its top plane first and leaves a copy
+    for the slab above; it takes its bottom plane from the slab below when
+    that copy is there, and samples it otherwise (with the same bits), then
+    samples the planes between. The extremes `_sample_banded` returns check
+    the slab's samples for finiteness and give the largest |sample| for the
+    zero nudge. The slabs run on `workers` threads (default:
+    `contour2d.default_workers()`); with one, each plane is sampled once. A
+    non-finite sample raises the ValueError `sample_grid3d` raises.
     """
     xs, ys, zs = domain.xs(), domain.ys(), domain.zs()
     extremes = []
+    # plane index -> the samples of that plane, or None once the slab above
+    # has sampled it itself; setdefault decides which came first. A plane
+    # with a non-finite sample is not left: the slab above samples it and
+    # fails its own check instead of extracting from it.
+    shared = {}
 
     def load(k0, k1):
-        vals = _sample_banded(field, (xs, ys, zs[k0:k1 + 1]), 1, SLAB_BAND_SAMPLES)
-        extremes.append(max(vals.max(), -vals.min()))
+        vals = np.empty((k1 - k0 + 1, len(ys), len(xs)))
+        _, top, bottom = _sample_banded(field, (xs, ys, zs[k1:k1 + 1]), 1, vals[-1:])
+        if k1 < domain.nz and math.isfinite(top) and math.isfinite(bottom):
+            shared.setdefault(k1, vals[-1].copy())
+        below = shared.setdefault(k0, None)
+        first = 0 if below is None else 1
+        if below is not None:
+            vals[0] = below
+            shared[k0] = None
+        if first < k1 - k0:
+            _, hi, lo = _sample_banded(field, (xs, ys, zs[k0 + first:k1]), 1, vals[first:-1])
+            top, bottom = np.maximum(top, hi), np.minimum(bottom, lo)
+        _require_finite(vals, (xs, ys, zs[k0:k1 + 1]), top, bottom)
+        extremes.append(max(top, -bottom))
         return vals
 
     steps = (domain.dx, domain.dy, domain.dz)

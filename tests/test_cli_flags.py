@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,30 @@ class TestNonFiniteValues:
         out = tmp_path / name
         assert cli.main([command, "--family", family, "-p", "inf", "--grid", "16", "--out", str(out)]) == 0
         assert out.stat().st_size > 0
+
+
+class TestNonFiniteRanges:
+    def test_frantz_squareness_inf_is_a_usage_error(self, tmp_path, capsys):
+        # s -> inf is the square only as a limit; at s = inf the points are nan
+        out = tmp_path / "f.svg"
+        assert cli.main(["curve", "--family", "frantz", "-s", "inf", "--samples", "8", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: frantz parameter s must be finite, got inf\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_sweep_range_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        ends = {"--from": "1", "--to": "3"}
+        ends[flag] = value
+        argv = ["sweep", "--family", "lame", "--param", "p", "--from", ends["--from"], "--to", ends["--to"],
+                "--steps", "3", "--out", str(tmp_path / "sw.svg")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --from and --to must be finite\n"
+        assert captured.out == "" and not list(tmp_path.iterdir())
 
 
 def _fresh_env(**extra):

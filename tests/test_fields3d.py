@@ -1,10 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squircles.fields2d import eval_fg, eval_periodic
+from squircles.fields2d import _scaled_pnorm, eval_fg, eval_periodic
 from squircles.fields3d import (
+    FAMILIES_3D,
     ShapeSpec3D,
     eval_cone_fg,
     eval_cone_lame,
@@ -211,3 +215,208 @@ class TestMakeField3d:
     ])
     def test_inside_negative_at_origin(self, spec):
         assert make_field3d(spec)(0.0, 0.0, 0.0) < 0
+
+
+# --- writing into out ---------------------------------------------------------
+#
+# Frozen copies of the 3D fields as the plain expressions they were before
+# the evaluators took out=. Given out, a field writes the same bits into it;
+# without out, it returns them as before (a scalar for scalar inputs).
+
+
+def frozen_pnorm(p, *parts):
+    m = functools.reduce(np.maximum, parts)
+    safe = np.where(m > 0, m, 1.0)
+    return m * sum((part / safe) ** p for part in parts) ** (1.0 / p)
+
+
+def frozen_box_clip(f, x, y, z, ext):
+    f = np.maximum(f, np.abs(x) - ext)
+    f = np.maximum(f, np.abs(y) - ext)
+    return np.maximum(f, np.abs(z) - ext)
+
+
+def frozen_lame3d(x, y, z, p, r):
+    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+    if math.isinf(p):
+        return np.maximum(np.maximum(ax, ay), az) - r
+    return frozen_pnorm(p, ax, ay, az) - r
+
+
+def frozen_sphube(x, y, z, s, r):
+    x2, y2, z2 = np.square(x), np.square(y), np.square(z)
+    c2 = (s * s) / (r * r)
+    return x2 + y2 + z2 - c2 * (x2 * y2 + y2 * z2 + x2 * z2) + (c2 * c2) * (x2 * y2 * z2) - r * r
+
+
+def frozen_periodic3d(x, y, z, s, r):
+    c = s * np.pi / (2.0 * r)
+    return np.cos(s * np.pi / 2.0) - np.cos(c * x) * np.cos(c * y) * np.cos(c * z)
+
+
+def frozen_oblique3d(x, y, z, s, r, h):
+    c = s * np.pi / r
+    paired = (np.cos(s * np.pi) - np.cos(c * x)) + (1.0 - np.cos(c * y)) + (1.0 - np.cos(c * z))
+    return paired - math.floor(s) * h
+
+
+def frozen_toroid(x, y, z, s, R, r):
+    u = np.sqrt(np.square(x) + np.square(y)) - R
+    u2, z2 = np.square(u), np.square(z)
+    return u2 + z2 - (s * s) / (r * r) * (z2 * u2) - r * r
+
+
+def frozen_toroid_octic(x, y, z, s, R, r):
+    q2 = np.square(x) + np.square(y)
+    z2 = np.square(z)
+    w = (s * s) / (r * r) * z2
+    lhs = np.square(q2 + z2 + R * R - r * r - w * (q2 + R * R))
+    rhs = 4.0 * R * R * q2 * np.square(1.0 - w)
+    return lhs - rhs
+
+
+def frozen_cone_fg(x, y, z, s, c):
+    x2, y2, z2 = np.square(x), np.square(y), np.square(z)
+    quartic = x2 * z2 + y2 * z2 - (s * s) * (c * c) * (x2 * y2) - z2 * z2 / (c * c)
+    f = np.maximum(quartic, -np.asarray(z, dtype=float))
+    f = np.maximum(f, z - c)
+    f = np.maximum(f, (c * c) * x2 - z2)
+    return np.maximum(f, (c * c) * y2 - z2)
+
+
+def frozen_cone_lame(x, y, z, p, a, b, c):
+    z = np.asarray(z, dtype=float)
+    lateral = frozen_pnorm(p, np.abs(np.divide(x, a)), np.abs(np.divide(y, b))) - z / c
+    f = np.maximum(lateral, -z)
+    return np.maximum(f, z - c)
+
+
+def frozen_cuboctahedron(x, y, z, k, cc):
+    x2, y2, z2 = np.square(x), np.square(y), np.square(z)
+    k2 = k * k
+    sextic = (
+        (x2 + y2 + z2) / k2
+        - (x2 * y2 + y2 * z2 + x2 * z2) / (k2 * k2)
+        + cc * (x2 * y2 * z2) / (k2 * k2 * k2)
+        - 1.0
+    )
+    return frozen_box_clip(sextic, x, y, z, k)
+
+
+def frozen_sphere(x, y, z, r):
+    return sum(np.square(c) for c in (x, y, z)) - r * r
+
+
+FROZEN_FIELDS = {
+    "lame3d": lambda sp, x, y, z: frozen_lame3d(x, y, z, sp.p, sp.r),
+    "sphube": lambda sp, x, y, z: frozen_box_clip(frozen_sphube(x, y, z, sp.s, sp.r), x, y, z, sp.r),
+    "periodic3d": lambda sp, x, y, z: (frozen_sphere(x, y, z, sp.r) if sp.s == 0
+                                       else frozen_periodic3d(x, y, z, sp.s, sp.r)),
+    "oblique3d": lambda sp, x, y, z: (frozen_sphere(x, y, z, sp.r) if sp.s == 0
+                                      else frozen_oblique3d(x, y, z, sp.s, sp.r, sp.h)),
+    "toroid": lambda sp, x, y, z: np.maximum(frozen_toroid(x, y, z, sp.s, sp.R, sp.r), np.abs(z) - sp.r),
+    "toroid_octic": lambda sp, x, y, z: frozen_toroid_octic(x, y, z, sp.s, sp.R, sp.r),
+    "cone_fg": lambda sp, x, y, z: frozen_cone_fg(x, y, z, sp.s, sp.c),
+    "cone_lame": lambda sp, x, y, z: frozen_cone_lame(x, y, z, sp.p, sp.a, sp.b, sp.c),
+    "cuboctahedron": lambda sp, x, y, z: frozen_cuboctahedron(x, y, z, sp.k, sp.cc),
+}
+
+# the evaluators with every parameter they take, for direct calls
+FROZEN_EVALUATORS = [
+    (eval_lame3d, frozen_lame3d, ("p", "r")),
+    (eval_sphube, frozen_sphube, ("s", "r")),
+    (eval_periodic3d, frozen_periodic3d, ("s", "r")),
+    (eval_oblique3d, frozen_oblique3d, ("s", "r", "h")),
+    (eval_toroid, frozen_toroid, ("s", "R", "r")),
+    (eval_toroid_octic, frozen_toroid_octic, ("s", "R", "r")),
+    (eval_cone_fg, frozen_cone_fg, ("s", "c")),
+    (eval_cone_lame, frozen_cone_lame, ("p", "a", "b", "c")),
+    (eval_sham_cuboctahedron, frozen_cuboctahedron, ("k", "cc")),
+]
+
+
+def generic(lo, hi):
+    # uniform floats with full mantissas, whose products round; hypothesis's
+    # own floats favour short ones, whose products are often exact
+    return st.integers(0, 2**32 - 1).map(lambda seed: float(np.random.default_rng(seed).uniform(lo, hi)))
+
+
+coordinates = st.one_of(generic(-3, 3), st.floats(-3, 3), st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, 2.5]))
+unit_s = st.one_of(st.sampled_from([0.0, 1.0]), generic(0, 1), st.floats(0, 1))
+scales = st.one_of(generic(0.25, 4), st.floats(0.25, 4))
+
+
+@st.composite
+def specs(draw):
+    family = draw(st.sampled_from(FAMILIES_3D))
+    r = draw(scales)
+    p = draw(st.one_of(st.sampled_from([1.0, 2.0]), generic(1, 2))) if family == "cone_lame" else \
+        draw(st.one_of(st.sampled_from([1.0, math.inf, 2.0]), generic(1, 64), st.floats(1, 64)))
+    return ShapeSpec3D(family, p=p, s=draw(unit_s), r=r, h=draw(generic(0, 4)),
+                       R=r + draw(generic(0.01, 3)), a=draw(scales), b=draw(scales), c=draw(scales),
+                       k=draw(scales), cc=draw(generic(1.5, 4)))
+
+
+@st.composite
+def lattices(draw):
+    # band-shaped inputs as contour2d._sample_banded passes them (x fastest),
+    # 1-D rays as the oracle passes them, or scalars
+    kind = draw(st.sampled_from(["band", "ray", "scalar"]))
+    if kind == "scalar":
+        return tuple(draw(coordinates) for _ in range(3))
+    if kind == "ray":
+        n = draw(st.integers(1, 9))
+        return tuple(np.array(draw(st.lists(coordinates, min_size=n, max_size=n))) for _ in range(3))
+    axes = [np.array(draw(st.lists(coordinates, min_size=1, max_size=6))) for _ in range(3)]
+    return tuple(a.reshape((1,) * (2 - k) + (-1,) + (1,) * k) for k, a in enumerate(axes))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_writes_frozen_bits(call, frozen, xyz):
+    want = frozen(*xyz)
+    got = call(*xyz)
+    assert same_bits(got, want)
+    assert type(got) is type(want)  # scalars stay scalars
+    if any(np.ndim(c) for c in xyz):
+        shape = np.broadcast_shapes(*(np.shape(c) for c in xyz))
+        out = np.full(shape, np.nan)
+        assert call(*xyz, out=out) is out
+        assert same_bits(out, np.broadcast_to(want, shape))
+
+
+class TestWritesIntoOut:
+    @settings(max_examples=400, deadline=None)
+    @given(specs(), lattices())
+    def test_family_fields_match_frozen_expressions(self, spec, xyz):
+        assert_writes_frozen_bits(make_field3d(spec), lambda *xyz: FROZEN_FIELDS[spec.family](spec, *xyz), xyz)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FROZEN_EVALUATORS), specs(), lattices())
+    def test_evaluators_match_frozen_expressions(self, evaluator, spec, xyz):
+        new, frozen, names = evaluator
+        params = [getattr(spec, name) for name in names]
+        assert_writes_frozen_bits(lambda *xyz, **out: new(*xyz, *params, **out),
+                                  lambda *xyz: frozen(*xyz, *params), xyz)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1, 512)), st.integers(2, 3),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_scaled_pnorm_matches_frozen_expression(self, p, n_parts, size, seed):
+        # zero, tiny, huge and subnormal parts, broadcast as lattice axes
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, 5e-324, 1e-310, 1e-200, 0.3, 1.0, 7.5, 1e8, 1e200])
+        parts = [rng.choice(pool, size).reshape((1,) * (n_parts - 1 - k) + (-1,) + (1,) * k)
+                 for k in range(n_parts)]
+        out = np.empty(np.broadcast_shapes(*(q.shape for q in parts)))
+        assert _scaled_pnorm(p, *parts, out=out) is out
+        assert same_bits(out, frozen_pnorm(p, *parts))
+        assert same_bits(_scaled_pnorm(p, *parts), frozen_pnorm(p, *parts))
+
+    @pytest.mark.parametrize("family", FAMILIES_3D)
+    def test_every_family_field_says_it_fills_out(self, family):
+        assert make_field3d(ShapeSpec3D(family)).fills_out is True
+        assert make_field3d(ShapeSpec3D(family, s=0.0)).fills_out is True

@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -515,6 +517,119 @@ class TestSlabKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 129**3 * 8
+
+
+def counted(field, fills):
+    """field, with `fills_out` set to fills, and the list of the sample
+    counts of its calls."""
+    sizes = []
+
+    def wrapped(x, y, z, **out):
+        sizes.append(np.broadcast(x, y, z).size)
+        return field(x, y, z, **out)
+
+    wrapped.fills_out = fills
+    return wrapped, sizes
+
+
+class TestSharedPlanes:
+    # grid 40 in slabs of 3 cell layers: 14 slabs, 13 planes shared
+    @pytest.mark.parametrize("fills", [True, False])
+    @pytest.mark.parametrize("family", ["sphube", "oblique3d", "lame3d", "cone_lame"])
+    def test_one_worker_samples_each_plane_once(self, family, fills):
+        spec = ShapeSpec3D(family, s=0.75, p=1.5)
+        dom = default_domain3d(spec, 40, 1)
+        field, sizes = counted(make_field3d(spec), fills)
+        want = marching_cubes(sample_grid3d(make_field3d(spec), dom, workers=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SLAB_SAMPLES", 4 * 41 * 41)
+            assert_mesh_bytes(polygonize(field, dom, workers=1), want)
+        assert sum(sizes) == (dom.nx + 1) * (dom.ny + 1) * (dom.nz + 1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_slabs_sample_at_most_the_shared_planes_twice(self, workers):
+        spec = ShapeSpec3D("sphube", s=0.75)
+        dom = default_domain3d(spec, 40, 1)
+        field, sizes = counted(make_field3d(spec), True)
+        want = marching_cubes(sample_grid3d(make_field3d(spec), dom, workers=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SLAB_SAMPLES", 4 * 41 * 41)
+            n_slabs = len(polygonize3d._slab_bounds(dom)) - 1
+            assert n_slabs >= 2 * workers  # the pool runs
+            for _ in range(5):
+                assert_mesh_bytes(polygonize(field, dom, workers=workers), want)
+        lattice, plane = 41 * 41 * 41, 41 * 41
+        assert 5 * lattice <= sum(sizes) <= 5 * (lattice + (n_slabs - 1) * plane)
+
+    def test_many_workers_under_fast_switching(self):
+        # 1-layer slabs on more threads than cores, switching threads every
+        # microsecond: each run gives the same bytes and samples each plane
+        # at least once and at most twice
+        spec = ShapeSpec3D("oblique3d", s=0.8)
+        dom = default_domain3d(spec, 24, 1)
+        field, sizes = counted(make_field3d(spec), True)
+        want = marching_cubes(sample_grid3d(make_field3d(spec), dom, workers=1))
+        lattice, plane = 25 * 25 * (dom.nz + 1), 25 * 25
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SLAB_SAMPLES", 2 * plane)
+            mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    sizes.clear()
+                    assert_mesh_bytes(polygonize(field, dom, workers=8), want)
+                    assert lattice <= sum(sizes) <= lattice + (dom.nz - 1) * plane
+            finally:
+                sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("error")  # no slab meshes the bad plane
+    @pytest.mark.parametrize("fills", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_sample_on_a_shared_plane(self, workers, bad, fills):
+        # 2-layer slabs share planes z = 2, 4, ..., 10; the bad samples sit
+        # on z = 4 and on the later plane z = 7
+        dom = Domain3D(0, 4, 0, 5, 0, 12, 4, 5, 12)
+
+        def values(x, y, z, out=None):
+            where = ((z == 4) & (y == 1) & (x == 2)) | ((z == 7) & (y == 0) & (x == 0))
+            v = np.where(where, bad, x + y + z - 6.0)
+            if out is None:
+                return v
+            out[...] = v
+            return out
+
+        field, _ = counted(values, fills)
+        with pytest.raises(ValueError) as whole:
+            sample_grid3d(values, dom, workers=1)
+        assert str(whole.value) == "non-finite field value at sample (2.0, 1.0, 4.0)"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SLAB_SAMPLES", 3 * 5 * 6)
+            mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+            with pytest.raises(ValueError) as fused:
+                polygonize(field, dom, workers=workers)
+        assert str(fused.value) == str(whole.value)
+
+    def test_no_slab_meshes_a_plane_with_a_bad_sample(self, monkeypatch):
+        # slab [4, 6] looks for its bottom plane after its top one, which
+        # waits until slab [2, 4] has sampled their shared plane z = 4
+        dom = Domain3D(0, 4, 0, 5, 0, 12, 4, 5, 12)
+
+        def field(x, y, z):
+            if np.any(z == 6):
+                time.sleep(0.2)
+            return np.where((z == 4) & (y == 1) & (x == 2), np.nan, x + y + z - 6.0)
+
+        meshed = []
+        crossings = contour2d._edge_crossings
+        monkeypatch.setattr(contour2d, "_edge_crossings",
+                            lambda vals, inside: meshed.append(np.isfinite(vals).all()) or crossings(vals, inside))
+        monkeypatch.setattr(polygonize3d, "SLAB_SAMPLES", 3 * 5 * 6)
+        monkeypatch.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        with pytest.raises(ValueError, match=r"at sample \(2\.0, 1\.0, 4\.0\)"):
+            polygonize(field, dom, workers=3)
+        assert meshed and all(meshed)
 
 
 class TestThreadPool:
