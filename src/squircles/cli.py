@@ -2,7 +2,8 @@
 verification suite and family info.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (no sign bracket,
-non-finite samples), 3 I/O failure.
+non-finite samples, an arithmetic error such as a radius too small to square)
+or a failed verify check, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class UsageError(ValueError):
 def pi_float(text: str) -> float:
     """Parse a float flag, accepting pi tokens like 'pi', '2pi', 'pi/2'."""
     text = text.strip().lower()
-    if text in ("inf", "infinity"):
-        return math.inf
     m = _PI_RE.match(text)
     try:
         if not m:
@@ -189,6 +188,10 @@ def parse_args(argv) -> Command:
             raise UsageError(f"--domain takes {want} values for this subcommand")
         if not all(map(math.isfinite, ns.domain)):
             raise UsageError("--domain values must be finite")
+        try:  # the Domain classes' own bounds rule; grid >= 8 passes their cell count rule
+            (Domain3D if three_d else Domain2D)(*ns.domain, *[ns.grid] * (want // 2))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         cmd.domain = tuple(ns.domain)
     if ns.subcommand == "sweep":
         if ns.steps < 1:
@@ -220,7 +223,7 @@ def _write(path, writer):
         raise
 
 
-def _run_curve(cmd: Command) -> int:
+def _run_curve(cmd: Command):
     spec = cmd.spec
     if cmd.domain:
         domain = Domain2D(*cmd.domain, cmd.grid, cmd.grid)
@@ -241,10 +244,9 @@ def _run_curve(cmd: Command) -> int:
         _write(cmd.out, lambda sink: mesh_io.write_svg(polylines, domain, sink))
     else:
         _write(cmd.out, lambda sink: mesh_io.write_csv(polylines, sink))
-    return 0
 
 
-def _run_surface(cmd: Command) -> int:
+def _run_surface(cmd: Command):
     spec = cmd.spec
     field = make_field3d(spec)
     if cmd.domain:
@@ -261,165 +263,127 @@ def _run_surface(cmd: Command) -> int:
     comment = _describe_spec(spec)
     writer = mesh_io.write_obj if cmd.fmt == "obj" else mesh_io.write_stl
     _write(cmd.out, lambda sink: writer(mesh, sink, comment=comment))
-    return 0
 
 
 def _describe_spec(spec) -> str:
     return " ".join([spec.family] + [f"{f.name}={getattr(spec, f.name)}" for f in fields(spec)[1:]])
 
 
-def _run_sweep(cmd: Command) -> int:
+def _run_sweep(cmd: Command):
     root, dot, ext = cmd.out.rpartition(".")
     if not dot:
         root, ext = cmd.out, ""
     width = max(2, len(str(len(cmd.sweep_values) - 1)))
-    rc = 0
     for idx, value in enumerate(cmd.sweep_values):
         step = replace(cmd, spec=replace(cmd.spec, **{cmd.sweep_param: float(value)}),
                        out=f"{root}_{idx:0{width}d}{dot}{ext}")
-        rc = _run_surface(step) if cmd.fmt in SURFACE_FORMATS else _run_curve(step)
-        if rc:
-            return rc
-    return rc
+        (_run_surface if cmd.fmt in SURFACE_FORMATS else _run_curve)(step)
 
 
-def _run_info(family: str) -> int:
-    record = FAMILY_RECORDS_2D.get(family) or FAMILY_RECORDS_3D.get(family)
+def _run_info(cmd: Command):
+    record = FAMILY_RECORDS_2D.get(cmd.suite) or FAMILY_RECORDS_3D.get(cmd.suite)
     if record is None:
-        raise UsageError(f"unknown family {family!r}")
-    print(f"{family}: {record.info}")
-    return 0
+        raise UsageError(f"unknown family {cmd.suite!r}")
+    print(f"{cmd.suite}: {record.info}")
 
 
-def _check_line(name, value, bound_desc, ok):
-    status = "PASS" if ok else "FAIL"
-    print(f"{name:<36} value={value:.6e} bound={bound_desc:<10} {status}")
-    return ok
+def _verify_limits():
+    for name, spec, bound in (("circle_limit_lame_p2", ShapeSpec2D("lame", p=2.0), "1e-12"),
+                              ("circle_limit_fg_s0", ShapeSpec2D("fg", s=0.0), "1e-12"),
+                              ("circle_limit_periodic", ShapeSpec2D("periodic", s=1e-3), "1e-03"),
+                              ("circle_limit_oblique", ShapeSpec2D("oblique", s=1e-3), "1e-03")):
+        yield name, oracle.radial_profile_report(make_field2d(spec), 1.5, lambda th: 1.0).max_abs_error, bound
 
-
-def _verify_limits(results):
-    angles = 2.0 * np.pi * (np.arange(360) + 0.5) / 360
-
-    exact = [
-        ("circle_limit_lame_p2", ShapeSpec2D("lame", p=2.0), 1e-12),
-        ("circle_limit_fg_s0", ShapeSpec2D("fg", s=0.0), 1e-12),
-        ("circle_limit_periodic", ShapeSpec2D("periodic", s=1e-3), 1e-3),
-        ("circle_limit_oblique", ShapeSpec2D("oblique", s=1e-3), 1e-3),
-    ]
-    for name, spec, bound in exact:
-        rep = oracle.radial_profile_report(make_field2d(spec), 1.5, lambda th: 1.0)
-        results.append(_check_line(name, rep.max_abs_error, f"{bound:.0e}", rep.max_abs_error <= bound))
-
-    x, y = frantz_point(angles, 1e-3, 1.0)
-    err = float(np.max(np.abs(np.hypot(x, y) - 1.0)))
-    results.append(_check_line("circle_limit_frantz", err, "1e-03", err <= 1e-3))
+    x, y = frantz_point(2.0 * np.pi * (np.arange(360) + 0.5) / 360, 1e-3, 1.0)
+    yield "circle_limit_frantz", float(np.max(np.abs(np.hypot(x, y) - 1.0))), "1e-03"
 
     y_grid = np.linspace(-0.94, 0.94, 50)
     for family in ("periodic", "oblique"):
         rep = oracle.limit_convergence_check(family, y_grid, [0.2, 0.1, 0.05])
-        dev = float(np.max(np.abs(rep.ratios - 4.0)))
-        results.append(_check_line(f"convergence_{family}", dev, "0.5", dev <= 0.5))
+        yield f"convergence_{family}", float(np.max(np.abs(rep.ratios - 4.0))), "0.5"
 
-    per = [
+    for name, field, period, ndim in (
         ("periodicity_periodic_2d", make_field2d(ShapeSpec2D("periodic", s=0.5)), 8.0, 2),
         ("periodicity_oblique_2d", make_field2d(ShapeSpec2D("oblique", s=0.5)), 4.0, 2),
         ("periodicity_periodic_3d", make_field3d(ShapeSpec3D("periodic3d", s=0.5)), 8.0, 3),
         ("periodicity_oblique_3d", make_field3d(ShapeSpec3D("oblique3d", s=0.5)), 4.0, 3),
-    ]
-    for name, field, period, ndim in per:
-        v = oracle.periodicity_check(field, period, ndim=ndim)
-        results.append(_check_line(name, v, "1e-09", v <= 1e-9))
+    ):
+        yield name, oracle.periodicity_check(field, period, ndim=ndim), "1e-09"
     for name, spec in (("nonperiodic_fg", ShapeSpec2D("fg", s=0.5)),
                        ("nonperiodic_lame", ShapeSpec2D("lame", p=3.0))):
         v = oracle.periodicity_check(make_field2d(spec), 4.0, ndim=2)
-        results.append(_check_line(name, v, "> 0.1", v > 0.1))
+        yield name, v, "> 0.1", v > 0.1
 
 
-def _verify_square(results):
-    for name, family in (("square_case_periodic", "periodic"), ("square_case_oblique", "oblique")):
-        v = oracle.square_case_check(family, r=1.0)
-        results.append(_check_line(name, v, "1e-12", v <= 1e-12))
-    v = oracle.square_case_check("periodic", r=3.0)
-    results.append(_check_line("square_case_periodic_r3", v, "1e-12", v <= 1e-12))
+def _verify_square():
+    for name, family, r in (("square_case_periodic", "periodic", 1.0), ("square_case_oblique", "oblique", 1.0),
+                            ("square_case_periodic_r3", "periodic", 3.0)):
+        yield name, oracle.square_case_check(family, r=r), "1e-12"
 
-    cases = [
+    for name, spec, ref in (
         ("square_metric_lame_inf", ShapeSpec2D("lame", p=math.inf), oracle.square_metric_axis(1.0)),
         ("square_metric_lame_p1", ShapeSpec2D("lame", p=1.0), oracle.square_metric_tilted(1.0)),
         ("square_metric_fg", ShapeSpec2D("fg", s=1.0), oracle.square_metric_axis(1.0)),
         ("square_metric_periodic", ShapeSpec2D("periodic", s=1.0), oracle.square_metric_axis(1.0)),
         ("square_metric_oblique", ShapeSpec2D("oblique", s=1.0), oracle.square_metric_tilted(1.0)),
-    ]
-    for name, spec, ref in cases:
-        rep = oracle.radial_profile_report(make_field2d(spec), 1.6, ref)
-        results.append(_check_line(name, rep.max_abs_error, "1e-09", rep.max_abs_error <= 1e-9))
+    ):
+        yield name, oracle.radial_profile_report(make_field2d(spec), 1.6, ref).max_abs_error, "1e-09"
 
 
-def _verify_equivalence(results):
+def _verify_equivalence():
     R, r = 2.0, 0.5
     for s in (0.0, 0.5, 1.0):
         ref = lambda x, y, z, s=s: fields3d.eval_toroid(x, y, z, s, R, r)
         alt = lambda x, y, z, s=s: fields3d.eval_toroid_octic(x, y, z, s, R, r)
         v = oracle.zero_set_residual(ref, alt, 1000, seed_point=(R, 0.0, 0.0), r_max=2.0)
-        bound = 1e-9 * R**4
-        results.append(_check_line(f"toroid_octic_s{s}", v, f"{bound:.1e}", v <= bound))
+        yield f"toroid_octic_s{s}", v, "1.6e-08"  # 1e-9 R^4
 
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2 * np.pi, 2 * np.pi, size=(10000, 3))
     sham = make_field3d(ShapeSpec3D("oblique3d", s=1.0, r=math.pi, h=1.0))
     v = float(np.max(np.abs(sham(*pts.T) + np.cos(pts[:, 0]) + np.cos(pts[:, 1]) + np.cos(pts[:, 2]))))
-    results.append(_check_line("sham_schwarz_reduction", v, "1e-12", v <= 1e-12))
+    yield "sham_schwarz_reduction", v, "1e-12"
 
-    pts2 = rng.uniform(-2, 2, size=(10000, 2))
-    v = float(np.max(np.abs(
-        fields3d.eval_sphube(pts2[:, 0], pts2[:, 1], 0.0, 0.7, 1.0)
-        - fields2d.eval_fg(pts2[:, 0], pts2[:, 1], 0.7, 1.0))))
-    results.append(_check_line("sphube_fg_z0", v, "0", v == 0.0))
-    v = float(np.max(np.abs(
-        fields3d.eval_periodic3d(pts2[:, 0], pts2[:, 1], 0.0, 0.7, 1.0)
-        - fields2d.eval_periodic(pts2[:, 0], pts2[:, 1], 0.7, 1.0))))
-    results.append(_check_line("periodic3d_periodic_z0", v, "0", v == 0.0))
+    x, y = rng.uniform(-2, 2, size=(10000, 2)).T
+    yield "sphube_fg_z0", float(np.max(np.abs(fields3d.eval_sphube(x, y, 0.0, 0.7, 1.0)
+                                              - fields2d.eval_fg(x, y, 0.7, 1.0)))), "0"
+    yield "periodic3d_periodic_z0", float(np.max(np.abs(fields3d.eval_periodic3d(x, y, 0.0, 0.7, 1.0)
+                                                        - fields2d.eval_periodic(x, y, 0.7, 1.0)))), "0"
 
 
-def _verify_mesh(results, grid):
-    cases = [
-        ("mesh_sphere", ShapeSpec3D("lame3d", p=2.0), 2),
-        ("mesh_torus", ShapeSpec3D("toroid", s=0.0, R=2.0, r=0.5), 0),
-        ("mesh_cone_fg", ShapeSpec3D("cone_fg", s=1.0, c=3.0), 2),
-        ("mesh_cuboctahedron", ShapeSpec3D("cuboctahedron"), 2),
-    ]
-    for name, spec, chi in cases:
+def _verify_mesh(grid):
+    for name, spec, chi in (("mesh_sphere", ShapeSpec3D("lame3d", p=2.0), 2),
+                            ("mesh_torus", ShapeSpec3D("toroid", s=0.0, R=2.0, r=0.5), 0),
+                            ("mesh_cone_fg", ShapeSpec3D("cone_fg", s=1.0, c=3.0), 2),
+                            ("mesh_cuboctahedron", ShapeSpec3D("cuboctahedron"), 2)):
         stats = mesh_io.mesh_stats(polygonize(make_field3d(spec), default_domain3d(spec, grid, 1)))
         ok = stats.watertight and stats.euler_characteristic == chi
-        results.append(_check_line(name, float(stats.euler_characteristic), f"chi={chi}", ok))
+        yield name, float(stats.euler_characteristic), f"chi={chi}", ok
         if name == "mesh_sphere":
-            err = abs(stats.total_area / (4 * math.pi) - 1.0)
-            results.append(_check_line("mesh_sphere_area", err, "1e-02", err <= 1e-2))
+            yield "mesh_sphere_area", abs(stats.total_area / (4 * math.pi) - 1.0), "1e-02"
 
 
 def _run_verify(cmd: Command) -> int:
-    results: list[bool] = []
-    suite = cmd.suite
-    if suite in ("all", "limits"):
-        _verify_limits(results)
-    if suite in ("all", "square"):
-        _verify_square(results)
-    if suite in ("all", "equivalence"):
-        _verify_equivalence(results)
-    if suite in ("all", "mesh"):
-        _verify_mesh(results, cmd.grid)
-    return 0 if all(results) else 2
+    """Print one line per check of the suites cmd.suite selects and return 2 if
+    any fails. A suite yields (name, value, bound text) rows, which pass when
+    value <= float(bound), or (name, value, bound text, ok) rows."""
+    suites = {"limits": _verify_limits, "square": _verify_square, "equivalence": _verify_equivalence,
+              "mesh": lambda: _verify_mesh(cmd.grid)}
+    failed = False
+    for suite in suites if cmd.suite == "all" else [cmd.suite]:
+        for name, value, bound, *ok in suites[suite]():
+            ok = ok[0] if ok else value <= float(bound)
+            print(f"{name:<36} value={value:.6e} bound={bound:<10} {'PASS' if ok else 'FAIL'}")
+            failed = failed or not ok
+    return 2 if failed else 0
 
 
 def run(cmd: Command) -> int:
-    if cmd.subcommand == "info":
-        return _run_info(cmd.suite)
+    """Run a parsed command; failures raise, so only a failed check returns nonzero."""
     if cmd.subcommand == "verify":
         return _run_verify(cmd)
-    if cmd.subcommand == "sweep":
-        return _run_sweep(cmd)
-    if cmd.subcommand == "surface":
-        return _run_surface(cmd)
-    return _run_curve(cmd)
+    {"info": _run_info, "sweep": _run_sweep, "surface": _run_surface, "curve": _run_curve}[cmd.subcommand](cmd)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -436,7 +400,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (oracle.NoSignChangeError, oracle.InverseDomainError, ValueError) as exc:
+    except (oracle.NoSignChangeError, ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     except OSError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,10 @@ def _check_spec(spec, families, dims):
         raise ValueError(f"unknown {dims} family {spec.family!r}")
     if not 0 < spec.r < math.inf:
         raise ValueError(f"scale r must be positive and finite, got {spec.r}")
+    for f in fields(spec)[1:]:  # p = inf is the exact square (cube)
+        value = getattr(spec, f.name)
+        if not (math.isfinite(value) or (f.name == "p" and value == math.inf)):
+            raise ValueError(f"{spec.family} parameter {f.name} must be finite, got {value}")
     for check in families[spec.family].checks:
         check(spec)
 
@@ -52,12 +56,6 @@ def _require(ok, message):
             raise ValueError(message.format(**vars(spec)))
 
     return check
-
-
-def _finite(name):
-    # a check that the spec's parameter `name` is finite
-    return _require(lambda sp: math.isfinite(getattr(sp, name)),
-                    f"{{family}} parameter {name} must be finite, got {{{name}}}")
 
 
 _P_AT_LEAST_1 = _require(lambda sp: sp.p >= 1, "{family} exponent p must be >= 1, got {p}")
@@ -197,7 +195,7 @@ FAMILY_RECORDS_2D = {
         "tilted square at s=1, overshoot h in [0, 2]"),
     "frantz": Family(
         field=_parametric_only,
-        checks=(_finite("s"), _require(lambda sp: sp.s >= 0, "frantz squareness must be >= 0, got {s}")),
+        checks=(_require(lambda sp: sp.s >= 0, "frantz squareness must be >= 0, got {s}"),),
         bounds=lambda sp, tiles: _square(1.2 * sp.r),  # one closed polyline: --tiles does not widen it
         info="parametric x = r tanh(s cos t)/tanh s, y = r tanh(s sin t)/tanh s; s > 0, square as s -> inf"),
     "phase_grid": Family(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields2d import (
-    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _finite, _require, _round_at_s0, _scaled_pnorm, _square,
+    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _square,
 )
 
 
@@ -227,28 +227,27 @@ FAMILY_RECORDS_3D = {
     "toroid": Family(
         field=lambda sp: lambda x, y, z, out=None: np.maximum(eval_toroid(x, y, z, sp.s, sp.R, sp.r, out),
                                                              np.abs(z) - sp.r, out=out),
-        checks=(_UNIT_S, _finite("R"), _RING_TORUS), bounds=_toroid_bounds,
+        checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
         info="squircular toroid (sqrt form), R > r > 0, cross-section squareness s"),
     "toroid_octic": Family(
         field=lambda sp: lambda x, y, z, out=None: eval_toroid_octic(x, y, z, sp.s, sp.R, sp.r, out),
-        checks=(_UNIT_S, _finite("R"), _RING_TORUS), bounds=_toroid_bounds,
+        checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
         info="squircular toroid, equivalent octic polynomial form"),
     "cone_fg": Family(
         field=lambda sp: lambda x, y, z, out=None: eval_cone_fg(x, y, z, sp.s, sp.c, out),
-        checks=(_UNIT_S, _finite("c"), _CONE_HEIGHT),
+        checks=(_UNIT_S, _CONE_HEIGHT),
         bounds=lambda sp, tiles: _square(1.2) + (-0.1 * sp.c, 1.1 * sp.c),
         info="squircular cone over a Fernandez-Guasti base, height c, clipped to 0 <= z <= c"),
     "cone_lame": Family(
         field=lambda sp: lambda x, y, z, out=None: eval_cone_lame(x, y, z, sp.p, sp.a, sp.b, sp.c, out),
-        checks=(_finite("a"), _finite("b"), _finite("c"), _CONE_HEIGHT,
+        checks=(_CONE_HEIGHT,
                 _require(lambda sp: sp.a > 0 and sp.b > 0, "cone semi-axes a, b must be positive"),
                 _require(lambda sp: 1 <= sp.p <= 2, "cone_lame exponent p must be in [1, 2], got {p}")),
         bounds=lambda sp, tiles: _square(1.2 * max(sp.a, sp.b)) + (-0.1 * sp.c, 1.1 * sp.c),
         info="squircular cone over a Lame lower base, exponent p in [1, 2], semi-axes a, b, height c"),
     "cuboctahedron": Family(
         field=lambda sp: lambda x, y, z, out=None: eval_sham_cuboctahedron(x, y, z, sp.k, sp.cc, out),
-        checks=(_finite("k"), _finite("cc"),
-                _require(lambda sp: sp.k > 0, "cuboctahedron scale k must be positive, got {k}"), _warn_cc),
+        checks=(_require(lambda sp: sp.k > 0, "cuboctahedron scale k must be positive, got {k}"), _warn_cc),
         bounds=lambda sp, tiles: _cube(1.25 * sp.k * tiles),
         info="sham cuboctahedron sextic with scale k and cross-term constant cc in [1.5, 4]"),
 }

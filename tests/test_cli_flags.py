@@ -7,10 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squircles
-from squircles import cli
+from squircles import cli, oracle
 from squircles.contour2d import default_workers
 from squircles.fields3d import ShapeSpec3D
 
@@ -285,3 +286,90 @@ class TestParserReuse:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(),
                               timeout=60)
         assert proc.stdout == "0\n", proc.stderr
+
+
+class TestExitCodes:
+    """Each exit code of the contract in cli's docstring, from the path that gives it."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["surface", "--family", "lame3d", "--R", "inf"], "lame3d parameter R must be finite, got inf"),
+        (["surface", "--family", "sphube", "--a", "nan"], "sphube parameter a must be finite, got nan"),
+        (["curve", "--family", "fg", "--overshoot", "nan"], "fg parameter h must be finite, got nan"),
+    ])
+    def test_a_parameter_the_family_does_not_read_must_be_finite(self, tmp_path, capsys, argv, message):
+        ext = "svg" if argv[0] == "curve" else "obj"
+        assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--family", "fg", "--domain", "1", "-1", "-1", "1"],
+        ["curve", "--family", "lame", "--domain", "-1", "1", "1", "1"],
+        ["surface", "--family", "sphube", "--domain", "-1", "1", "-1", "1", "1", "-1"],
+        ["sweep", "--family", "fg", "--param", "s", "--from", "0", "--to", "1", "--steps", "2",
+         "--domain", "-1", "1", "2", "-2"],
+    ])
+    def test_reversed_domain_is_a_usage_error(self, tmp_path, capsys, argv):
+        ext = "obj" if argv[0] == "surface" else "svg"
+        assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 1
+        assert capsys.readouterr() == ("", "usage error: domain bounds must satisfy max > min\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--family", "fg"],
+        ["surface", "--family", "sphube"],
+        ["surface", "--family", "toroid"],
+        ["surface", "--family", "toroid_octic"],
+    ])
+    def test_tiny_radius_is_a_numeric_error(self, tmp_path, capsys, argv):
+        # r * r underflows to 0 in the fields' Python-float scale factors
+        ext = "svg" if argv[0] == "curve" else "obj"
+        assert cli.main(argv + ["--radius", "1e-320", "--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 2
+        assert capsys.readouterr() == ("", "numeric error: float division by zero\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["curve", "--family", "fg", "--tiles", "0"], "--tiles must be >= 1"),
+        (["curve", "--family", "fg", "--domain", "-1", "1", "-1"], "--domain takes 4 values for this subcommand"),
+        (["surface", "--family", "sphube", "--domain", "-1", "1", "-1", "1"],
+         "--domain takes 6 values for this subcommand"),
+        (["sweep", "--family", "fg", "--param", "s", "--from", "0", "--to", "1", "--steps", "0"],
+         "--steps must be >= 1"),
+    ])
+    def test_count_and_domain_flags(self, tmp_path, capsys, argv, message):
+        ext = "obj" if argv[0] == "surface" else "svg"
+        assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_out_without_an_extension(self, tmp_path):
+        argv = ["sweep", "--family", "fg", "--param", "s", "--from", "0", "--to", "1", "--steps", "3",
+                "--grid", "16", "--out", str(tmp_path / "steps")]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["steps_00", "steps_01", "steps_02"]
+        assert (tmp_path / "steps_02").read_text().startswith("<?xml")
+
+    def test_non_finite_samples_are_a_numeric_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_field2d", lambda spec: lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
+        assert cli.main(["curve", "--family", "fg", "--grid", "16", "--out", str(tmp_path / "x.svg")]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("numeric error: non-finite field value at sample (")
+        assert not list(tmp_path.iterdir())
+
+    def test_no_sign_change_is_a_numeric_error(self, capsys, monkeypatch):
+        def no_bracket(family, r):
+            raise oracle.NoSignChangeError("no sign change along theta=0.5")
+
+        monkeypatch.setattr(oracle, "square_case_check", no_bracket)
+        assert cli.main(["verify", "--suite", "square"]) == 2
+        assert capsys.readouterr() == ("", "numeric error: no sign change along theta=0.5\n")
+
+    @pytest.mark.parametrize("value", [1.0, math.nan])
+    def test_a_failed_check_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(oracle, "square_case_check", lambda family, r: value)
+        assert cli.main(["verify", "--suite", "square"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines if ln.endswith(" FAIL")] == [
+            "square_case_periodic", "square_case_oblique", "square_case_periodic_r3"]
+        assert lines[0] == f"{'square_case_periodic':<36} value={value:.6e} bound=1e-12      FAIL"
+        assert len(lines) == 8 and all(ln.endswith(" PASS") for ln in lines[3:])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squircles.fields2d import _scaled_pnorm, eval_fg, eval_periodic
+from squircles.fields2d import FAMILIES_2D, ShapeSpec2D, _scaled_pnorm, eval_fg, eval_periodic
 from squircles.fields3d import (
     FAMILIES_3D,
     ShapeSpec3D,
@@ -50,6 +51,17 @@ class TestShapeSpec3D:
         with pytest.warns(UserWarning) as record:
             ShapeSpec3D("cuboctahedron", cc=5.0)
         assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("spec_type, family", [(ShapeSpec2D, f) for f in FAMILIES_2D]
+                         + [(ShapeSpec3D, f) for f in FAMILIES_3D])
+def test_every_parameter_but_r_is_finite_or_p_inf(spec_type, family):
+    # r has its own "positive and finite" rule; p = inf is the exact square (cube)
+    for f in dataclasses.fields(spec_type)[1:]:
+        for value in (math.nan, -math.inf) + ((math.inf,) if f.name != "p" else ()):
+            if f.name != "r":
+                with pytest.raises(ValueError, match=f"^{family} parameter {f.name} must be finite, got {value}$"):
+                    spec_type(family, **{f.name: value})
 
 
 class TestLame3d:
