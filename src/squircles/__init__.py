@@ -9,6 +9,7 @@ from .contour2d import (
     Domain2D,
     Grid2D,
     Polyline,
+    contour,
     frantz_polyline,
     marching_squares,
     sample_grid2d,
@@ -60,6 +61,7 @@ __all__ = [
     "ShapeSpec2D",
     "ShapeSpec3D",
     "TriangleMesh",
+    "contour",
     "frantz_point",
     "frantz_polyline",
     "limit_convergence_check",

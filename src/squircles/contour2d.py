@@ -4,12 +4,14 @@ Vertices are interpolated on grid edges and welded by global edge identity, so
 adjacent cells share endpoints exactly and segments chain into maximal
 polylines. Output order and bytes are deterministic for fixed inputs.
 
-`_mesh_bands` is the extraction kernel of marching squares (one band over the
-whole grid) and of marching cubes (z-slabs, in `polygonize3d`). It visits only
-the active cells (corners of both signs) and the crossing edges, and never
-writes to the samples. Marching squares' segments follow cell order, and
-chains follow segment order: each chain starts at the first segment no earlier
-chain used, grows forward from its tail, then backward from its head.
+`_mesh_bands` is the extraction kernel of marching squares and of marching
+cubes (in `polygonize3d`). It visits only the active cells (corners of both
+signs) and the crossing edges, and never writes to the samples. `contour`
+(row bands) and `polygonize3d.polygonize` (z-slabs) feed it from one slab
+loader, `_slab_loader`, that samples each band as it goes, so neither holds
+its whole lattice. Marching squares' segments follow cell order, and chains
+follow segment order: each chain starts at the first segment no earlier chain
+used, grows forward from its tail, then backward from its head.
 """
 
 from __future__ import annotations
@@ -38,6 +40,20 @@ BAND_SAMPLES = 1 << 17
 # (3 bands) ran ~25% slower pooled, and so did meshing at grids 96-112 (2-3
 # slabs) by ~10%; meshing at grid 128 (5 slabs) ran ~30% faster.
 POOL_MIN_BANDS = 2
+
+# Most samples one band of `_slab_loader` holds, chosen by measurement on 2
+# cores. Against 4x BAND_SAMPLES, slabs of 2x ran 35-60% slower at grid 256
+# (sphube, oblique3d). Slabs of 8x ran ~20% faster there, but ~30% slower for
+# lame3d at grid 128 (3 slabs, too few to pool), and one such slab alone is
+# half the grid-128 volume, the tracemalloc bound the tests set. A 2D curve
+# at grid 2048 is then 9 bands of 254 cell rows.
+SLAB_SAMPLES = 4 * BAND_SAMPLES
+
+# numpy's floating-point warnings, off in field calls: the finite check names
+# the first bad sample instead, also when warnings are errors (`python -W
+# error`). numpy keeps this state per context, which a pool thread does not
+# inherit from its caller, so each band sets it around its own field calls.
+_FIELD_ERRSTATE = dict(invalid="ignore", over="ignore", divide="ignore")
 
 # Segments of each cell, indexed by the cell's sign code (corner (dj, di) at
 # bit 2 dj + di) plus 16 when the cell center is inside, as pairs of cell edge
@@ -168,10 +184,11 @@ def _sample_banded(field, axes, workers, out=None):
 
     def run(lo, hi):
         band = vals[lo:hi]
-        if fills:
-            field(*coords[:-1], coords[-1][lo:hi], out=band)
-        else:
-            band[...] = field(*coords[:-1], coords[-1][lo:hi])
+        with np.errstate(**_FIELD_ERRSTATE):
+            if fills:
+                field(*coords[:-1], coords[-1][lo:hi], out=band)
+            else:
+                band[...] = field(*coords[:-1], coords[-1][lo:hi])
         return band.max(), band.min()
 
     rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
@@ -192,11 +209,62 @@ def _require_finite(vals, axes, top, bottom):
 
 
 def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D:
-    """Evaluate a field on the domain lattice, partitioned over row bands."""
+    """Evaluate a field on the domain lattice, partitioned over row bands.
+    `contour` contours a field without holding this grid."""
     axes = (domain.xs(), domain.ys())
     vals, top, bottom = _sample_banded(field, axes, workers)
     _require_finite(vals, axes, top, bottom)
     return Grid2D(domain, vals, field=field)
+
+
+def _slab_bounds(axes):
+    """Cell layers at which the bands over the lattice of axes (x first)
+    start along its slowest axis, then that axis's cell count: each band
+    holds at most SLAB_SAMPLES samples and at least one cell layer."""
+    layer = math.prod(len(a) for a in axes[:-1])
+    layers = max(1, SLAB_SAMPLES // layer - 1)
+    cells = len(axes[-1]) - 1
+    return np.arange(0, cells + layers, layers).clip(max=cells)
+
+
+def _slab_loader(field, axes):
+    """load(k0, k1), the samples of field on layers k0..k1 of the lattice of
+    axes (x first) along its slowest axis, indexed slowest axis first, for
+    `_mesh_bands`; and scale(), the largest |sample| of the layers loaded.
+
+    Each call samples its top layer first and leaves a copy for the band
+    above; it takes its bottom layer from the band below when that copy is
+    there, and samples it otherwise (with the same bits), then samples the
+    layers between. The extremes `_sample_banded` returns check the band's
+    samples for finiteness, raising the ValueError `_require_finite` raises,
+    and give the scale. Bands loaded on one thread sample each layer once.
+    """
+    *across, slow = axes
+    extremes = []
+    # layer index -> the samples of that layer, or None once the band above
+    # has sampled it itself; setdefault decides which came first. A layer
+    # with a non-finite sample is not left: the band above samples it and
+    # fails its own check instead of extracting from it.
+    shared = {}
+
+    def load(k0, k1):
+        vals = np.empty((k1 - k0 + 1,) + tuple(len(a) for a in reversed(across)))
+        _, top, bottom = _sample_banded(field, (*across, slow[k1:k1 + 1]), 1, vals[-1:])
+        if k1 < len(slow) - 1 and math.isfinite(top) and math.isfinite(bottom):
+            shared.setdefault(k1, vals[-1].copy())
+        below = shared.setdefault(k0, None)
+        first = 0 if below is None else 1
+        if below is not None:
+            vals[0] = below
+            shared[k0] = None
+        if first < k1 - k0:
+            _, hi, lo = _sample_banded(field, (*across, slow[k0 + first:k1]), 1, vals[first:-1])
+            top, bottom = np.maximum(top, hi), np.minimum(bottom, lo)
+        _require_finite(vals, (*across, slow[k0:k1 + 1]), top, bottom)
+        extremes.append(max(top, -bottom))
+        return vals
+
+    return load, lambda: max(extremes)
 
 
 def _active_cells(inside):
@@ -399,6 +467,22 @@ def _mesh_bands(load, bounds, coords, steps, slots, cases, scale, workers):
     return points, elements
 
 
+def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polyline]:
+    """Extract the zero level set of a field as polylines:
+    `marching_squares` of `sample_grid2d`, byte for byte, without holding the
+    sampled grid.
+
+    This is the band kernel (`_mesh_bands`) over row bands of at most
+    SLAB_SAMPLES samples, each sampled by `_slab_loader` as it starts, on
+    `workers` threads (default: `default_workers()`). Each band's saddle
+    centres are one field call. A non-finite sample raises the ValueError
+    `sample_grid2d` raises.
+    """
+    axes = (domain.xs(), domain.ys())
+    load, scale = _slab_loader(field, axes)
+    return _polylines(load, _slab_bounds(axes), domain, field, scale, workers)
+
+
 def marching_squares(grid: Grid2D) -> list[Polyline]:
     """Extract the zero level set of a sampled field as polylines.
 
@@ -419,21 +503,31 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     forward from its tail, then backward from its head; polylines are
     ordered by their first segment.
     """
-    dom = grid.domain
     vals = grid.samples
-    xs, ys = dom.xs(), dom.ys()
+    return _polylines(lambda k0, k1: vals[k0:k1 + 1], (0, grid.domain.ny), grid.domain, grid.field,
+                      lambda: max(vals.max(), -vals.min()), 1, vals)
 
-    def scale():
-        return max(vals.max(), -vals.min())
+
+def _polylines(load, bounds, domain, field, scale, workers, vals=None):
+    """The polylines of the band kernel run over the row bands between
+    bounds, whose samples load(k0, k1) gives, on `workers` threads.
+
+    A saddle cell (codes 6 and 9) joins its inside corners when its centre is
+    inside: by the field's value there, one call for all of a band's saddles,
+    or, when field is None, by the sum of its corners in vals (the whole
+    lattice), zeros nudged by scale().
+    """
+    xs, ys = domain.xs(), domain.ys()
 
     def cases(k0, cells, code):
         key = code.astype(np.intp)
         saddle = np.flatnonzero((code == 6) | (code == 9))
         if len(saddle):
-            j, i = np.divmod(cells[saddle], dom.nx)
+            j, i = np.divmod(cells[saddle], domain.nx)
             j += k0
-            if grid.field is not None:
-                center = grid.field(xs[i] + 0.5 * dom.dx, ys[j] + 0.5 * dom.dy)
+            if field is not None:
+                with np.errstate(**_FIELD_ERRSTATE):
+                    center = field(xs[i] + 0.5 * domain.dx, ys[j] + 0.5 * domain.dy)
             else:
                 corners = [vals[j, i], vals[j, i + 1], vals[j + 1, i], vals[j + 1, i + 1]]
                 _nudge_zeros(scale, *corners)
@@ -441,8 +535,7 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
             key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
         return _SEGMENTS[key]
 
-    points, segments = _mesh_bands(lambda k0, k1: vals[k0:k1 + 1], (0, dom.ny), (xs, ys),
-                                   (dom.dx, dom.dy), _SLOTS, cases, scale, 1)
+    points, segments = _mesh_bands(load, bounds, (xs, ys), (domain.dx, domain.dy), _SLOTS, cases, scale, workers)
     a, b = segments.T
     keep = (points[a] != points[b]).any(axis=1)
     return _chains(a[keep], b[keep], points)

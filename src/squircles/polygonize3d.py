@@ -11,19 +11,18 @@ never writes to the samples.
 
 Extraction is the band kernel of marching squares (`contour2d._mesh_bands`)
 over z-slabs of cell layers, with the marching-cubes table as its cases.
-`polygonize` samples each slab as it goes, so the whole
-(nx+1)(ny+1)(nz+1) volume is never held; `marching_cubes` runs the same
-slabs over views of a sampled grid.
+`polygonize` samples each slab as it goes (`contour2d._slab_loader`, which
+`contour2d.contour` shares), so the whole (nx+1)(ny+1)(nz+1) volume is never
+held; `marching_cubes` runs the same slabs over views of a sampled grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour2d import BAND_SAMPLES, _mesh_bands, _require_finite, _sample_banded
+from .contour2d import _mesh_bands, _require_finite, _sample_banded, _slab_bounds, _slab_loader
 from .mc_tables import TRI_TABLE
 
 
@@ -134,21 +133,6 @@ _CODE_TO_CASE = sum(
 )
 _TRIANGLES = TRI_TABLE[_CODE_TO_CASE, :15].reshape(256, 5, 3)[:, :, ::-1].astype(np.int8)
 
-# Most samples one slab of `polygonize` holds, chosen by measurement on 2
-# cores. Against 4x BAND_SAMPLES, slabs of 2x ran 35-60% slower at grid 256
-# (sphube, oblique3d). Slabs of 8x ran ~20% faster there, but ~30% slower for
-# lame3d at grid 128 (3 slabs, too few to pool), and one such slab alone is
-# half the grid-128 volume, the tracemalloc bound the tests set.
-SLAB_SAMPLES = 4 * BAND_SAMPLES
-
-
-def _slab_bounds(domain):
-    """Cell layers at which the slabs start, then nz: each slab holds at most
-    SLAB_SAMPLES samples and at least one cell layer."""
-    plane = (domain.nx + 1) * (domain.ny + 1)
-    layers = max(1, SLAB_SAMPLES // plane - 1)
-    return np.arange(0, domain.nz + layers, layers).clip(max=domain.nz)
-
 
 def _cell_triangles(k0, cells, code):
     """The band kernel's cases: the triangles of each active cell as rows of
@@ -168,43 +152,16 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     `sample_grid3d`, byte for byte, without holding the sampled volume.
 
     This is the band kernel (`contour2d._mesh_bands`) over the slabs of
-    `_slab_bounds`. Each slab samples its top plane first and leaves a copy
-    for the slab above; it takes its bottom plane from the slab below when
-    that copy is there, and samples it otherwise (with the same bits), then
-    samples the planes between. The extremes `_sample_banded` returns check
-    the slab's samples for finiteness and give the largest |sample| for the
-    zero nudge. The slabs run on `workers` threads (default:
-    `contour2d.default_workers()`); with one, each plane is sampled once. A
-    non-finite sample raises the ValueError `sample_grid3d` raises.
+    `contour2d._slab_bounds`, each sampled by `contour2d._slab_loader` as it
+    starts: it samples its top plane first and hands a copy up, and takes its
+    bottom plane from the slab below. The slabs run on `workers` threads
+    (default: `contour2d.default_workers()`); with one, each plane is sampled
+    once. A non-finite sample raises the ValueError `sample_grid3d` raises.
     """
-    xs, ys, zs = domain.xs(), domain.ys(), domain.zs()
-    extremes = []
-    # plane index -> the samples of that plane, or None once the slab above
-    # has sampled it itself; setdefault decides which came first. A plane
-    # with a non-finite sample is not left: the slab above samples it and
-    # fails its own check instead of extracting from it.
-    shared = {}
-
-    def load(k0, k1):
-        vals = np.empty((k1 - k0 + 1, len(ys), len(xs)))
-        _, top, bottom = _sample_banded(field, (xs, ys, zs[k1:k1 + 1]), 1, vals[-1:])
-        if k1 < domain.nz and math.isfinite(top) and math.isfinite(bottom):
-            shared.setdefault(k1, vals[-1].copy())
-        below = shared.setdefault(k0, None)
-        first = 0 if below is None else 1
-        if below is not None:
-            vals[0] = below
-            shared[k0] = None
-        if first < k1 - k0:
-            _, hi, lo = _sample_banded(field, (xs, ys, zs[k0 + first:k1]), 1, vals[first:-1])
-            top, bottom = np.maximum(top, hi), np.minimum(bottom, lo)
-        _require_finite(vals, (xs, ys, zs[k0:k1 + 1]), top, bottom)
-        extremes.append(max(top, -bottom))
-        return vals
-
+    axes = (domain.xs(), domain.ys(), domain.zs())
+    load, scale = _slab_loader(field, axes)
     steps = (domain.dx, domain.dy, domain.dz)
-    return TriangleMesh(*_mesh_bands(load, _slab_bounds(domain), (xs, ys, zs), steps, _SLOTS, _cell_triangles,
-                                     lambda: max(extremes), workers))
+    return TriangleMesh(*_mesh_bands(load, _slab_bounds(axes), axes, steps, _SLOTS, _cell_triangles, scale, workers))
 
 
 def marching_cubes(grid: Grid3D) -> TriangleMesh:
@@ -221,10 +178,11 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
     a zero) where they end a crossing edge; `grid.samples` is left untouched.
 
     This is the band kernel of `polygonize` and `marching_squares`, run over
-    views of the samples: slabs of at most SLAB_SAMPLES samples, on
-    `contour2d.default_workers()` threads. The output depends on neither.
+    views of the samples: slabs of at most `contour2d.SLAB_SAMPLES` samples,
+    on `contour2d.default_workers()` threads. The output depends on neither.
     """
     d, vals = grid.domain, grid.view3d()
-    return TriangleMesh(*_mesh_bands(lambda k0, k1: vals[k0:k1 + 1], _slab_bounds(d), (d.xs(), d.ys(), d.zs()),
+    axes = (d.xs(), d.ys(), d.zs())
+    return TriangleMesh(*_mesh_bands(lambda k0, k1: vals[k0:k1 + 1], _slab_bounds(axes), axes,
                                      (d.dx, d.dy, d.dz), _SLOTS, _cell_triangles,
                                      lambda: max(vals.max(), -vals.min()), None))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import squircles
-from squircles import cli, oracle
+from squircles import cli, contour2d, oracle
 from squircles.contour2d import default_workers
 from squircles.fields3d import ShapeSpec3D
 
@@ -141,7 +141,7 @@ class TestWorkersEnvironment:
                          "--out", str(tmp_path / "c.svg")]) == 0
 
     def test_flag_overrides_the_variable_on_a_large_curve(self, tmp_path, monkeypatch):
-        # marching_squares runs its one band in the calling thread and must
+        # contour's row bands run on the flag's one thread: the pool must
         # not read the variable either
         monkeypatch.setenv("SQUIRCLES_WORKERS", "0")
         assert cli.main(["curve", "--family", "fg", "-s", "0.8", "--grid", "1024", "--workers", "1",
@@ -150,15 +150,21 @@ class TestWorkersEnvironment:
 
 
 class TestVerifyGrid:
+    # mesh_sphere_area's 1e-2 bound fails on correct meshes below grid 14
     @pytest.mark.parametrize("value", ["1", "4", "7", "-1"])
     def test_grid_below_8_is_a_usage_error(self, capsys, value):
         assert cli.main(["verify", "--suite", "mesh", "--grid", value]) == 1
         out = capsys.readouterr()
-        assert "usage error: --grid must be >= 8" in out.err
+        assert "usage error: --grid must be >= 14" in out.err
         assert out.out == ""
 
-    def test_grid_8_parses(self):
-        assert cli.parse_args(["verify", "--grid", "8"]).grid == 8
+    @pytest.mark.parametrize("value", ["8", "9", "10", "11", "12", "13"])
+    def test_grid_8_to_13_is_a_usage_error(self, capsys, value):
+        assert cli.main(["verify", "--suite", "mesh", "--grid", value]) == 1
+        assert capsys.readouterr() == ("", "usage error: --grid must be >= 14\n")
+
+    def test_grid_14_parses(self):
+        assert cli.parse_args(["verify", "--grid", "14"]).grid == 14
 
 
 def readme_cli_commands():
@@ -354,6 +360,25 @@ class TestExitCodes:
         assert cli.main(["curve", "--family", "fg", "--grid", "16", "--out", str(tmp_path / "x.svg")]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("numeric error: non-finite field value at sample (")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, sample", [
+        (["curve", "--family", "fg", "-s", "1", "--radius", "1e-160"], "-1.2e-160, -1.2e-160"),
+        (["curve", "--family", "periodic", "-s", "1", "--radius", "1e-320"], "-1.2e-320, -1.2e-320"),
+        (["surface", "--family", "sphube", "-s", "1", "--radius", "1e-160"], "-1e-160, -1e-160, -1e-160"),
+    ])
+    def test_non_finite_samples_exit_2_with_warnings_as_errors(self, tmp_path, capsys, monkeypatch, argv,
+                                                               sample, workers):
+        # the fields give nan or inf on every sample; the finite
+        # check, not a RuntimeWarning raised in a band's thread, ends the run
+        monkeypatch.setattr(contour2d, "SLAB_SAMPLES", 3 * 17)  # 2-row bands, 1-plane slabs
+        monkeypatch.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        ext = "svg" if argv[0] == "curve" else "obj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + ["--grid", "16", "--workers", workers, "--out", str(tmp_path / f"x.{ext}")]) == 2
+        assert capsys.readouterr() == ("", f"numeric error: non-finite field value at sample ({sample})\n")
         assert not list(tmp_path.iterdir())
 
     def test_no_sign_change_is_a_numeric_error(self, capsys, monkeypatch):

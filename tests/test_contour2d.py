@@ -15,6 +15,7 @@ from squircles.contour2d import (
     Domain2D,
     Grid2D,
     Polyline,
+    contour,
     frantz_polyline,
     marching_squares,
     sample_grid2d,
@@ -487,3 +488,101 @@ class TestBoundedBands:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * grid.samples.nbytes
+
+
+def lattice_field2d(grid):
+    """A field whose value at each lattice point of grid.domain is the
+    grid's sample there (off the lattice, a neighbour's): the band loader
+    calls it on slices of the domain's own axes."""
+    dom, vals = grid.domain, grid.samples
+
+    def field(x, y):
+        return vals[np.searchsorted(dom.ys(), y), np.searchsorted(dom.xs(), x)]
+
+    return field
+
+
+def assert_fused_matches(field, dom, layers, workers):
+    """contour, in row bands of `layers` cell rows on `workers` threads
+    (pooled whenever workers > 1), gives marching_squares of sample_grid2d
+    byte for byte."""
+    want = marching_squares(sample_grid2d(field, dom, workers=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contour2d, "SLAB_SAMPLES", (layers + 1) * (dom.nx + 1))
+        mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        assert len(contour2d._slab_bounds((dom.xs(), dom.ys()))) - 1 == -(-dom.ny // layers)
+        got = contour(field, dom, workers=workers)
+    assert [g.closed for g in got] == [w.closed for w in want]
+    for g, w in zip(got, want):
+        assert g.points.dtype == w.points.dtype
+        assert g.points.tobytes() == w.points.tobytes()
+
+
+class TestFusedContour:
+    @pytest.mark.parametrize("family", ["lame", "fg", "periodic", "oblique", "phase_grid"])
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(8, 64), tiles=st.integers(1, 3), s=st.floats(0, 1),
+           shift=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+           layers=st.integers(1, 4), workers=st.integers(1, 3))
+    def test_families_match_sampled_grid(self, family, n, tiles, s, shift, layers, workers):
+        spec = ShapeSpec2D(family, s=s, p=1.0 + 4.0 * s)
+        d = default_domain2d(spec, n, tiles)
+        ox, oy = shift[0] * d.dx, shift[1] * d.dy
+        dom = Domain2D(d.xmin + ox, d.xmax + ox, d.ymin + oy, d.ymax + oy, n, n)
+        assert_fused_matches(make_field2d(spec), dom, layers, workers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_grids(), st.integers(1, 4), st.integers(1, 3))
+    def test_small_grids_match_sampled_grid(self, grid, layers, workers):
+        # signed zeros, all-inside and all-outside lattices, and a nudge
+        # scale that one band alone may not see
+        assert_fused_matches(lattice_field2d(grid), grid.domain, layers, workers)
+
+    @pytest.mark.filterwarnings("error")  # no band contours the bad row
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_non_finite_sample_in_a_middle_band(self, workers):
+        # 2-row bands share rows y = 2, 4, ..., 10; the bad samples sit on
+        # the shared row y = 4, in the middle band y = 4..6, and on y = 7
+        dom = Domain2D(0, 6, 0, 12, 6, 12)
+
+        def field(x, y):
+            bad = ((y == 4) & (x == 5)) | ((y == 7) & (x == 0))
+            return np.where(bad, np.nan, x + y - 6.0)
+
+        with pytest.raises(ValueError) as whole:
+            sample_grid2d(field, dom, workers=1)
+        assert str(whole.value) == "non-finite field value at sample (5.0, 4.0)"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "SLAB_SAMPLES", 3 * 7)
+            mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+            with pytest.raises(ValueError) as fused:
+                contour(field, dom, workers=workers)
+        assert str(fused.value) == str(whole.value)
+
+    def test_one_worker_samples_each_row_once(self):
+        # 10 bands of 4 cell rows share 9 rows; the circle has no saddle cell
+        dom = Domain2D(-2, 2, -2, 2, 40, 40)
+        sizes = []
+
+        def counted(x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return circle_field(x, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "SLAB_SAMPLES", 5 * 41)
+            (loop,) = contour(counted, dom, workers=1)
+        assert loop.closed and sum(sizes) == 41 * 41
+
+    @pytest.mark.parametrize("family, tiles", [("fg", 1), ("periodic", 3)])
+    def test_peak_memory_below_half_the_grid(self, family, tiles):
+        # the sampled grid alone is 2049^2 float64 samples, 33.6 MB
+        spec = ShapeSpec2D(family, s=0.8)
+        dom = default_domain2d(spec, 2048, tiles)
+        field = make_field2d(spec)
+        tracemalloc.start()
+        try:
+            contour(field, dom, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2049**2 * 8

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squircles import contour2d, polygonize3d
+from squircles import contour2d
 from squircles.cli import default_domain3d
 from squircles.contour2d import ZERO_NUDGE, _active_cells
 from squircles.fields3d import FAMILIES_3D, ShapeSpec3D, make_field3d
@@ -410,10 +410,10 @@ def assert_slab_kernel_matches(grid, layers, workers):
     d = grid.domain
     want = ref_marching_cubes(grid)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polygonize3d, "SLAB_SAMPLES", (layers + 1) * (d.nx + 1) * (d.ny + 1))
+        mp.setattr(contour2d, "SLAB_SAMPLES", (layers + 1) * (d.nx + 1) * (d.ny + 1))
         mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
         mp.setenv("SQUIRCLES_WORKERS", str(workers))
-        assert len(polygonize3d._slab_bounds(d)) - 1 == -(-d.nz // layers)
+        assert len(contour2d._slab_bounds((d.xs(), d.ys(), d.zs()))) - 1 == -(-d.nz // layers)
         assert_mesh_bytes(marching_cubes(grid), want)
         assert_mesh_bytes(polygonize(lattice_field(grid), d, workers=workers), want)
 
@@ -478,7 +478,7 @@ class TestSlabKernel:
         want = marching_cubes(sample_grid3d(field, dom, workers=1))
         assert_mesh_bytes(want, ref_marching_cubes(sample_grid3d(field, dom, workers=1)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polygonize3d, "SLAB_SAMPLES", 4 * 41 * 41)
+            mp.setattr(contour2d, "SLAB_SAMPLES", 4 * 41 * 41)
             assert_mesh_bytes(polygonize(field, dom, workers=workers), want)
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -495,7 +495,7 @@ class TestSlabKernel:
             sample_grid3d(field, dom, workers=1)
         assert str(whole.value) == "non-finite field value at sample (1.0, 3.0, 5.0)"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polygonize3d, "SLAB_SAMPLES", 3 * 5 * 6)
+            mp.setattr(contour2d, "SLAB_SAMPLES", 3 * 5 * 6)
             mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
             with pytest.raises(ValueError) as fused:
                 polygonize(field, dom, workers=workers)
@@ -542,7 +542,7 @@ class TestSharedPlanes:
         field, sizes = counted(make_field3d(spec), fills)
         want = marching_cubes(sample_grid3d(make_field3d(spec), dom, workers=1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polygonize3d, "SLAB_SAMPLES", 4 * 41 * 41)
+            mp.setattr(contour2d, "SLAB_SAMPLES", 4 * 41 * 41)
             assert_mesh_bytes(polygonize(field, dom, workers=1), want)
         assert sum(sizes) == (dom.nx + 1) * (dom.ny + 1) * (dom.nz + 1)
 
@@ -553,8 +553,8 @@ class TestSharedPlanes:
         field, sizes = counted(make_field3d(spec), True)
         want = marching_cubes(sample_grid3d(make_field3d(spec), dom, workers=1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polygonize3d, "SLAB_SAMPLES", 4 * 41 * 41)
-            n_slabs = len(polygonize3d._slab_bounds(dom)) - 1
+            mp.setattr(contour2d, "SLAB_SAMPLES", 4 * 41 * 41)
+            n_slabs = len(contour2d._slab_bounds((dom.xs(), dom.ys(), dom.zs()))) - 1
             assert n_slabs >= 2 * workers  # the pool runs
             for _ in range(5):
                 assert_mesh_bytes(polygonize(field, dom, workers=workers), want)
@@ -572,7 +572,7 @@ class TestSharedPlanes:
         lattice, plane = 25 * 25 * (dom.nz + 1), 25 * 25
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polygonize3d, "SLAB_SAMPLES", 2 * plane)
+            mp.setattr(contour2d, "SLAB_SAMPLES", 2 * plane)
             mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
             sys.setswitchinterval(1e-6)
             try:
@@ -605,7 +605,7 @@ class TestSharedPlanes:
             sample_grid3d(values, dom, workers=1)
         assert str(whole.value) == "non-finite field value at sample (2.0, 1.0, 4.0)"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polygonize3d, "SLAB_SAMPLES", 3 * 5 * 6)
+            mp.setattr(contour2d, "SLAB_SAMPLES", 3 * 5 * 6)
             mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
             with pytest.raises(ValueError) as fused:
                 polygonize(field, dom, workers=workers)
@@ -625,7 +625,7 @@ class TestSharedPlanes:
         crossings = contour2d._edge_crossings
         monkeypatch.setattr(contour2d, "_edge_crossings",
                             lambda vals, inside: meshed.append(np.isfinite(vals).all()) or crossings(vals, inside))
-        monkeypatch.setattr(polygonize3d, "SLAB_SAMPLES", 3 * 5 * 6)
+        monkeypatch.setattr(contour2d, "SLAB_SAMPLES", 3 * 5 * 6)
         monkeypatch.setattr(contour2d, "POOL_MIN_BANDS", 0)
         with pytest.raises(ValueError, match=r"at sample \(2\.0, 1\.0, 4\.0\)"):
             polygonize(field, dom, workers=3)
