@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import re
 import sys
@@ -63,6 +64,7 @@ class Command:
     fmt: str = "svg"
     out: str = ""
     suite: str = "all"
+    as_json: bool = False
     samples: int = 512
     workers: int | None = None
     sweep_param: str = ""
@@ -133,6 +135,8 @@ def _build_parser():
     verify.add_argument("--suite", choices=("all", "limits", "equivalence", "mesh", "square"),
                         default="all")
     verify.add_argument("--grid", type=int, default=64, help="mesh-suite resolution")
+    verify.add_argument("--json", dest="as_json", action="store_true",
+                        help="print the checks as one JSON array of rows")
 
     info = sub.add_parser("info", allow_abbrev=False, help="describe a shape family")
     info.add_argument("--family", required=True)
@@ -167,8 +171,7 @@ def parse_args(argv) -> Command:
     if ns.grid < floor:
         raise UsageError(f"--grid must be >= {floor}")
     if ns.subcommand == "verify":
-        cmd.suite = ns.suite
-        cmd.grid = ns.grid
+        cmd.suite, cmd.grid, cmd.as_json = ns.suite, ns.grid, ns.as_json
         return cmd
 
     three_d = ns.fmt in SURFACE_FORMATS  # surface, or a sweep writing meshes
@@ -368,16 +371,22 @@ def _verify_mesh(grid):
 def _run_verify(cmd: Command) -> int:
     """Print one line per check of the suites cmd.suite selects and return 2 if
     any fails. A suite yields (name, value, bound text) rows, which pass when
-    value <= float(bound), or (name, value, bound text, ok) rows."""
+    value <= float(bound), or (name, value, bound text, ok) rows. With
+    cmd.as_json the rows are printed as one JSON array of objects instead, a
+    non-finite value as null."""
     suites = {"limits": _verify_limits, "square": _verify_square, "equivalence": _verify_equivalence,
               "mesh": lambda: _verify_mesh(cmd.grid)}
-    failed = False
+    rows = []
     for suite in suites if cmd.suite == "all" else [cmd.suite]:
         for name, value, bound, *ok in suites[suite]():
-            ok = ok[0] if ok else value <= float(bound)
-            print(f"{name:<36} value={value:.6e} bound={bound:<10} {'PASS' if ok else 'FAIL'}")
-            failed = failed or not ok
-    return 2 if failed else 0
+            ok = bool(ok[0] if ok else value <= float(bound))
+            rows.append({"suite": suite, "name": name, "value": value if math.isfinite(value) else None,
+                         "bound": bound, "ok": ok})
+            if not cmd.as_json:
+                print(f"{name:<36} value={value:.6e} bound={bound:<10} {'PASS' if ok else 'FAIL'}")
+    if cmd.as_json:
+        print("[" + ",\n ".join(map(json.dumps, rows)) + "]")
+    return 0 if all(row["ok"] for row in rows) else 2
 
 
 def run(cmd: Command) -> int:

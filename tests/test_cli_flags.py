@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import os
 import shlex
@@ -398,3 +399,43 @@ class TestExitCodes:
             "square_case_periodic", "square_case_oblique", "square_case_periodic_r3"]
         assert lines[0] == f"{'square_case_periodic':<36} value={value:.6e} bound=1e-12      FAIL"
         assert len(lines) == 8 and all(ln.endswith(" PASS") for ln in lines[3:])
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestVerifyJson:
+    """`verify --json` prints the rows the text lines show, one to one, as one
+    strict JSON array, with the same exit code."""
+
+    def _text_and_rows(self, capsys, argv):
+        rc = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        rc_json = cli.main(argv + ["--json"])
+        out = capsys.readouterr()
+        assert rc_json == rc and out.err == ""
+        rows = _strict_json(out.out)
+        assert all(list(row) == ["suite", "name", "value", "bound", "ok"] for row in rows)
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            value = line.split(" value=", 1)[1].split()[0]
+            assert value in ("nan", "inf", "-inf") if row["value"] is None else value == f"{row['value']:.6e}"
+            assert line == f"{row['name']:<36} value={value} bound={row['bound']:<10} {'PASS' if row['ok'] else 'FAIL'}"
+        return rc, rows
+
+    def test_all_suites(self, capsys):
+        rc, rows = self._text_and_rows(capsys, ["verify", "--suite", "all"])
+        assert rc == 0 and len(rows) == 32 and all(row["ok"] is True for row in rows)
+        assert [row["suite"] for row in rows] == ["limits"] * 13 + ["square"] * 8 + ["equivalence"] * 6 + ["mesh"] * 5
+
+    @pytest.mark.parametrize("value", [1.0, math.nan, math.inf])
+    def test_a_failed_check(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(oracle, "square_case_check", lambda family, r: value)
+        rc, rows = self._text_and_rows(capsys, ["verify", "--suite", "square"])
+        assert rc == 2
+        assert [row["ok"] for row in rows] == [False] * 3 + [True] * 5
+        assert rows[0]["value"] == (value if math.isfinite(value) else None)
+

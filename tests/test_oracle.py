@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squircles import oracle
+from squircles.contour2d import BAND_SAMPLES
 from squircles.fields2d import ShapeSpec2D, make_field2d
 from squircles.fields3d import eval_oblique3d, eval_toroid, eval_toroid_octic
 from squircles.oracle import (
@@ -177,6 +179,40 @@ class TestZeroSetResidual:
         sphere = lambda x, y, z: x * x + y * y + z * z - 1.0
         with pytest.raises(NoSignChangeError):
             zero_set_residual(sphere, sphere, 10, seed_point=(5.0, 0.0, 0.0))
+
+
+class TestScanArguments:
+    """Arguments that would give a silent wrong answer are a ValueError: a
+    negative r_max reverses the bracket, which is then never bisected (the
+    unit circle's radius would read -0.99976), and a sample_count below 1
+    checks nothing."""
+
+    CIRCLE = staticmethod(make_field2d(ShapeSpec2D("fg", s=0.0)))
+
+    @pytest.mark.parametrize("r_max", [-1.5, 0.0, math.inf, math.nan])
+    def test_radial_profile_r_max(self, r_max):
+        with pytest.raises(ValueError, match=f"^r_max must be finite and > 0, got {r_max}$"):
+            radial_profile(self.CIRCLE, 0.0, r_max)
+
+    @pytest.mark.parametrize("r_max", [-1.5, 0.0, math.inf, math.nan])
+    def test_radial_profile_report_r_max(self, r_max):
+        with pytest.raises(ValueError, match=f"^r_max must be finite and > 0, got {r_max}$"):
+            radial_profile_report(self.CIRCLE, r_max, lambda th: 1.0)
+
+    @pytest.mark.parametrize("scan", [0, -3])
+    def test_radial_profile_scan(self, scan):
+        with pytest.raises(ValueError, match=f"^scan must be >= 1, got {scan}$"):
+            radial_profile(self.CIRCLE, 0.0, 2.0, scan=scan)
+
+    @pytest.mark.parametrize("r_max", [-2.0, 0.0, math.inf, math.nan])
+    def test_zero_set_residual_r_max(self, r_max):
+        with pytest.raises(ValueError, match=f"^r_max must be finite and > 0, got {r_max}$"):
+            zero_set_residual(_sphere, _sphere, 10, r_max=r_max)
+
+    @pytest.mark.parametrize("sample_count", [0, -5])
+    def test_zero_set_residual_sample_count(self, sample_count):
+        with pytest.raises(ValueError, match=f"^sample_count must be >= 1, got {sample_count}$"):
+            zero_set_residual(_sphere, _sphere, sample_count)
 
 
 # The per-ray oracle, one bisection per ray in Python, kept as the reference
@@ -441,3 +477,76 @@ class TestBatchedBisection:
             finally:
                 tracemalloc.stop()
             assert peak <= 12e6
+
+
+# The whole-ray scan that the chunked one replaced, kept as the reference for
+# its indices: samples(rays) gives the (rays, n_ts) scan of a slice of rays.
+def ref_first_positive(samples, n_rays, n_ts):
+    first = np.empty(n_rays, dtype=np.intp)
+    step = max(1, BAND_SAMPLES // n_ts)
+    for start in range(0, n_rays, step):
+        pos = np.asarray(samples(slice(start, start + step))) > 0
+        k = pos.argmax(axis=1)
+        k[~pos.any(axis=1)] = -1
+        first[start:start + step] = k
+    return first
+
+
+CHUNK = oracle._SCAN_CHUNK
+# where a ray's first positive sample sits: "boundary" is the first or last
+# index of a chunk, "none" is a ray without one
+FIRST_AT = ("zero", "boundary", "last", "none", "any")
+
+
+def _scans(rng, kinds, n_ts, chunk, nan_before):
+    # one ray per kind: values <= 0 (NaN and signed zeros among them when
+    # nan_before) up to its first positive, anything after it
+    scans = rng.uniform(-2.0, 2.0, size=(len(kinds), n_ts))
+    scans[rng.random(scans.shape) < 0.05] = np.nan
+    first = np.full(len(kinds), -1)
+    for i, kind in enumerate(kinds):
+        boundary = max(0, chunk * rng.integers(0, (n_ts - 1) // chunk + 1) - rng.integers(0, 2))
+        k = {"zero": 0, "boundary": boundary, "last": n_ts - 1, "none": n_ts, "any": rng.integers(0, n_ts)}[kind]
+        before = -rng.uniform(0.0, 1.0, size=k)
+        if nan_before:
+            before[rng.random(k) < 0.3] = rng.choice([np.nan, 0.0, -0.0])
+        scans[i, :k] = before
+        if k < n_ts:
+            scans[i, k] = rng.uniform(1e-300, 2.0)
+            first[i] = k
+    return scans, first
+
+
+class TestProgressiveScan:
+    """The chunked scan gives the whole-ray scan's indices, holds at most
+    BAND_SAMPLES samples per call, and samples no ray past the chunk that
+    holds its first positive sample."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(FIRST_AT), max_size=400),
+           n_ts=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 1025]),
+           band=st.sampled_from([BAND_SAMPLES, 3 * CHUNK + 5, CHUNK, 7]),
+           nan_before=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_whole_ray_scan(self, kinds, n_ts, band, nan_before, seed):
+        chunk = min(CHUNK, band)
+        scans, first = _scans(np.random.default_rng(seed), kinds, n_ts, chunk, nan_before)
+        calls, last = [], np.full(len(kinds), -1)
+
+        def counting(rays, ts):
+            calls.append(len(rays) * (ts.stop - ts.start))
+            assert (last[rays] == ts.start - 1).all()  # each ray's chunks in order, none twice
+            last[rays] = ts.stop - 1
+            return scans[rays, ts]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "BAND_SAMPLES", band)
+            got = oracle._first_positive(counting, len(kinds), n_ts)
+        assert got.dtype == np.intp
+        assert got.tolist() == first.tolist()
+        assert got.tolist() == ref_first_positive(lambda rays: scans[rays], len(kinds), n_ts).tolist()
+        assert max(calls, default=0) <= band
+        # a ray is sampled up to the end of the chunk that holds its first
+        # positive sample, and a ray without one to the end of the scan
+        end = np.minimum(np.where(first < 0, n_ts, (first // chunk + 1) * chunk), n_ts)
+        assert (last + 1).tolist() == end.tolist()
+        assert sum(calls) == int(end.sum())
