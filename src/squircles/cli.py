@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fields2d, fields3d, mesh_io, oracle
-from .contour2d import Domain2D, contour, default_workers, frantz_polyline
+from .contour2d import _FIELD_ERRSTATE, Domain2D, contour, default_workers, frantz_polyline
 from .fields2d import FAMILY_RECORDS_2D, ShapeSpec2D, frantz_point, make_field2d
 from .fields3d import FAMILY_RECORDS_3D, ShapeSpec3D, make_field3d
 # sample_grid3d is not called here; sqbench's thread probe reads it from here
@@ -194,7 +194,7 @@ def parse_args(argv) -> Command:
             raise UsageError(f"--domain takes {want} values for this subcommand")
         if not all(map(math.isfinite, ns.domain)):
             raise UsageError("--domain values must be finite")
-        try:  # the Domain classes' own bounds rule; grid >= 8 passes their cell count rule
+        try:  # the Domain classes' bounds and cell size rules; grid >= 8 passes their cell count rule
             (Domain3D if three_d else Domain2D)(*ns.domain, *[ns.grid] * (want // 2))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
@@ -240,9 +240,10 @@ def _run_curve(cmd: Command):
     else:
         # sampled and contoured band by band: the whole grid is never held
         polylines = contour(make_field2d(spec), domain, workers=cmd.workers)
-        length = sum(
-            float(np.linalg.norm(np.diff(pl.points, axis=0), axis=1).sum()) for pl in polylines
-        )
+        with np.errstate(**_FIELD_ERRSTATE):  # an infinite length at a huge radius is not empty
+            length = sum(
+                float(np.linalg.norm(np.diff(pl.points, axis=0), axis=1).sum()) for pl in polylines
+            )
         if not polylines or length < 1e-9 * (domain.dx + domain.dy):
             print(EMPTY_NOTICE)
     if cmd.fmt == "svg":
@@ -263,7 +264,9 @@ def _run_surface(cmd: Command):
     # a zero set of isolated points (full overshoot recession) leaves only
     # sub-cell slivers around nudged samples; report it as empty
     floor_area = 1e-9 * domain.dx * domain.dy
-    if mesh.empty or mesh_io.area_below(mesh, floor_area):
+    with np.errstate(**_FIELD_ERRSTATE):  # an infinite area at a huge radius is not below it
+        empty = mesh.empty or mesh_io.area_below(mesh, floor_area)
+    if empty:
         print(EMPTY_NOTICE)
     comment = _describe_spec(spec)
     writer = mesh_io.write_obj if cmd.fmt == "obj" else mesh_io.write_stl

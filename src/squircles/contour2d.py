@@ -103,6 +103,8 @@ class Domain2D:
             raise ValueError("domain bounds must satisfy max > min")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"cell counts must be >= 2, got nx={self.nx}, ny={self.ny}")
+        if not all(0 < d < math.inf for d in (self.dx, self.dy)):
+            raise ValueError(f"cell sizes must be finite and positive, got dx={self.dx}, dy={self.dy}")
 
     @property
     def dx(self):

@@ -3,6 +3,15 @@
 Every closed family is exposed as a field f(x, y) whose zero level set is the
 curve and whose value at the origin is negative. All evaluators accept scalars
 or numpy arrays and are pure, so they are safe to call concurrently.
+
+Every evaluator (and every field `make_field2d` builds) also takes out=None.
+Given out, an array of the inputs' broadcast shape, it writes its values there
+and returns out, with at most one scratch array of that size: each
+lattice-sized operation runs as an `out=` ufunc, in the order the expression
+evaluates, so the values are the same bits as without out. Without out it
+allocates its results as plain expressions do, so scalar calls stay scalar.
+The Lame field with out takes a shorter route to the same bits; see
+`eval_lame`.
 """
 
 from __future__ import annotations
@@ -80,6 +89,11 @@ class ShapeSpec2D:
         _check_spec(self, FAMILY_RECORDS_2D, "2D")
 
 
+def _scratch(out):
+    # the one array an evaluator writing into out may add, of out's size
+    return None if out is None else np.empty(out.shape)
+
+
 def _scaled_pnorm(p, *parts, out=None):
     # (sum of part^p)^(1/p) with the largest part factored out, so large
     # exponents cannot overflow. The parts must be non-negative.
@@ -92,7 +106,7 @@ def _scaled_pnorm(p, *parts, out=None):
     # for both m and safe: each term and the result are +0 either way. It is
     # rebuilt from the parts (max is exact) rather than held in a second array.
     low = np.maximum(functools.reduce(np.maximum, parts[:-1]), 5e-324)
-    scratch = np.empty(out.shape)
+    scratch = _scratch(out)
     np.divide(parts[0], np.maximum(low, parts[-1], out=out), out=out)
     out **= p
     for part in parts[1:]:
@@ -104,42 +118,66 @@ def _scaled_pnorm(p, *parts, out=None):
     return out
 
 
-def eval_lame(x, y, p, r):
-    """Superellipse |x|^p + |y|^p = r^p in normalized p-norm form."""
+def eval_lame(x, y, p, r, out=None):
+    """Superellipse |x|^p + |y|^p = r^p in normalized p-norm form.
+
+    With out and a finite p, m (1 + (min / max(m, 5e-324))^p)^(1/p) - r with
+    m = max(|x|, |y|) gives the bits of the plain form in two powers instead
+    of three: there the larger part's term is m/m = 1 and 1^p = 1 exactly,
+    and (0 + a) + b is 1 + t whichever part is larger. Where m is 0 both
+    forms give 0 - r. Where one coordinate is infinite the plain form gives
+    nan (inf/inf) and this one inf: both are non-finite.
+    """
     ax, ay = np.abs(x), np.abs(y)
     if math.isinf(p):
-        return np.maximum(ax, ay) - r
-    return _scaled_pnorm(p, ax, ay) - r
+        return np.subtract(np.maximum(ax, ay, out=out), r, out=out)
+    if out is None:
+        return _scaled_pnorm(p, ax, ay) - r
+    scratch = np.maximum(np.maximum(ax, 5e-324), ay, out=_scratch(out))
+    np.divide(np.minimum(ax, ay, out=out), scratch, out=out)
+    out **= p
+    out += 1.0
+    out **= 1.0 / p
+    out *= np.maximum(ax, ay, out=scratch)
+    out -= r
+    return out
 
 
-def eval_fg(x, y, s, r):
+def eval_fg(x, y, s, r, out=None):
     """Fernandez-Guasti quartic squircle."""
     x2, y2 = np.square(x), np.square(y)
-    return x2 + y2 - (s * s) / (r * r) * (x2 * y2) - r * r
+    scratch = _scratch(out)
+    f = np.add(x2, y2, out=out)
+    t = np.multiply(x2, y2, out=scratch)
+    f = np.subtract(f, np.multiply(t, (s * s) / (r * r), out=scratch), out=out)
+    return np.subtract(f, r * r, out=out)
 
 
-def eval_periodic(x, y, s, r):
+def eval_periodic(x, y, s, r, out=None):
     """Doubly-periodic cosine-product squircle.
 
     The constant term is cos(s*pi/2), which puts (+-r, 0) and (0, +-r) on the
     curve for every s and r.
     """
     c = s * np.pi / (2.0 * r)
-    return np.cos(s * np.pi / 2.0) - np.cos(c * x) * np.cos(c * y)
+    f = np.multiply(np.cos(c * x), np.cos(c * y), out=out)
+    return np.subtract(np.cos(s * np.pi / 2.0), f, out=out)
 
 
-def eval_oblique(x, y, s, r, h=0.0):
+def eval_oblique(x, y, s, r, h=0.0, out=None):
     """Doubly-periodic cosine-sum squircle (45-degree tilted square at s = 1).
 
     The floor(s) factor keeps the overshoot h inert until s reaches 1.
     """
     c = s * np.pi / r
-    return 1.0 + np.cos(s * np.pi) - math.floor(s) * h - np.cos(c * x) - np.cos(c * y)
+    f = 1.0 + np.cos(s * np.pi) - math.floor(s) * h - np.cos(c * x)
+    return np.subtract(f, np.cos(c * y), out=out)
 
 
-def eval_phase_grid(x, y):
+def eval_phase_grid(x, y, out=None):
     """Grid variant whose zero set is every line with an integer x or y."""
-    return np.sin(np.pi * np.asarray(x, dtype=float)) * np.sin(np.pi * np.asarray(y, dtype=float))
+    sx = np.sin(np.pi * np.asarray(x, dtype=float))
+    return np.multiply(sx, np.sin(np.pi * np.asarray(y, dtype=float)), out=out)
 
 
 def frantz_point(t, s, r):
@@ -176,19 +214,20 @@ def _square(ext):
 
 FAMILY_RECORDS_2D = {
     "lame": Family(
-        field=lambda sp: lambda x, y: eval_lame(x, y, sp.p, sp.r), checks=(_P_AT_LEAST_1,),
+        field=lambda sp: lambda x, y, out=None: eval_lame(x, y, sp.p, sp.r, out), checks=(_P_AT_LEAST_1,),
         bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
         info="superellipse |x|^p + |y|^p = r^p; p in [1, inf], p=2 circle, p=inf axis square, p=1 tilted square"),
     "fg": Family(
-        field=lambda sp: lambda x, y: eval_fg(x, y, sp.s, sp.r), checks=(_UNIT_S,),
+        field=lambda sp: lambda x, y, out=None: eval_fg(x, y, sp.s, sp.r, out), checks=(_UNIT_S,),
         bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
         info="Fernandez-Guasti quartic x^2 + y^2 - (s^2/r^2) x^2 y^2 = r^2; s in [0, 1]"),
     "periodic": Family(
-        field=_round_at_s0(lambda sp: lambda x, y: eval_periodic(x, y, sp.s, sp.r)), checks=(_UNIT_S,),
+        field=_round_at_s0(lambda sp: lambda x, y, out=None: eval_periodic(x, y, sp.s, sp.r, out)),
+        checks=(_UNIT_S,),
         bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
         info="doubly-periodic cos(s pi x/2r) cos(s pi y/2r) = cos(s pi/2); s in (0, 1], square grid at s=1"),
     "oblique": Family(
-        field=_round_at_s0(lambda sp: lambda x, y: eval_oblique(x, y, sp.s, sp.r, sp.h)),
+        field=_round_at_s0(lambda sp: lambda x, y, out=None: eval_oblique(x, y, sp.s, sp.r, sp.h, out)),
         checks=(_UNIT_S, _require(lambda sp: 0 <= sp.h <= 2, "2D overshoot h must be in [0, 2], got {h}")),
         bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
         info="doubly-periodic cos(s pi x/r) + cos(s pi y/r) = 1 + cos(s pi) - floor(s) h; "
@@ -199,7 +238,8 @@ FAMILY_RECORDS_2D = {
         bounds=lambda sp, tiles: _square(1.2 * sp.r),  # one closed polyline: --tiles does not widen it
         info="parametric x = r tanh(s cos t)/tanh s, y = r tanh(s sin t)/tanh s; s > 0, square as s -> inf"),
     "phase_grid": Family(
-        field=lambda sp: eval_phase_grid, checks=(), bounds=lambda sp, tiles: _square(2.5 * tiles),
+        field=lambda sp: lambda x, y, out=None: eval_phase_grid(x, y, out), checks=(),
+        bounds=lambda sp, tiles: _square(2.5 * tiles),
         info="sin(pi x) sin(pi y) = 0; grid lines through every integer coordinate"),
 }
 FAMILIES_2D = tuple(FAMILY_RECORDS_2D)
@@ -210,5 +250,11 @@ def make_field2d(spec: ShapeSpec2D):
 
     The degenerate s = 0 periodic/oblique equations are mapped to the exact
     circle field x^2 + y^2 - r^2, matching their proven limits.
+
+    The field takes out=None: given an array of the broadcast shape of x and
+    y, it writes its values there and returns it (`fills_out` says so to
+    `contour2d._sample_banded`).
     """
-    return FAMILY_RECORDS_2D[spec.family].field(spec)
+    field = FAMILY_RECORDS_2D[spec.family].field(spec)
+    field.fills_out = True
+    return field

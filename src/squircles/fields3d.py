@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields2d import (
-    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _square,
+    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _scratch, _square,
 )
 
 
@@ -57,11 +57,6 @@ def _warn_cc(spec):
 
 _RING_TORUS = _require(lambda sp: sp.R > sp.r, "ring torus requires R > r, got R={R}, r={r}")
 _CONE_HEIGHT = _require(lambda sp: sp.c > 0, "cone height c must be positive, got {c}")
-
-
-def _scratch(out):
-    # the one array an evaluator writing into out may add, of out's size
-    return None if out is None else np.empty(out.shape)
 
 
 def eval_lame3d(x, y, z, p, r, out=None):

@@ -18,6 +18,7 @@ held; `marching_cubes` runs the same slabs over views of a sampled grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ class Domain3D:
         if min(self.nx, self.ny, self.nz) < 2:
             raise ValueError(
                 f"cell counts must be >= 2, got nx={self.nx}, ny={self.ny}, nz={self.nz}"
+            )
+        if not all(0 < d < math.inf for d in (self.dx, self.dy, self.dz)):
+            raise ValueError(
+                f"cell sizes must be finite and positive, got dx={self.dx}, dy={self.dy}, dz={self.dz}"
             )
 
     @property

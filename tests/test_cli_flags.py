@@ -322,6 +322,37 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "usage error: domain bounds must satisfy max > min\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, sizes", [
+        (["curve", "--family", "fg", "--domain", "-1e308", "1e308", "-1", "1"], "dx=inf, dy=0.125"),
+        (["surface", "--family", "sphube", "--domain", "-1", "1", "-1e308", "1e308", "-1", "1"],
+         "dx=0.125, dy=inf, dz=0.125"),
+    ])
+    def test_overflowing_domain_is_a_usage_error(self, tmp_path, capsys, argv, sizes):
+        ext = "obj" if argv[0] == "surface" else "svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + ["--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 1
+        assert capsys.readouterr() == ("", f"usage error: cell sizes must be finite and positive, got {sizes}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--family", "lame", "-p", "4"],
+        ["curve", "--family", "periodic", "-s", "0.5"],
+        ["curve", "--family", "oblique", "-s", "0.5"],
+        ["surface", "--family", "lame3d", "--format", "obj"],
+    ])
+    def test_huge_radius_is_not_empty_with_warnings_as_errors(self, tmp_path, argv):
+        # the curve length and mesh area overflow to inf (or nan), which is not below the floor
+        argv = argv + ["--radius", "1e300", "--grid", "32"]
+        runs = []
+        for flags in ([], ["-W", "error"]):
+            out = tmp_path / f"x{len(runs)}"
+            proc = subprocess.run([sys.executable, *flags, "-m", "squircles", *argv, "--out", str(out)],
+                                  capture_output=True, text=True, env=_fresh_env(), timeout=60)
+            runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
+        assert runs[1] == runs[0] and runs[0][:3] == (0, "", "")
+        assert runs[0][3]
+
     @pytest.mark.parametrize("argv", [
         ["curve", "--family", "fg"],
         ["surface", "--family", "sphube"],

@@ -51,6 +51,12 @@ class TestDomain2D:
         with pytest.raises(ValueError):
             Domain2D(-1, 1, -1, 1, 1, 4)
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, -1, 1), (-1, 1, -1e308, 1e308), (0, 5e-324, -1, 1)])
+    def test_rejects_a_cell_size_that_is_not_finite_and_positive(self, bounds):
+        # the span overflows to inf, or 5e-324 / 2 rounds to 0
+        with pytest.raises(ValueError, match="cell sizes must be finite and positive"):
+            Domain2D(*bounds, 2, 2)
+
 
 class TestSampleGrid2d:
     def test_constant_field(self):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squircles.fields2d import (
+    FAMILIES_2D,
     ParametricOnlyError,
     ShapeSpec2D,
     eval_fg,
@@ -172,3 +175,154 @@ class TestMakeField2d:
     ])
     def test_inside_negative_at_origin(self, spec):
         assert make_field2d(spec)(0.0, 0.0) < 0
+
+
+# The evaluators as plain expressions, frozen before they took out=: the
+# samples written into out must be these bits.
+def frozen_lame(x, y, p, r):
+    ax, ay = np.abs(x), np.abs(y)
+    if math.isinf(p):
+        return np.maximum(ax, ay) - r
+    m = np.maximum(ax, ay)
+    safe = np.where(m > 0, m, 1.0)
+    return m * sum((part / safe) ** p for part in (ax, ay)) ** (1.0 / p) - r
+
+
+def frozen_fg(x, y, s, r):
+    x2, y2 = np.square(x), np.square(y)
+    return x2 + y2 - (s * s) / (r * r) * (x2 * y2) - r * r
+
+
+def frozen_periodic(x, y, s, r):
+    c = s * np.pi / (2.0 * r)
+    return np.cos(s * np.pi / 2.0) - np.cos(c * x) * np.cos(c * y)
+
+
+def frozen_oblique(x, y, s, r, h):
+    c = s * np.pi / r
+    return 1.0 + np.cos(s * np.pi) - math.floor(s) * h - np.cos(c * x) - np.cos(c * y)
+
+
+def frozen_phase_grid(x, y):
+    return np.sin(np.pi * np.asarray(x, dtype=float)) * np.sin(np.pi * np.asarray(y, dtype=float))
+
+
+def frozen_circle(x, y, r):
+    return sum(np.square(c) for c in (x, y)) - r * r
+
+
+FROZEN_FIELDS = {
+    "lame": lambda sp, x, y: frozen_lame(x, y, sp.p, sp.r),
+    "fg": lambda sp, x, y: frozen_fg(x, y, sp.s, sp.r),
+    "periodic": lambda sp, x, y: frozen_circle(x, y, sp.r) if sp.s == 0 else frozen_periodic(x, y, sp.s, sp.r),
+    "oblique": lambda sp, x, y: (frozen_circle(x, y, sp.r) if sp.s == 0
+                                 else frozen_oblique(x, y, sp.s, sp.r, sp.h)),
+    "phase_grid": lambda sp, x, y: frozen_phase_grid(x, y),
+}
+FIELD_FAMILIES = tuple(FROZEN_FIELDS)
+
+# the evaluators with every parameter they take, for direct calls
+FROZEN_EVALUATORS = [
+    (eval_lame, frozen_lame, ("p", "r")),
+    (eval_fg, frozen_fg, ("s", "r")),
+    (eval_periodic, frozen_periodic, ("s", "r")),
+    (eval_oblique, frozen_oblique, ("s", "r", "h")),
+    (eval_phase_grid, frozen_phase_grid, ()),
+]
+
+
+def generic(lo, hi):
+    # uniform floats with full mantissas, whose products round
+    return st.integers(0, 2**32 - 1).map(lambda seed: float(np.random.default_rng(seed).uniform(lo, hi)))
+
+
+# zero, subnormal, tiny, huge, the largest finite and infinite magnitudes, both signs
+EXTREMES = [0.0, 5e-324, 1e-310, 1e-200, 0.3, 1.0, 7.5, 1e8, 1e200, 1.7e308, math.inf]
+coordinates = st.one_of(generic(-3, 3), st.sampled_from(EXTREMES + [-v for v in EXTREMES]))
+unit_s = st.one_of(st.sampled_from([0.0, 1.0]), generic(0, 1), st.floats(0, 1))
+scales = st.one_of(generic(0.25, 4), st.floats(0.25, 4))
+
+
+@st.composite
+def specs(draw):
+    p = draw(st.one_of(st.sampled_from([1.0, 2.0, math.inf]), generic(1, 64), st.floats(64, 1e6)))
+    return ShapeSpec2D(draw(st.sampled_from(FIELD_FAMILIES)), p=p, s=draw(unit_s), r=draw(scales),
+                       h=draw(generic(0, 2)))
+
+
+@st.composite
+def lattices(draw):
+    # band-shaped inputs as contour2d._sample_banded passes them (x fastest),
+    # 1-D rays as the oracle passes them, or scalars
+    kind = draw(st.sampled_from(["band", "ray", "scalar"]))
+    if kind == "scalar":
+        return draw(coordinates), draw(coordinates)
+    if kind == "ray":
+        n = draw(st.integers(1, 9))
+        return tuple(np.array(draw(st.lists(coordinates, min_size=n, max_size=n))) for _ in range(2))
+    x, y = (np.array(draw(st.lists(coordinates, min_size=1, max_size=6))) for _ in range(2))
+    return x.reshape(1, -1), y.reshape(-1, 1)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_writes_frozen_bits(call, frozen, xy):
+    with np.errstate(all="ignore"):
+        want = frozen(*xy)
+        got = call(*xy)
+        assert same_bits(got, want)
+        assert type(got) is type(want)  # scalars stay scalars
+        if not any(np.ndim(c) for c in xy):
+            return
+        shape = np.broadcast_shapes(*(np.shape(c) for c in xy))
+        out = np.full(shape, np.nan)
+        assert call(*xy, out=out) is out
+    want = np.broadcast_to(want, shape)
+    # an infinite coordinate may give inf where the plain form gives nan (the
+    # Lame field); the finite check then names the same first sample
+    finite = np.isfinite(np.broadcast_to(xy[0], shape)) & np.isfinite(np.broadcast_to(xy[1], shape))
+    assert np.array_equal(np.isfinite(out), np.isfinite(want))
+    assert same_bits(out[finite], want[finite])
+
+
+class TestWritesIntoOut:
+    @settings(max_examples=500, deadline=None)
+    @given(specs(), lattices())
+    def test_family_fields_match_frozen_expressions(self, spec, xy):
+        assert_writes_frozen_bits(make_field2d(spec), lambda x, y: FROZEN_FIELDS[spec.family](spec, x, y), xy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FROZEN_EVALUATORS), specs(), lattices())
+    def test_evaluators_match_frozen_expressions(self, evaluator, spec, xy):
+        new, frozen, names = evaluator
+        params = [getattr(spec, name) for name in names]
+        assert_writes_frozen_bits(lambda x, y, **out: new(x, y, *params, **out),
+                                  lambda x, y: frozen(x, y, *params), xy)
+
+    @pytest.mark.parametrize("r", [1e-310, 1.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 64.0, 1e6])
+    def test_lame_on_every_pair_of_extremes(self, p, r):
+        axis = np.array(EXTREMES + [-v for v in EXTREMES] + [2e-323, 3e-310, 0.7])
+        assert_writes_frozen_bits(lambda x, y, **out: eval_lame(x, y, p, r, **out),
+                                  lambda x, y: frozen_lame(x, y, p, r), (axis.reshape(1, -1), axis.reshape(-1, 1)))
+
+    @pytest.mark.parametrize("x, y, want", [(math.inf, 1.0, math.inf), (-1.0, -math.inf, math.inf),
+                                            (math.inf, math.inf, math.nan)])
+    def test_lame_into_out_at_an_infinite_coordinate(self, x, y, want):
+        out = np.empty(1)
+        with np.errstate(all="ignore"):
+            assert np.isnan(eval_lame(np.array([x]), np.array([y]), 3.0, 1.0))
+            eval_lame(np.array([x]), np.array([y]), 3.0, 1.0, out=out)
+        assert np.array_equal(out, [want], equal_nan=True)
+
+    @pytest.mark.parametrize("spec", [ShapeSpec2D(family) for family in FIELD_FAMILIES]
+                             + [ShapeSpec2D(family, s=s) for family in ("periodic", "oblique") for s in (0.0, 1.0)]
+                             + [ShapeSpec2D("lame", p=p) for p in (1.0, 2.0, math.inf)])
+    def test_every_family_field_says_it_fills_out(self, spec):
+        assert make_field2d(spec).fills_out is True
+
+    def test_every_field_family_is_frozen(self):
+        assert set(FIELD_FAMILIES) == set(FAMILIES_2D) - {"frantz"}
