@@ -191,6 +191,17 @@ def _box_clip(f, x, y, z, ext, out=None):
     return f
 
 
+def _ring_clip(f, x, y, R, r, out=None):
+    # The toroid lies in the ring |sqrt(x2 + y2) - R| <= r for every s, and the
+    # raw field is positive beyond it inside the slab |z| <= r. At s = 1 it is
+    # 0 all along the planes |z| = r, so a lattice plane within rounding of
+    # them gets samples a few ulps negative beyond the ring, stray inside
+    # points that mesh as extra closed sheets; those are raised to 0, which
+    # counts as outside. No other sample changes.
+    beyond = np.abs(np.sqrt(np.square(x) + np.square(y)) - R) > r
+    return np.maximum(f, np.where(beyond, 0.0, -np.inf), out=out)
+
+
 def _cube(ext):
     return _square(ext) + (-ext, ext)
 
@@ -220,8 +231,9 @@ FAMILY_RECORDS_3D = {
         info="triply-periodic cosine sum; sham octahedron at s=1, overshoot h in [0, 4], "
         "sham Schwarz at s=1 r=pi h=1"),
     "toroid": Family(
-        field=lambda sp: lambda x, y, z, out=None: np.maximum(eval_toroid(x, y, z, sp.s, sp.R, sp.r, out),
-                                                             np.abs(z) - sp.r, out=out),
+        field=lambda sp: lambda x, y, z, out=None: _ring_clip(
+            np.maximum(eval_toroid(x, y, z, sp.s, sp.R, sp.r, out), np.abs(z) - sp.r, out=out),
+            x, y, sp.R, sp.r, out),
         checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
         info="squircular toroid (sqrt form), R > r > 0, cross-section squareness s"),
     "toroid_octic": Family(

@@ -213,6 +213,15 @@ class TestMakeField3d:
         assert field(2.5, 0.0, 0.5) == 0.0
         assert field(2.0, 0.0, 0.0) == -0.25
 
+    def test_toroid_beyond_the_ring_is_outside_next_to_the_flat_faces(self):
+        # at s=1 the raw field is 0 all along the plane z = r; an ulp below it
+        # and beyond the ring it rounds to -1 ulp
+        z = np.nextafter(1.0, 0.0)
+        field = make_field3d(ShapeSpec3D("toroid", s=1.0, R=2.0, r=1.0))
+        assert max(eval_toroid(3.05, 0.0, z, 1.0, 2.0, 1.0), z - 1.0) < 0
+        assert field(3.05, 0.0, z) == 0.0
+        assert field(2.5, 0.0, 0.5) < 0
+
     def test_sphube_clip_removes_far_sheets(self):
         field = make_field3d(ShapeSpec3D("sphube", s=0.9))
         assert eval_sphube(0.0, 2.0, 2.0, 0.9, 1.0) < 0
@@ -278,6 +287,11 @@ def frozen_toroid(x, y, z, s, R, r):
     return u2 + z2 - (s * s) / (r * r) * (z2 * u2) - r * r
 
 
+def frozen_ring_clip(f, x, y, R, r):
+    beyond = np.abs(np.sqrt(np.square(x) + np.square(y)) - R) > r
+    return np.maximum(f, np.where(beyond, 0.0, -np.inf))
+
+
 def frozen_toroid_octic(x, y, z, s, R, r):
     q2 = np.square(x) + np.square(y)
     z2 = np.square(z)
@@ -326,7 +340,8 @@ FROZEN_FIELDS = {
                                        else frozen_periodic3d(x, y, z, sp.s, sp.r)),
     "oblique3d": lambda sp, x, y, z: (frozen_sphere(x, y, z, sp.r) if sp.s == 0
                                       else frozen_oblique3d(x, y, z, sp.s, sp.r, sp.h)),
-    "toroid": lambda sp, x, y, z: np.maximum(frozen_toroid(x, y, z, sp.s, sp.R, sp.r), np.abs(z) - sp.r),
+    "toroid": lambda sp, x, y, z: frozen_ring_clip(np.maximum(frozen_toroid(x, y, z, sp.s, sp.R, sp.r),
+                                                              np.abs(z) - sp.r), x, y, sp.R, sp.r),
     "toroid_octic": lambda sp, x, y, z: frozen_toroid_octic(x, y, z, sp.s, sp.R, sp.r),
     "cone_fg": lambda sp, x, y, z: frozen_cone_fg(x, y, z, sp.s, sp.c),
     "cone_lame": lambda sp, x, y, z: frozen_cone_lame(x, y, z, sp.p, sp.a, sp.b, sp.c),
