@@ -160,9 +160,11 @@ def parse_args(argv) -> Command:
     if ns.subcommand == "info":
         cmd.suite = ns.family
         return cmd
-    if getattr(ns, "workers", None) is None:  # sampling will read SQUIRCLES_WORKERS
+    # the thread count, read once: --workers, else SQUIRCLES_WORKERS or the CPU count
+    cmd.workers = getattr(ns, "workers", None)
+    if cmd.workers is None:
         try:
-            default_workers()
+            cmd.workers = default_workers()
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     # verify's mesh_sphere_area bound (1e-2) holds on correct meshes from
@@ -180,13 +182,12 @@ def parse_args(argv) -> Command:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cmd.grid, cmd.tiles, cmd.fmt, cmd.out = ns.grid, ns.tiles, ns.fmt, ns.out
-    cmd.workers = ns.workers
     cmd.samples = getattr(ns, "samples", 512)
     if cmd.tiles < 1:
         raise UsageError("--tiles must be >= 1")
     if cmd.samples < 8:
         raise UsageError("--samples must be >= 8")
-    if cmd.workers is not None and cmd.workers < 1:
+    if cmd.workers < 1:
         raise UsageError("--workers must be >= 1")
     if ns.domain is not None:
         want = 6 if three_d else 4
@@ -359,12 +360,12 @@ def _verify_equivalence():
                                                         - fields2d.eval_periodic(x, y, 0.7, 1.0)))), "0"
 
 
-def _verify_mesh(grid):
+def _verify_mesh(grid, workers):
     for name, spec, chi in (("mesh_sphere", ShapeSpec3D("lame3d", p=2.0), 2),
                             ("mesh_torus", ShapeSpec3D("toroid", s=0.0, R=2.0, r=0.5), 0),
                             ("mesh_cone_fg", ShapeSpec3D("cone_fg", s=1.0, c=3.0), 2),
                             ("mesh_cuboctahedron", ShapeSpec3D("cuboctahedron"), 2)):
-        stats = mesh_io.mesh_stats(polygonize(make_field3d(spec), default_domain3d(spec, grid, 1)))
+        stats = mesh_io.mesh_stats(polygonize(make_field3d(spec), default_domain3d(spec, grid, 1), workers))
         ok = stats.watertight and stats.euler_characteristic == chi
         yield name, float(stats.euler_characteristic), f"chi={chi}", ok
         if name == "mesh_sphere":
@@ -378,7 +379,7 @@ def _run_verify(cmd: Command) -> int:
     cmd.as_json the rows are printed as one JSON array of objects instead, a
     non-finite value as null."""
     suites = {"limits": _verify_limits, "square": _verify_square, "equivalence": _verify_equivalence,
-              "mesh": lambda: _verify_mesh(cmd.grid)}
+              "mesh": lambda: _verify_mesh(cmd.grid, cmd.workers)}
     rows = []
     for suite in suites if cmd.suite == "all" else [cmd.suite]:
         for name, value, bound, *ok in suites[suite]():

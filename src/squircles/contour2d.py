@@ -148,21 +148,23 @@ class Polyline:
             raise ValueError("polyline needs at least 2 points")
 
 
-def _run_bands(fn, bounds, workers):
-    """[fn(lo, hi) for each band [lo, hi) between consecutive bounds], in
-    band order.
+def _run_bands(run, bounds, workers):
+    """run(spans) over the (lo, hi) spans of the bands between consecutive
+    bounds: one result per band, in band order.
 
-    This is the only thread pool. The bands run on `workers` threads
-    (default: `default_workers()`) when there are at least POOL_MIN_BANDS of
-    them per worker, and in the calling thread otherwise. A band's work must
-    release the GIL (numpy on arrays of many elements) to gain from the pool.
+    This is the only thread pool. With at least POOL_MIN_BANDS bands per
+    worker, each of `workers` threads (default: `default_workers()`) runs one
+    contiguous run of them, else the calling thread runs all. A band's work
+    must release the GIL (numpy on large arrays) to gain from the pool.
     """
     spans = list(zip(bounds[:-1], bounds[1:]))
     workers = default_workers() if workers is None else max(1, workers)
     if workers > 1 and len(spans) >= POOL_MIN_BANDS * workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*spans)))
-    return [fn(lo, hi) for lo, hi in spans]
+        cuts = [len(spans) * w // workers for w in range(workers + 1)]
+        runs = [spans[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            return [result for results in pool.map(run, runs) for result in results]
+    return run(spans)
 
 
 def _sample_banded(field, axes, workers, out=None):
@@ -195,7 +197,7 @@ def _sample_banded(field, axes, workers, out=None):
 
     rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
     bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
-    top, bottom = np.array(_run_bands(run, bounds, workers)).T
+    top, bottom = np.array(_run_bands(lambda spans: [run(lo, hi) for lo, hi in spans], bounds, workers)).T
     return vals, top.max(), bottom.min()
 
 
@@ -230,43 +232,27 @@ def _slab_bounds(axes):
 
 
 def _slab_loader(field, axes):
-    """load(k0, k1), the samples of field on layers k0..k1 of the lattice of
-    axes (x first) along its slowest axis, indexed slowest axis first, for
-    `_mesh_bands`; and scale(), the largest |sample| of the layers loaded.
+    """load(k0, k1, below) for `_mesh_bands`: the samples of field on layers
+    k0..k1 of the lattice of axes (x first) along its slowest axis, indexed
+    slowest axis first, and their largest |sample|.
 
-    Each call samples its top layer first and leaves a copy for the band
-    above; it takes its bottom layer from the band below when that copy is
-    there, and samples it otherwise (with the same bits), then samples the
-    layers between. The extremes `_sample_banded` returns check the band's
-    samples for finiteness, raising the ValueError `_require_finite` raises,
-    and give the scale. Bands loaded on one thread sample each layer once.
+    below is None or layer k0 as the band below loaded it: then that layer
+    is copied, not sampled again, with the same bits (each sample is one
+    scalar expression). A non-finite sample raises the ValueError
+    `_require_finite` raises, so no band is meshed, or handed up, with one.
     """
     *across, slow = axes
-    extremes = []
-    # layer index -> the samples of that layer, or None once the band above
-    # has sampled it itself; setdefault decides which came first. A layer
-    # with a non-finite sample is not left: the band above samples it and
-    # fails its own check instead of extracting from it.
-    shared = {}
 
-    def load(k0, k1):
+    def load(k0, k1, below):
         vals = np.empty((k1 - k0 + 1,) + tuple(len(a) for a in reversed(across)))
-        _, top, bottom = _sample_banded(field, (*across, slow[k1:k1 + 1]), 1, vals[-1:])
-        if k1 < len(slow) - 1 and math.isfinite(top) and math.isfinite(bottom):
-            shared.setdefault(k1, vals[-1].copy())
-        below = shared.setdefault(k0, None)
         first = 0 if below is None else 1
         if below is not None:
             vals[0] = below
-            shared[k0] = None
-        if first < k1 - k0:
-            _, hi, lo = _sample_banded(field, (*across, slow[k0 + first:k1]), 1, vals[first:-1])
-            top, bottom = np.maximum(top, hi), np.minimum(bottom, lo)
+        _, top, bottom = _sample_banded(field, (*across, slow[k0 + first:k1 + 1]), 1, vals[first:])
         _require_finite(vals, (*across, slow[k0:k1 + 1]), top, bottom)
-        extremes.append(max(top, -bottom))
-        return vals
+        return vals, max(top, -bottom)
 
-    return load, lambda: max(extremes)
+    return load
 
 
 def _active_cells(inside):
@@ -290,13 +276,12 @@ def _active_cells(inside):
     return cells, code.reshape(-1)[cells] + 1
 
 
-def _nudge_zeros(scale, *gathered):
+def _nudge_zeros(peak, *gathered):
     """Set the exact zeros in arrays of gathered samples to +ZERO_NUDGE times
-    the largest |sample|, so that they count as outside. scale() gives that
-    largest |sample|; it is called only when there is a zero."""
+    peak, the largest |sample|, so that they count as outside."""
     zeros = [g == 0.0 for g in gathered]
     if any(z.any() for z in zeros):
-        nudge = ZERO_NUDGE * (float(scale()) or 1.0)
+        nudge = ZERO_NUDGE * (float(peak) or 1.0)
         for g, z in zip(gathered, zeros):
             g[z] = nudge
 
@@ -365,12 +350,13 @@ def _edge_points(index, t, coords, steps, axis):
     return pts
 
 
-def _band(load, k0, k1, top, slots, cases):
+def _band(load, k0, k1, below, top, slots, cases):
     """The part of the level set in the band of cell layers k0..k1 along the
-    slowest axis, whose samples load(k0, k1) gives (layers k0..k1 of the
-    lattice, slowest axis first).
+    slowest axis, whose samples and largest |sample| load(k0, k1, below)
+    gives (layers k0..k1 of the lattice, slowest axis first).
 
-    Returns None when no edge of the band crosses, else:
+    Returns that largest |sample|, a copy of the band's top layer (the next
+    band's below) and its part: None when no edge of the band crosses, else:
     - per axis, its crossings as the flat lattice index (within the band) of
       each edge's low end and the edge fraction v0 / (v0 - v1) of its end
       samples, plus the positions and end samples of the crossings with an
@@ -386,12 +372,13 @@ def _band(load, k0, k1, top, slots, cases):
     """
     # each array is dropped once read: with the crossings and elements of
     # the bands before it, a band's largest arrays set the kernel's peak
-    vals = load(k0, k1)
+    vals, peak = load(k0, k1, below)
+    layer = vals[-1].copy()
     inside = vals < 0
     crossings = _edge_crossings(vals, inside)
     del vals
     if not any(len(lo) for _, lo, _, _ in crossings):
-        return None
+        return peak, layer, None
     kept = []
     for axis, (index, lo, v0, v1) in enumerate(crossings):
         n = len(lo) if top or axis == len(crossings) - 1 else np.searchsorted(index[0], k1 - k0)
@@ -411,25 +398,34 @@ def _band(load, k0, k1, top, slots, cases):
     # element's slots, gathered from ids as one flat array
     pick = np.flatnonzero(rows[:, :, 0] >= 0)
     ends = rows.reshape(-1, rows.shape[2])[pick].astype(np.intp)
-    return kept, ids.reshape(-1)[ends * len(code) + (pick // rows.shape[1])[:, None]], first_ids
+    return peak, layer, (kept, ids.reshape(-1)[ends * len(code) + (pick // rows.shape[1])[:, None]], first_ids)
 
 
-def _mesh_bands(load, bounds, coords, steps, slots, cases, scale, workers):
+def _mesh_bands(load, bounds, coords, steps, slots, cases, workers):
     """Points and elements of the zero level set on the lattice of coords
     (x first) spaced by steps, in bands of cell layers along the slowest axis
     (Lorensen & Cline's slice-wise formulation, for any dimension).
 
     Each band between consecutive bounds runs `_band` on its samples
-    load(k0, k1), on `_run_bands(..., workers)`; a weld in band order turns
-    the band-local ids into global ones. The points are every x-edge crossing
-    in lattice order, then every y-edge crossing, and so on; the elements are
+    load(k0, k1, below), in runs of bands on `_run_bands(..., workers)`: a
+    run goes bottom to top and hands each band's top layer to the next as
+    below (None for its first band). A weld in band order turns the
+    band-local ids into global ones. The points are every x-edge crossing in
+    lattice order, then every y-edge crossing, and so on; the elements are
     the rows of cases(k0, cells, code) over point ids. A zero sample ending a
-    crossing edge counts as +ZERO_NUDGE times scale(), the largest |sample|,
-    asked for only when there is such a zero. The output depends on neither
-    the bands nor the worker count.
+    crossing edge counts as +ZERO_NUDGE times the largest |sample| of all the
+    bands. The output depends on neither the bands nor the worker count.
     """
     n = len(coords)
-    bands = _run_bands(lambda k0, k1: _band(load, k0, k1, k1 == bounds[-1], slots, cases), bounds, workers)
+
+    def run(spans):
+        below, results = None, []
+        for k0, k1 in spans:
+            peak, below, band = _band(load, k0, k1, below, k1 == bounds[-1], slots, cases)
+            results.append((peak, band))
+        return results
+
+    peaks, bands = zip(*_run_bands(run, bounds, workers))
     parts = [(k0, *band) for k0, band in zip(bounds, bands) if band is not None]
     del bands  # parts alone holds the bands' output, dropped as it is welded
 
@@ -453,7 +449,7 @@ def _mesh_bands(load, bounds, coords, steps, slots, cases, scale, workers):
         parts[b] = k0, kept
 
     zeros = [c[1:] for _, kept in parts for c in kept if len(c[2])]
-    _nudge_zeros(scale, *(v for *_, v0, v1 in zeros for v in (v0, v1)))
+    _nudge_zeros(max(peaks), *(v for *_, v0, v1 in zeros for v in (v0, v1)))
     for t, zero, v0, v1 in zeros:
         t[zero] = v0 / (v0 - v1)
     shape = tuple(len(c) for c in reversed(coords))
@@ -475,14 +471,12 @@ def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polylin
     sampled grid.
 
     This is the band kernel (`_mesh_bands`) over row bands of at most
-    SLAB_SAMPLES samples, each sampled by `_slab_loader` as it starts, on
-    `workers` threads (default: `default_workers()`). Each band's saddle
-    centres are one field call. A non-finite sample raises the ValueError
-    `sample_grid2d` raises.
+    SLAB_SAMPLES samples, sampled by `_slab_loader` as they start, one run of
+    bands per thread (`workers`, default `default_workers()`). A non-finite
+    sample raises the ValueError `sample_grid2d` raises.
     """
     axes = (domain.xs(), domain.ys())
-    load, scale = _slab_loader(field, axes)
-    return _polylines(load, _slab_bounds(axes), domain, field, scale, workers)
+    return _polylines(_slab_loader(field, axes), _slab_bounds(axes), domain, field, workers)
 
 
 def marching_squares(grid: Grid2D) -> list[Polyline]:
@@ -498,26 +492,27 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     are visited and only crossing edges get a vertex: every x-edge crossing
     in (j, i) lattice order, then every y-edge crossing. Exact-zero samples
     count as outside and are nudged toward positive (by ZERO_NUDGE times the
-    largest |sample|, found only when a crossing ends on a zero) where they
-    end a crossing edge; `grid.samples` is left untouched. Segments follow
-    cell order, and a segment whose ends coincide is dropped. Each polyline
-    is the chain of one first segment (the first not yet used), grown
-    forward from its tail, then backward from its head; polylines are
-    ordered by their first segment.
+    grid's largest |sample|) where they end a crossing edge; `grid.samples`
+    is left untouched. Segments follow cell order, and a segment whose ends
+    coincide is dropped. Each polyline is the chain of one first segment
+    (the first not yet used), grown forward from its tail, then backward
+    from its head; polylines are ordered by their first segment.
     """
     vals = grid.samples
-    return _polylines(lambda k0, k1: vals[k0:k1 + 1], (0, grid.domain.ny), grid.domain, grid.field,
-                      lambda: max(vals.max(), -vals.min()), 1, vals)
+    peak = max(vals.max(), -vals.min())
+    return _polylines(lambda k0, k1, below: (vals[k0:k1 + 1], peak), (0, grid.domain.ny), grid.domain,
+                      grid.field, 1, (vals, peak))
 
 
-def _polylines(load, bounds, domain, field, scale, workers, vals=None):
+def _polylines(load, bounds, domain, field, workers, lattice=None):
     """The polylines of the band kernel run over the row bands between
-    bounds, whose samples load(k0, k1) gives, on `workers` threads.
+    bounds, whose samples load(k0, k1, below) gives, on `workers` threads.
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
-    or, when field is None, by the sum of its corners in vals (the whole
-    lattice), zeros nudged by scale().
+    or, when field is None, by the sum of its corners in the samples of
+    lattice = (the whole lattice's samples, their largest |sample|), zeros
+    nudged by that largest |sample|.
     """
     xs, ys = domain.xs(), domain.ys()
 
@@ -531,13 +526,14 @@ def _polylines(load, bounds, domain, field, scale, workers, vals=None):
                 with np.errstate(**_FIELD_ERRSTATE):
                     center = field(xs[i] + 0.5 * domain.dx, ys[j] + 0.5 * domain.dy)
             else:
+                vals, peak = lattice
                 corners = [vals[j, i], vals[j, i + 1], vals[j + 1, i], vals[j + 1, i + 1]]
-                _nudge_zeros(scale, *corners)
+                _nudge_zeros(peak, *corners)
                 center = corners[0] + corners[1] + corners[2] + corners[3]
             key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
         return _SEGMENTS[key]
 
-    points, segments = _mesh_bands(load, bounds, (xs, ys), (domain.dx, domain.dy), _SLOTS, cases, scale, workers)
+    points, segments = _mesh_bands(load, bounds, (xs, ys), (domain.dx, domain.dy), _SLOTS, cases, workers)
     a, b = segments.T
     keep = (points[a] != points[b]).any(axis=1)
     return _chains(a[keep], b[keep], points)

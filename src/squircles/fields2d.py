@@ -95,27 +95,25 @@ def _scratch(out):
 
 
 def _scaled_pnorm(p, *parts, out=None):
-    # (sum of part^p)^(1/p) with the largest part factored out, so large
-    # exponents cannot overflow. The parts must be non-negative.
-    if out is None:
-        m = functools.reduce(np.maximum, parts)
-        safe = np.where(m > 0, m, 1.0)
-        return m * sum((part / safe) ** p for part in parts) ** (1.0 / p)
-    # The same operations written into out with one scratch array. Where m is
-    # 0 every part is 0, so max(m, 5e-324), the least positive float, stands
-    # for both m and safe: each term and the result are +0 either way. It is
+    # (sum of part^p)^(1/p) with the largest part m factored out, so large
+    # exponents cannot overflow. The parts must be non-negative. Given out,
+    # each step writes into out or one scratch array; without, each makes a
+    # new array, or a scalar, so scalar calls keep numpy's scalar arithmetic
+    # (its x ** 1.0 gives a positive nan where an array keeps the sign).
+    # Where m is 0 every part is 0, so max(m, 5e-324), the least positive
+    # float, stands for m: each term and the result are +0 either way. It is
     # rebuilt from the parts (max is exact) rather than held in a second array.
     low = np.maximum(functools.reduce(np.maximum, parts[:-1]), 5e-324)
     scratch = _scratch(out)
-    np.divide(parts[0], np.maximum(low, parts[-1], out=out), out=out)
-    out **= p
+    f = np.divide(parts[0], np.maximum(low, parts[-1], out=out), out=out)
+    f **= p
     for part in parts[1:]:
-        np.divide(part, np.maximum(low, parts[-1], out=scratch), out=scratch)
-        scratch **= p
-        out += scratch
-    out **= 1.0 / p
-    out *= np.maximum(low, parts[-1], out=scratch)
-    return out
+        term = np.divide(part, np.maximum(low, parts[-1], out=scratch), out=scratch)
+        term **= p
+        f += term
+    f **= 1.0 / p
+    f *= np.maximum(low, parts[-1], out=scratch)
+    return f
 
 
 def eval_lame(x, y, p, r, out=None):

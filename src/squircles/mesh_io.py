@@ -260,20 +260,34 @@ def write_obj(mesh: TriangleMesh, sink, comment: str = "") -> None:
 
 
 def write_stl(mesh: TriangleMesh, sink, comment: str = "") -> None:
-    """Binary STL: 80-byte header, u32 count, 50 bytes per triangle."""
+    """Binary STL: 80-byte header, u32 count, 50 bytes per triangle.
+
+    A vertex coordinate beyond float32's range raises ValueError before any
+    byte is written. A normal whose float32 cross product overflows is taken
+    in float64 from the same float32 corners instead."""
+    # a float32 cast commutes with the gather, so the bands share one cast
+    with np.errstate(over="ignore"):  # an overflow is an infinity, checked next
+        vertices = mesh.vertices.astype("<f4")
+    if len(vertices) and not (np.isfinite(vertices.min()) and np.isfinite(vertices.max())):
+        bound = float(np.finfo(np.float32).max)
+        raise ValueError(f"vertex coordinates outside the float32 range of STL, [{-bound:.8g}, {bound:.8g}]")
     header = f"squircles mesh export {comment}".encode("utf-8")[:80]
     sink.write(header.ljust(80, b"\0"))
     sink.write(struct.pack("<I", len(mesh.triangles)))
     if mesh.empty:
         return
-    # a float32 cast commutes with the gather, so the bands share one cast
-    vertices = mesh.vertices.astype("<f4")
     record = np.zeros(min(len(mesh.triangles), MESH_BAND),
                       dtype=np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")]))
     for lo in range(0, len(mesh.triangles), MESH_BAND):
         tri = np.take(vertices, mesh.triangles[lo:lo + MESH_BAND], axis=0)
-        normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).astype("<f8")
-        lengths = np.linalg.norm(normals, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone in float64
+            normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).astype("<f8")
+            lengths = np.linalg.norm(normals, axis=1)
+        wide = np.flatnonzero(~np.isfinite(lengths))
+        if len(wide):
+            corners = tri[wide].astype("<f8")
+            normals[wide] = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+            lengths[wide] = np.linalg.norm(normals[wide], axis=1)
         lengths[lengths == 0] = 1.0
         band = record[:len(tri)]
         band["n"] = normals / lengths[:, None]

@@ -157,16 +157,16 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     `sample_grid3d`, byte for byte, without holding the sampled volume.
 
     This is the band kernel (`contour2d._mesh_bands`) over the slabs of
-    `contour2d._slab_bounds`, each sampled by `contour2d._slab_loader` as it
-    starts: it samples its top plane first and hands a copy up, and takes its
-    bottom plane from the slab below. The slabs run on `workers` threads
-    (default: `contour2d.default_workers()`); with one, each plane is sampled
-    once. A non-finite sample raises the ValueError `sample_grid3d` raises.
+    `contour2d._slab_bounds`, sampled by `contour2d._slab_loader` as they
+    start, one run of slabs per thread (`workers`, default
+    `contour2d.default_workers()`); a slab takes its bottom plane from the
+    slab below in its run. A non-finite sample raises the ValueError
+    `sample_grid3d` raises.
     """
     axes = (domain.xs(), domain.ys(), domain.zs())
-    load, scale = _slab_loader(field, axes)
     steps = (domain.dx, domain.dy, domain.dz)
-    return TriangleMesh(*_mesh_bands(load, _slab_bounds(axes), axes, steps, _SLOTS, _cell_triangles, scale, workers))
+    return TriangleMesh(*_mesh_bands(_slab_loader(field, axes), _slab_bounds(axes), axes, steps, _SLOTS,
+                                     _cell_triangles, workers))
 
 
 def marching_cubes(grid: Grid3D) -> TriangleMesh:
@@ -179,8 +179,8 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
     then every y-edge, then every z-edge crossing; every crossing is used by a
     triangle, so none is compacted away. Triangles follow cell order.
     Exact-zero samples count as outside and are nudged toward positive (by
-    ZERO_NUDGE times the largest |sample|, found only when a crossing ends on
-    a zero) where they end a crossing edge; `grid.samples` is left untouched.
+    ZERO_NUDGE times the grid's largest |sample|) where they end a crossing
+    edge; `grid.samples` is left untouched.
 
     This is the band kernel of `polygonize` and `marching_squares`, run over
     views of the samples: slabs of at most `contour2d.SLAB_SAMPLES` samples,
@@ -188,6 +188,6 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
     """
     d, vals = grid.domain, grid.view3d()
     axes = (d.xs(), d.ys(), d.zs())
-    return TriangleMesh(*_mesh_bands(lambda k0, k1: vals[k0:k1 + 1], _slab_bounds(axes), axes,
-                                     (d.dx, d.dy, d.dz), _SLOTS, _cell_triangles,
-                                     lambda: max(vals.max(), -vals.min()), None))
+    peak = max(vals.max(), -vals.min())
+    return TriangleMesh(*_mesh_bands(lambda k0, k1, below: (vals[k0:k1 + 1], peak), _slab_bounds(axes), axes,
+                                     (d.dx, d.dy, d.dz), _SLOTS, _cell_triangles, None))

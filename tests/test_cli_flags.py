@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import warnings
@@ -140,6 +141,29 @@ class TestWorkersEnvironment:
         # --workers takes precedence, so the variable is not read
         assert cli.main(["curve", "--family", "fg", "--grid", "16", "--workers", "1",
                          "--out", str(tmp_path / "c.svg")]) == 0
+
+    @pytest.mark.parametrize("flags, reads", [([], 1), (["--workers", "2"], 0)])
+    def test_read_once_per_command(self, tmp_path, monkeypatch, flags, reads):
+        # parse_args reads the variable (unless --workers is given) and no
+        # band of the sweep's 3 pooled curves reads it again
+        monkeypatch.setenv("SQUIRCLES_WORKERS", "2")
+        monkeypatch.setattr(contour2d, "SLAB_SAMPLES", 20 * 65)
+        counts = {"cli": 0, "contour2d": 0}
+
+        def counting(module):
+            def read():
+                counts[module] += 1
+                return default_workers()
+            return read
+
+        monkeypatch.setattr(cli, "default_workers", counting("cli"))
+        monkeypatch.setattr(contour2d, "default_workers", counting("contour2d"))
+        argv = ["sweep", "--family", "fg", "--param", "s", "--from", "0.5", "--to", "1", "--steps", "3",
+                "--grid", "64", *flags, "--out", str(tmp_path / "c.svg")]
+        assert cli.parse_args(argv).workers == 2
+        assert cli.main(argv) == 0
+        assert counts == {"cli": 2 * reads, "contour2d": 0}
+        assert len(list(tmp_path.iterdir())) == 3
 
     def test_flag_overrides_the_variable_on_a_large_curve(self, tmp_path, monkeypatch):
         # contour's row bands run on the flag's one thread: the pool must
@@ -352,6 +376,28 @@ class TestExitCodes:
             runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
         assert runs[1] == runs[0] and runs[0][:3] == (0, "", "")
         assert runs[0][3]
+
+    @pytest.mark.parametrize("radius, rc", [("1e21", 0), ("1e25", 0), ("1e300", 2)])
+    def test_huge_radius_stl_with_warnings_as_errors(self, tmp_path, radius, rc):
+        # from 1e21 the float32 cross products of the edges overflow, so those
+        # normals are taken in float64; at 1e300 the vertices themselves do
+        # not fit float32, a numeric error before any byte is written
+        out = tmp_path / "x.stl"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "squircles", "surface", "--family", "lame3d",
+                               "--radius", radius, "--grid", "16", "--format", "stl", "--out", str(out)],
+                              capture_output=True, text=True, env=_fresh_env(), timeout=60)
+        if rc:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == ("numeric error: vertex coordinates outside the float32 range of STL, "
+                                   "[-3.4028235e+38, 3.4028235e+38]\n")
+            assert out.read_bytes() == b""
+            return
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        raw = out.read_bytes()
+        normals = np.frombuffer(raw[84:], dtype=np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)),
+                                                            ("attr", "<u2")]))["n"].astype(float)
+        assert len(normals) == struct.unpack_from("<I", raw, 80)[0] > 0
+        assert np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) < 1e-6)
 
     @pytest.mark.parametrize("argv", [
         ["curve", "--family", "fg"],

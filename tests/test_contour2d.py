@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import defaultdict
 
@@ -578,6 +579,33 @@ class TestFusedContour:
             mp.setattr(contour2d, "SLAB_SAMPLES", 5 * 41)
             (loop,) = contour(counted, dom, workers=1)
         assert loop.closed and sum(sizes) == 41 * 41
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_bands_sample_the_lattice_and_one_row_per_extra_run(self, workers):
+        # the 10 bands go in one run per thread, each run sampling its first
+        # row itself; the count is exact on every call, with threads
+        # switching every microsecond
+        dom = Domain2D(-2, 2, -2, 2, 40, 40)
+        sizes = []
+
+        def counted(x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return circle_field(x, y)
+
+        want = marching_squares(sample_grid2d(circle_field, dom, workers=1))
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "SLAB_SAMPLES", 5 * 41)
+            assert len(contour2d._slab_bounds((dom.xs(), dom.ys()))) - 1 >= contour2d.POOL_MIN_BANDS * workers
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    sizes.clear()
+                    (loop,) = contour(counted, dom, workers=workers)
+                    assert loop.points.tobytes() == want[0].points.tobytes()
+                    assert sum(sizes) == 41 * 41 + (workers - 1) * 41
+            finally:
+                sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("family, tiles", [("fg", 1), ("periodic", 3)])
     def test_peak_memory_below_half_the_grid(self, family, tiles):

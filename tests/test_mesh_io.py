@@ -112,6 +112,40 @@ class TestWriteStl:
         write_stl(mesh, b)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e21, 1e25, 3e38])
+    def test_normals_past_the_float32_product_range(self, scale):
+        # a tetrahedron with corners at +-scale, whose float32 edge cross
+        # products (and at 3e38 its edges) overflow, then a small one: the
+        # first normals are a float64 cross of the same float32 corners, the
+        # others the bytes the float32 formula gave
+        big = TriangleMesh((2.0 * TET.vertices - 1.0) * scale, TET.triangles)
+        small = TriangleMesh(TET.vertices + 2.0, TET.triangles)
+        sink, ref = io.BytesIO(), io.BytesIO()
+        write_stl(TriangleMesh(np.vstack([big.vertices, small.vertices]),
+                               np.vstack([big.triangles, small.triangles + 4])), sink)
+        ref_write_stl(small, ref)
+        raw = sink.getvalue()
+        assert raw[84 + 4 * 50:] == ref.getvalue()[84:]
+        corners = np.take(big.vertices.astype("<f4"), big.triangles, axis=0).astype(float)
+        want = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        want /= np.linalg.norm(want, axis=1)[:, None]
+        record = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
+        got = np.frombuffer(raw[84:84 + 4 * 50], dtype=record)
+        assert np.array_equal(got["n"], want.astype("<f4"))
+        assert np.array_equal(got["v"], corners.astype("<f4"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [3.5e38, -1e300, math.inf])
+    def test_vertex_past_float32_raises_before_writing(self, value):
+        vertices = TET.vertices.copy()
+        vertices[2, 1] = value
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match=r"^vertex coordinates outside the float32 range of STL, "
+                                             r"\[-3\.4028235e\+38, 3\.4028235e\+38\]$"):
+            write_stl(TriangleMesh(vertices, TET.triangles), sink)
+        assert sink.getvalue() == b""
+
 
 class TestWriteSvg:
     DOM = Domain2D(-2, 2, -2, 2, 16, 16)

@@ -555,6 +555,8 @@ class TestSharedPlanes:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_slabs_sample_at_most_the_shared_planes_twice(self, workers):
+        # each thread takes one run of slabs and samples the first plane of
+        # its run itself: the lattice plus one plane per run after the first
         spec = ShapeSpec3D("sphube", s=0.75)
         dom = default_domain3d(spec, 40, 1)
         field, sizes = counted(make_field3d(spec), True)
@@ -566,12 +568,12 @@ class TestSharedPlanes:
             for _ in range(5):
                 assert_mesh_bytes(polygonize(field, dom, workers=workers), want)
         lattice, plane = 41 * 41 * 41, 41 * 41
-        assert 5 * lattice <= sum(sizes) <= 5 * (lattice + (n_slabs - 1) * plane)
+        assert sum(sizes) == 5 * (lattice + (workers - 1) * plane)
 
     def test_many_workers_under_fast_switching(self):
-        # 1-layer slabs on more threads than cores, switching threads every
-        # microsecond: each run gives the same bytes and samples each plane
-        # at least once and at most twice
+        # 1-layer slabs in 8 runs, on more threads than cores, switching
+        # threads every microsecond: each call gives the same bytes and
+        # samples the lattice plus the first plane of each run after the first
         spec = ShapeSpec3D("oblique3d", s=0.8)
         dom = default_domain3d(spec, 24, 1)
         field, sizes = counted(make_field3d(spec), True)
@@ -586,7 +588,7 @@ class TestSharedPlanes:
                 for _ in range(20):
                     sizes.clear()
                     assert_mesh_bytes(polygonize(field, dom, workers=8), want)
-                    assert lattice <= sum(sizes) <= lattice + (dom.nz - 1) * plane
+                    assert sum(sizes) == lattice + 7 * plane
             finally:
                 sys.setswitchinterval(interval)
 
@@ -619,8 +621,10 @@ class TestSharedPlanes:
         assert str(fused.value) == str(whole.value)
 
     def test_no_slab_meshes_a_plane_with_a_bad_sample(self, monkeypatch):
-        # slab [4, 6] looks for its bottom plane after its top one, which
-        # waits until slab [2, 4] has sampled their shared plane z = 4
+        # 6 slabs of 2 layers in 3 runs of 2: plane z = 4 ends the first run
+        # and starts the second, so both sample it and both must fail their
+        # check before meshing it, whichever finishes first (the sleep at
+        # z = 6 holds the second run back)
         dom = Domain3D(0, 4, 0, 5, 0, 12, 4, 5, 12)
 
         def field(x, y, z):
@@ -640,22 +644,44 @@ class TestSharedPlanes:
 
 
 class TestThreadPool:
-    def _threads(self, n_bands, workers):
-        seen = []
+    def _runs(self, n_bands, workers):
+        """The calls of run that `_run_bands` makes over n_bands bands, as
+        (thread, first band of each span); its result must be one item per
+        band, in band order, whichever run finishes first."""
+        calls = []
 
-        def band(lo, hi):
-            seen.append(threading.get_ident())
-            return lo
+        def run(spans):
+            calls.append((threading.get_ident(), [int(lo) for lo, _ in spans]))
+            time.sleep(0.02 * (n_bands - spans[0][0]) / n_bands)  # later runs finish first
+            return [int(lo) for lo, _ in spans]
 
-        assert contour2d._run_bands(band, np.arange(n_bands + 1), workers) == list(range(n_bands))
-        return set(seen)
+        assert contour2d._run_bands(run, np.arange(n_bands + 1), workers) == list(range(n_bands))
+        return calls
 
-    def test_pool_only_from_enough_bands_per_worker(self):
+    def test_pool_only_from_enough_bands_per_worker(self, monkeypatch):
         main = threading.get_ident()
         per_worker = contour2d.POOL_MIN_BANDS
-        assert self._threads(2 * per_worker - 1, 2) == {main}
-        assert self._threads(50, 1) == {main}
-        assert main not in self._threads(2 * per_worker, 2)
+        assert main not in {thread for thread, _ in self._runs(2 * per_worker, 2)}
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(contour2d, "ThreadPoolExecutor", no_pool)
+        assert self._runs(2 * per_worker - 1, 2) == [(main, list(range(2 * per_worker - 1)))]
+        assert self._runs(50, 1) == [(main, list(range(50)))]
+
+    @pytest.mark.parametrize("n_bands, workers", [(4, 2), (7, 2), (10, 3), (50, 8), (3, 8)])
+    def test_runs_are_contiguous_and_in_band_order(self, monkeypatch, n_bands, workers):
+        # one run per thread, runs of near-equal length that cover the bands
+        # in order (with fewer bands than workers, one band per run)
+        monkeypatch.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        main = threading.get_ident()
+        calls = self._runs(n_bands, workers)
+        assert main not in {thread for thread, _ in calls}
+        runs = sorted(bands for _, bands in calls)
+        assert len(runs) == min(n_bands, workers)
+        assert [band for r in runs for band in r] == list(range(n_bands))
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
     def test_small_grids_start_no_pool(self, monkeypatch):
         # the 65^3 lattice of grid 64 is 3 sampling bands and one slab
