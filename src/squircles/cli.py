@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -221,10 +222,31 @@ def default_domain3d(spec: ShapeSpec3D, grid: int, tiles: int) -> Domain3D:
     return Domain3D(*bounds, grid, grid, nz)
 
 
+class _OpenOnWrite:
+    """A binary sink on path that opens (and truncates) the file at its first
+    write, so a writer that raises before writing leaves path untouched."""
+
+    def __init__(self, path):
+        self.path, self.file = path, None
+
+    def write(self, data):
+        if self.file is None:
+            self.file = open(self.path, "wb")
+        return self.file.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.file is not None:
+            self.file.close()
+
+
 def _write(path, writer):
     try:
-        with open(path, "wb") as sink:
+        with _OpenOnWrite(path) as sink:
             writer(sink)
+            sink.write(b"")  # a writer that wrote nothing still makes the file
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise
@@ -279,13 +301,12 @@ def _describe_spec(spec) -> str:
 
 
 def _run_sweep(cmd: Command):
-    root, dot, ext = cmd.out.rpartition(".")
-    if not dot:
-        root, ext = cmd.out, ""
+    # the step number goes before the file name's extension, if it has one
+    root, ext = os.path.splitext(cmd.out)
     width = max(2, len(str(len(cmd.sweep_values) - 1)))
     for idx, value in enumerate(cmd.sweep_values):
         step = replace(cmd, spec=replace(cmd.spec, **{cmd.sweep_param: float(value)}),
-                       out=f"{root}_{idx:0{width}d}{dot}{ext}")
+                       out=f"{root}_{idx:0{width}d}{ext}")
         (_run_surface if cmd.fmt in SURFACE_FORMATS else _run_curve)(step)
 
 

@@ -6,12 +6,16 @@ polylines. Output order and bytes are deterministic for fixed inputs.
 
 `_mesh_bands` is the extraction kernel of marching squares and of marching
 cubes (in `polygonize3d`). It visits only the active cells (corners of both
-signs) and the crossing edges, and never writes to the samples. `contour`
-(row bands) and `polygonize3d.polygonize` (z-slabs) feed it from one slab
-loader, `_slab_loader`, that samples each band as it goes, so neither holds
-its whole lattice. Marching squares' segments follow cell order, and chains
-follow segment order: each chain starts at the first segment no earlier chain
-used, grows forward from its tail, then backward from its head.
+signs) and the crossing edges, and never writes to the samples. One entry,
+`_mesh_lattice`, runs it over the bands of a lattice (rows in 2D, z-slabs in
+3D) for `contour`, `marching_squares` and `polygonize3d`'s `polygonize` and
+`marching_cubes`: from a field, sampled band by band as each starts
+(`_slab_loader`), so no whole lattice is held, or from a sampled lattice.
+`LatticeDomain` is the one body of `Domain2D` and `Domain3D`, and
+`_sample_banded` the one sampler, which checks its own samples. Marching
+squares' segments follow cell order, and chains follow segment order: each
+chain starts at the first segment no earlier chain used, grows forward from
+its tail, then backward from its head.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -90,35 +94,56 @@ def default_workers():
 
 
 @dataclass(frozen=True)
-class Domain2D:
+class LatticeDomain:
+    """A box cut into cells, the body of `Domain2D` and `Domain3D`: their
+    fields are the (min, max) bounds of each axis, x first, then the cell
+    count of each axis in the same order."""
+
+    def __post_init__(self):
+        values = [getattr(self, f.name) for f in fields(self)]
+        n = len(values) // 3
+        lows, highs, counts, names = values[:2 * n:2], values[1:2 * n:2], values[2 * n:], "xyz"[:n]
+        if not all(hi > lo for lo, hi in zip(lows, highs)):
+            raise ValueError("domain bounds must satisfy max > min")
+        if min(counts) < 2:
+            raise ValueError("cell counts must be >= 2, got " + ", ".join(f"n{a}={c}" for a, c in zip(names, counts)))
+        steps = [(hi - lo) / c for lo, hi, c in zip(lows, highs, counts)]
+        if not all(0 < d < math.inf for d in steps):
+            raise ValueError("cell sizes must be finite and positive, got "
+                             + ", ".join(f"d{a}={d}" for a, d in zip(names, steps)))
+        # (min, cell count, cell size) of each axis, x first
+        object.__setattr__(self, "_per_axis", tuple(zip(lows, counts, steps)))
+
+    def steps(self):
+        """The cell size of each axis, x first."""
+        return tuple(d for _, _, d in self._per_axis)
+
+    def axes(self):
+        """The lattice coordinates of each axis, x first."""
+        return tuple(map(self._axis, range(len(self._per_axis))))
+
+    def _axis(self, k):
+        lo, n, d = self._per_axis[k]
+        return lo + d * np.arange(n + 1)
+
+    dx = property(lambda self: self._per_axis[0][2])
+    dy = property(lambda self: self._per_axis[1][2])
+
+    def xs(self):
+        return self._axis(0)
+
+    def ys(self):
+        return self._axis(1)
+
+
+@dataclass(frozen=True)
+class Domain2D(LatticeDomain):
     xmin: float
     xmax: float
     ymin: float
     ymax: float
     nx: int
     ny: int
-
-    def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("domain bounds must satisfy max > min")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"cell counts must be >= 2, got nx={self.nx}, ny={self.ny}")
-        if not all(0 < d < math.inf for d in (self.dx, self.dy)):
-            raise ValueError(f"cell sizes must be finite and positive, got dx={self.dx}, dy={self.dy}")
-
-    @property
-    def dx(self):
-        return (self.xmax - self.xmin) / self.nx
-
-    @property
-    def dy(self):
-        return (self.ymax - self.ymin) / self.ny
-
-    def xs(self):
-        return self.xmin + self.dx * np.arange(self.nx + 1)
-
-    def ys(self):
-        return self.ymin + self.dy * np.arange(self.ny + 1)
 
 
 @dataclass
@@ -169,15 +194,17 @@ def _run_bands(run, bounds, workers):
 
 def _sample_banded(field, axes, workers, out=None):
     """Samples of field over the lattice spanned by axes (x first), indexed
-    slowest axis first and evaluated in bands of the slowest axis, and the
-    largest and smallest of them (nan when a sample is nan).
+    slowest axis first and evaluated in bands of the slowest axis, and their
+    largest |sample|.
 
     Each band holds at most BAND_SAMPLES samples (at least one row) and is
     written straight into out (default: a new array): a field whose
     `fills_out` attribute is true is called with out= the band's view and
     fills it, any other field's result is assigned to the band. The samples
     are independent of the band size and the worker count: each sample is
-    one scalar expression.
+    one scalar expression. A non-finite sample raises a ValueError naming
+    the first one in lattice order; each band's max and min carry nan and
+    +-inf through, so only a failed check reads the samples again.
     """
     n = len(axes)
     # axis k varies along array dimension n - 1 - k
@@ -193,32 +220,22 @@ def _sample_banded(field, axes, workers, out=None):
                 field(*coords[:-1], coords[-1][lo:hi], out=band)
             else:
                 band[...] = field(*coords[:-1], coords[-1][lo:hi])
-        return band.max(), band.min()
+        return max(band.max(), -band.min())
 
     rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
     bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
-    top, bottom = np.array(_run_bands(lambda spans: [run(lo, hi) for lo, hi in spans], bounds, workers)).T
-    return vals, top.max(), bottom.min()
-
-
-def _require_finite(vals, axes, top, bottom):
-    """Raise the ValueError naming the first non-finite sample of vals (the
-    lattice of axes, as `_sample_banded` gives it) unless its largest and
-    smallest samples, top and bottom, are finite: max and min carry nan and
-    +-inf through, so only a failed check reads the samples again."""
-    if not (math.isfinite(top) and math.isfinite(bottom)):
+    peak = np.max(_run_bands(lambda spans: [run(lo, hi) for lo, hi in spans], bounds, workers))
+    if not math.isfinite(peak):
         index = np.argwhere(~np.isfinite(vals))[0][::-1]
         where = ", ".join(f"{a[i]}" for a, i in zip(axes, index))
         raise ValueError(f"non-finite field value at sample ({where})")
+    return vals, peak
 
 
 def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D:
     """Evaluate a field on the domain lattice, partitioned over row bands.
     `contour` contours a field without holding this grid."""
-    axes = (domain.xs(), domain.ys())
-    vals, top, bottom = _sample_banded(field, axes, workers)
-    _require_finite(vals, axes, top, bottom)
-    return Grid2D(domain, vals, field=field)
+    return Grid2D(domain, _sample_banded(field, domain.axes(), workers)[0], field=field)
 
 
 def _slab_bounds(axes):
@@ -234,23 +251,21 @@ def _slab_bounds(axes):
 def _slab_loader(field, axes):
     """load(k0, k1, below) for `_mesh_bands`: the samples of field on layers
     k0..k1 of the lattice of axes (x first) along its slowest axis, indexed
-    slowest axis first, and their largest |sample|.
+    slowest axis first, and the largest |sample| of those it sampled.
 
     below is None or layer k0 as the band below loaded it: then that layer
     is copied, not sampled again, with the same bits (each sample is one
-    scalar expression). A non-finite sample raises the ValueError
-    `_require_finite` raises, so no band is meshed, or handed up, with one.
+    scalar expression), nor checked again. `_sample_banded` checks the rest,
+    so no band is meshed, or handed up, with a non-finite sample.
     """
     *across, slow = axes
 
     def load(k0, k1, below):
         vals = np.empty((k1 - k0 + 1,) + tuple(len(a) for a in reversed(across)))
         first = 0 if below is None else 1
-        if below is not None:
+        if first:
             vals[0] = below
-        _, top, bottom = _sample_banded(field, (*across, slow[k0 + first:k1 + 1]), 1, vals[first:])
-        _require_finite(vals, (*across, slow[k0:k1 + 1]), top, bottom)
-        return vals, max(top, -bottom)
+        return vals, _sample_banded(field, (*across, slow[k0 + first:k1 + 1]), 1, vals[first:])[1]
 
     return load
 
@@ -465,58 +480,79 @@ def _mesh_bands(load, bounds, coords, steps, slots, cases, workers):
     return points, elements
 
 
+def _mesh_lattice(source, domain, slots, cases, workers):
+    """Points and elements of the zero level set on the lattice of domain:
+    `_mesh_bands` over the bands of `_slab_bounds`, on `workers` threads
+    (default `default_workers()`), with cases(k0, cells, code, lattice) as
+    its cases.
+
+    source is a field, sampled band by band by `_slab_loader` as each band
+    starts (lattice is None), or the samples of the whole lattice, slowest
+    axis first, meshed over views (lattice is (samples, their largest
+    |sample|), taken once).
+    """
+    axes = domain.axes()
+    if callable(source):
+        load, lattice = _slab_loader(source, axes), None
+    else:
+        lattice = source, max(source.max(), -source.min())
+
+        def load(k0, k1, below):
+            return source[k0:k1 + 1], lattice[1]
+
+    return _mesh_bands(load, _slab_bounds(axes), axes, domain.steps(), slots,
+                       lambda k0, cells, code: cases(k0, cells, code, lattice), workers)
+
+
 def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polyline]:
     """Extract the zero level set of a field as polylines:
     `marching_squares` of `sample_grid2d`, byte for byte, without holding the
     sampled grid.
 
-    This is the band kernel (`_mesh_bands`) over row bands of at most
-    SLAB_SAMPLES samples, sampled by `_slab_loader` as they start, one run of
-    bands per thread (`workers`, default `default_workers()`). A non-finite
-    sample raises the ValueError `sample_grid2d` raises.
+    This is the band kernel (`_mesh_lattice`) over row bands of at most
+    SLAB_SAMPLES samples, each sampled as it starts, one run of bands per
+    thread (`workers`, default `default_workers()`). A non-finite sample
+    raises the ValueError `sample_grid2d` raises.
     """
-    axes = (domain.xs(), domain.ys())
-    return _polylines(_slab_loader(field, axes), _slab_bounds(axes), domain, field, workers)
+    return _polylines(field, domain, field, workers)
 
 
 def marching_squares(grid: Grid2D) -> list[Polyline]:
     """Extract the zero level set of a sampled field as polylines.
 
     Saddle cells are disambiguated by the sign of the cell-center field value,
-    all centers in one field call (or by the sum of the corners when the grid
-    carries no field handle). Polylines that touch the domain boundary are
-    open; all others are closed.
+    one field call for a band's centers (or by the sum of the corners when
+    the grid carries no field handle). Polylines that touch the domain
+    boundary are open; all others are closed.
 
-    This is the band kernel of marching cubes (`_mesh_bands`), run over
-    views of the samples as one band in the calling thread. Only active cells
-    are visited and only crossing edges get a vertex: every x-edge crossing
-    in (j, i) lattice order, then every y-edge crossing. Exact-zero samples
-    count as outside and are nudged toward positive (by ZERO_NUDGE times the
-    grid's largest |sample|) where they end a crossing edge; `grid.samples`
-    is left untouched. Segments follow cell order, and a segment whose ends
-    coincide is dropped. Each polyline is the chain of one first segment
-    (the first not yet used), grown forward from its tail, then backward
-    from its head; polylines are ordered by their first segment.
+    This is the band kernel of marching cubes (`_mesh_lattice`), run over
+    views of the samples: the row bands of `contour`, on
+    `default_workers()` threads. Only active cells are visited and only
+    crossing edges get a vertex: every x-edge crossing in (j, i) lattice
+    order, then every y-edge crossing. Exact-zero samples count as outside
+    and are nudged toward positive (by ZERO_NUDGE times the grid's largest
+    |sample|) where they end a crossing edge; `grid.samples` is left
+    untouched. Segments follow cell order, and a segment whose ends coincide
+    is dropped. Each polyline is the chain of one first segment (the first
+    not yet used), grown forward from its tail, then backward from its head;
+    polylines are ordered by their first segment. The output depends on
+    neither the bands nor the threads.
     """
-    vals = grid.samples
-    peak = max(vals.max(), -vals.min())
-    return _polylines(lambda k0, k1, below: (vals[k0:k1 + 1], peak), (0, grid.domain.ny), grid.domain,
-                      grid.field, 1, (vals, peak))
+    return _polylines(grid.samples, grid.domain, grid.field, None)
 
 
-def _polylines(load, bounds, domain, field, workers, lattice=None):
-    """The polylines of the band kernel run over the row bands between
-    bounds, whose samples load(k0, k1, below) gives, on `workers` threads.
+def _polylines(source, domain, field, workers):
+    """The polylines of `_mesh_lattice(source, domain, ...)` on `workers`
+    threads.
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
-    or, when field is None, by the sum of its corners in the samples of
-    lattice = (the whole lattice's samples, their largest |sample|), zeros
-    nudged by that largest |sample|.
+    or, when field is None, by the sum of its corners in the lattice's
+    samples, zeros nudged by their largest |sample|.
     """
-    xs, ys = domain.xs(), domain.ys()
+    xs, ys = domain.axes()
 
-    def cases(k0, cells, code):
+    def cases(k0, cells, code, lattice):
         key = code.astype(np.intp)
         saddle = np.flatnonzero((code == 6) | (code == 9))
         if len(saddle):
@@ -533,7 +569,7 @@ def _polylines(load, bounds, domain, field, workers, lattice=None):
             key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
         return _SEGMENTS[key]
 
-    points, segments = _mesh_bands(load, bounds, (xs, ys), (domain.dx, domain.dy), _SLOTS, cases, workers)
+    points, segments = _mesh_lattice(source, domain, _SLOTS, cases, workers)
     a, b = segments.T
     keep = (points[a] != points[b]).any(axis=1)
     return _chains(a[keep], b[keep], points)

@@ -10,25 +10,24 @@ of both signs) and the crossing edges; it builds no per-edge id volume and
 never writes to the samples.
 
 Extraction is the band kernel of marching squares (`contour2d._mesh_bands`)
-over z-slabs of cell layers, with the marching-cubes table as its cases.
-`polygonize` samples each slab as it goes (`contour2d._slab_loader`, which
-`contour2d.contour` shares), so the whole (nx+1)(ny+1)(nz+1) volume is never
+over z-slabs of cell layers, with the marching-cubes table as its cases, run
+through `contour2d._mesh_lattice`: `polygonize` samples each slab as it goes,
+as `contour2d.contour` does, so the whole (nx+1)(ny+1)(nz+1) volume is never
 held; `marching_cubes` runs the same slabs over views of a sampled grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour2d import _mesh_bands, _require_finite, _sample_banded, _slab_bounds, _slab_loader
+from .contour2d import LatticeDomain, _mesh_lattice, _sample_banded
 from .mc_tables import TRI_TABLE
 
 
 @dataclass(frozen=True)
-class Domain3D:
+class Domain3D(LatticeDomain):
     xmin: float
     xmax: float
     ymin: float
@@ -39,38 +38,10 @@ class Domain3D:
     ny: int
     nz: int
 
-    def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin and self.zmax > self.zmin):
-            raise ValueError("domain bounds must satisfy max > min")
-        if min(self.nx, self.ny, self.nz) < 2:
-            raise ValueError(
-                f"cell counts must be >= 2, got nx={self.nx}, ny={self.ny}, nz={self.nz}"
-            )
-        if not all(0 < d < math.inf for d in (self.dx, self.dy, self.dz)):
-            raise ValueError(
-                f"cell sizes must be finite and positive, got dx={self.dx}, dy={self.dy}, dz={self.dz}"
-            )
-
-    @property
-    def dx(self):
-        return (self.xmax - self.xmin) / self.nx
-
-    @property
-    def dy(self):
-        return (self.ymax - self.ymin) / self.ny
-
-    @property
-    def dz(self):
-        return (self.zmax - self.zmin) / self.nz
-
-    def xs(self):
-        return self.xmin + self.dx * np.arange(self.nx + 1)
-
-    def ys(self):
-        return self.ymin + self.dy * np.arange(self.ny + 1)
+    dz = property(lambda self: self._per_axis[2][2])
 
     def zs(self):
-        return self.zmin + self.dz * np.arange(self.nz + 1)
+        return self._axis(2)
 
 
 @dataclass
@@ -113,10 +84,7 @@ class TriangleMesh:
 def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D:
     """Evaluate a field on the whole voxel lattice, in bands of z-planes.
     `polygonize` meshes a field without holding this volume."""
-    axes = (domain.xs(), domain.ys(), domain.zs())
-    vals, top, bottom = _sample_banded(field, axes, workers)
-    _require_finite(vals, axes, top, bottom)
-    return Grid3D(domain, vals.reshape(-1))
+    return Grid3D(domain, _sample_banded(field, domain.axes(), workers)[0].reshape(-1))
 
 
 # (dk, dj, di) lattice offset of cell corners 0-7 in mc_tables' numbering
@@ -139,7 +107,7 @@ _CODE_TO_CASE = sum(
 _TRIANGLES = TRI_TABLE[_CODE_TO_CASE, :15].reshape(256, 5, 3)[:, :, ::-1].astype(np.int8)
 
 
-def _cell_triangles(k0, cells, code):
+def _cell_triangles(k0, cells, code, lattice):
     """The band kernel's cases: the triangles of each active cell as rows of
     cell edge slots, padded with -1.
 
@@ -156,17 +124,13 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     """Mesh the zero isosurface of a field: `marching_cubes` of
     `sample_grid3d`, byte for byte, without holding the sampled volume.
 
-    This is the band kernel (`contour2d._mesh_bands`) over the slabs of
-    `contour2d._slab_bounds`, sampled by `contour2d._slab_loader` as they
-    start, one run of slabs per thread (`workers`, default
-    `contour2d.default_workers()`); a slab takes its bottom plane from the
-    slab below in its run. A non-finite sample raises the ValueError
-    `sample_grid3d` raises.
+    This is the band kernel (`contour2d._mesh_lattice`) over z-slabs of at
+    most `contour2d.SLAB_SAMPLES` samples, each sampled as it starts, one run
+    of slabs per thread (`workers`, default `contour2d.default_workers()`);
+    a slab takes its bottom plane from the slab below in its run. A
+    non-finite sample raises the ValueError `sample_grid3d` raises.
     """
-    axes = (domain.xs(), domain.ys(), domain.zs())
-    steps = (domain.dx, domain.dy, domain.dz)
-    return TriangleMesh(*_mesh_bands(_slab_loader(field, axes), _slab_bounds(axes), axes, steps, _SLOTS,
-                                     _cell_triangles, workers))
+    return TriangleMesh(*_mesh_lattice(field, domain, _SLOTS, _cell_triangles, workers))
 
 
 def marching_cubes(grid: Grid3D) -> TriangleMesh:
@@ -182,12 +146,9 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
     ZERO_NUDGE times the grid's largest |sample|) where they end a crossing
     edge; `grid.samples` is left untouched.
 
-    This is the band kernel of `polygonize` and `marching_squares`, run over
-    views of the samples: slabs of at most `contour2d.SLAB_SAMPLES` samples,
-    on `contour2d.default_workers()` threads. The output depends on neither.
+    This is the band kernel of `polygonize` and `marching_squares`
+    (`contour2d._mesh_lattice`), run over views of the samples: slabs of at
+    most `contour2d.SLAB_SAMPLES` samples, on `contour2d.default_workers()`
+    threads. The output depends on neither.
     """
-    d, vals = grid.domain, grid.view3d()
-    axes = (d.xs(), d.ys(), d.zs())
-    peak = max(vals.max(), -vals.min())
-    return TriangleMesh(*_mesh_bands(lambda k0, k1, below: (vals[k0:k1 + 1], peak), _slab_bounds(axes), axes,
-                                     (d.dx, d.dy, d.dz), _SLOTS, _cell_triangles, None))
+    return TriangleMesh(*_mesh_lattice(grid.view3d(), grid.domain, _SLOTS, _cell_triangles, None))

@@ -390,7 +390,7 @@ class TestExitCodes:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr == ("numeric error: vertex coordinates outside the float32 range of STL, "
                                    "[-3.4028235e+38, 3.4028235e+38]\n")
-            assert out.read_bytes() == b""
+            assert not out.exists()
             return
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         raw = out.read_bytes()
@@ -432,6 +432,34 @@ class TestExitCodes:
         assert cli.main(argv) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["steps_00", "steps_01", "steps_02"]
         assert (tmp_path / "steps_02").read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("out, names", [
+        ("sw.d/fig", ["fig_00", "fig_01"]),
+        ("sw.d/.hidden", [".hidden_00", ".hidden_01"]),
+        ("sw.d/fig2.svg", ["fig2_00.svg", "fig2_01.svg"]),
+    ])
+    def test_sweep_numbers_the_file_name_before_its_extension(self, tmp_path, out, names):
+        # a dot in the directory or a leading dot of the file name is no extension
+        (tmp_path / "sw.d").mkdir()
+        argv = ["sweep", "--family", "fg", "--param", "s", "--from", "0", "--to", "1", "--steps", "2",
+                "--grid", "16", "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw.d"]
+        assert sorted(p.name for p in (tmp_path / "sw.d").iterdir()) == names
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier file\n"])
+    def test_a_writer_that_fails_before_writing_leaves_out_untouched(self, tmp_path, capsys, earlier):
+        # write_stl raises before its first byte, so --out is never opened
+        out = tmp_path / "x.stl"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        assert cli.main(["surface", "--family", "lame3d", "--radius", "1e300", "--grid", "16", "--format", "stl",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numeric error: vertex coordinates outside the float32 range")
+        if earlier is None:
+            assert not list(tmp_path.iterdir())
+        else:
+            assert out.read_bytes() == earlier
 
     def test_non_finite_samples_are_a_numeric_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "make_field2d", lambda spec: lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))

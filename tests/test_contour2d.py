@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,6 +58,36 @@ class TestDomain2D:
         # the span overflows to inf, or 5e-324 / 2 rounds to 0
         with pytest.raises(ValueError, match="cell sizes must be finite and positive"):
             Domain2D(*bounds, 2, 2)
+
+
+@pytest.mark.parametrize("cls, bounds, counts, texts", [
+    (Domain2D, (-2.0, 2.0, -1.0, 0.7), (4, 3), ("nx=4, ny=1", "dx=1.0, dy=0.0")),
+    (Domain3D, (-2.0, 2.0, -1.0, 0.7, 0.1, 0.9), (4, 3, 5),
+     ("nx=4, ny=3, nz=1", "dx=1.0, dy=0.5666666666666667, dz=0.0")),
+])
+class TestLatticeDomain:
+    # Domain2D and Domain3D share one body; the last axis is the one made bad
+
+    def test_messages(self, cls, bounds, counts, texts):
+        for bad_bounds, bad_counts, message in [
+            (bounds[:-2] + bounds[:-3:-1], counts, "domain bounds must satisfy max > min"),
+            (bounds, counts[:-1] + (1,), f"cell counts must be >= 2, got {texts[0]}"),
+            (bounds[:-2] + (0.0, 5e-324), counts, f"cell sizes must be finite and positive, got {texts[1]}"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                cls(*bad_bounds, *bad_counts)
+            assert str(err.value) == message
+
+    def test_axes_and_steps_are_the_per_axis_accessors(self, cls, bounds, counts, texts):
+        dom = cls(*bounds, *counts)
+        names = "xyz"[:len(counts)]
+        steps = tuple(getattr(dom, f"d{a}") for a in names)
+        axes = tuple(getattr(dom, f"{a}s")() for a in names)
+        assert np.array(dom.steps()).tobytes() == np.array(steps).tobytes()
+        assert [a.tobytes() for a in dom.axes()] == [a.tobytes() for a in axes]
+        for k, (lo, hi, n) in enumerate(zip(bounds[::2], bounds[1::2], counts)):
+            assert np.float64(steps[k]).tobytes() == np.float64((hi - lo) / n).tobytes()
+            assert axes[k].tobytes() == (lo + steps[k] * np.arange(n + 1)).tobytes()
 
 
 class TestSampleGrid2d:
@@ -430,6 +461,34 @@ class TestBandKernel:
             mp.setattr(contour2d, "_mesh_bands", banded)
             mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
             assert_same_polylines(grid)
+
+    @pytest.mark.parametrize("field", [None, saddle_field])
+    def test_workers_do_not_change_marching_squares(self, monkeypatch, field):
+        # 9 bands of 4 cell rows, pooled on 3 workers; signed zeros and
+        # saddles in every band, the largest |sample| in one band only. The
+        # saddle at row 2 is outside only by the nudge of the whole grid's
+        # largest |sample|: 2 x 7e-12 - 2 x 5e-12 > 0 > 2 x 2e-12 - 2 x 5e-12
+        rng = np.random.default_rng(20)
+        samples = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(37, 37))
+        samples[30, 5] = 7.0
+        samples[2:4, 2:4] = [[0.0, -5e-12], [-5e-12, 0.0]]
+        grid = Grid2D(Domain2D(-2, 2, -1.5, 2.5, 36, 36), samples, field=field)
+        pools = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(contour2d, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(contour2d, "SLAB_SAMPLES", 5 * 37)
+        assert len(contour2d._slab_bounds(grid.domain.axes())) - 1 == 9
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setenv("SQUIRCLES_WORKERS", str(workers))
+            runs.append(assert_same_polylines(grid))
+        assert pools == [3]
+        assert [(p.closed, p.points.tobytes()) for p in runs[0]] == [(p.closed, p.points.tobytes()) for p in runs[1]]
 
     def test_ids_past_int32_are_exact(self):
         # a band whose ids pass 2**31 - 1 gets int64 ids, not wrapped ones

@@ -262,7 +262,9 @@ class TestWholeArrayWriters:
         write_obj(mesh, sink, comment=comment)
         assert sink.getvalue() == ref_obj(mesh, comment)
 
-    @given(polyline_lists(), st.lists(COORDS, min_size=2, max_size=2, unique=True).map(sorted))
+    # a y range whose 16 cell sizes are finite and positive, as Domain2D requires
+    @given(polyline_lists(), st.lists(COORDS, min_size=2, max_size=2, unique=True).map(sorted)
+           .filter(lambda ys: 0 < (ys[1] - ys[0]) / 16 < math.inf))
     def test_svg_matches_per_value_format(self, polylines, ys):
         domain = Domain2D(-2.0, 2.0, *ys, 16, 16)
         sink = io.BytesIO()
