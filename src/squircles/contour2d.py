@@ -12,10 +12,12 @@ signs) and the crossing edges, and never writes to the samples. One entry,
 `marching_cubes`: from a field, sampled band by band as each starts
 (`_slab_loader`), so no whole lattice is held, or from a sampled lattice.
 `LatticeDomain` is the one body of `Domain2D` and `Domain3D`, and
-`_sample_banded` the one sampler, which checks its own samples. Marching
-squares' segments follow cell order, and chains follow segment order: each
-chain starts at the first segment no earlier chain used, grows forward from
-its tail, then backward from its head.
+`_sample_banded` the one sampler, which checks its own samples. A large 2D
+lattice of a field with keys is meshed only in the blocks the curve may
+cross (`_sparse_mesh`), to the same points and segments. Marching squares'
+segments follow cell order, and chains follow segment order: each chain
+starts at the first segment no earlier chain used, grows forward from its
+tail, then backward from its head.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ POOL_MIN_BANDS = 2
 # half the grid-128 volume, the tracemalloc bound the tests set. A 2D curve
 # at grid 2048 is then 9 bands of 254 cell rows.
 SLAB_SAMPLES = 4 * BAND_SAMPLES
+
+# Cells along each side of the blocks whose sign `_block_signs` tries to
+# prove. A grid-2048 curve crosses about 5% of such blocks at tiles 1 and at
+# most 16% at tiles 3.
+BLOCK_CELLS = 32
+
+# How far past zero, relative to the bound `Keys.terms` puts on the field's
+# terms over a block, its corner values must lie to prove the block's sign:
+# far above the rounding of any sample, so each sample has that sign too.
+CERTIFY_MARGIN = 1e-9
 
 # numpy's floating-point warnings, off in field calls: the finite check names
 # the first bad sample instead, also when warnings are errors (`python -W
@@ -270,15 +282,17 @@ def _slab_loader(field, axes):
     return load
 
 
-def _active_cells(inside):
+def _active_cells(inside, ndim=None):
     """Flat indices (in lattice order) and sign codes of the cells whose
-    corners have both signs.
+    corners have both signs, over the last ndim axes of inside (default:
+    all); any axes before them index a stack of lattices.
 
     A cell's code has the corner at lattice offset (..., dj, di) at bit
     ... + 2 dj + di. It is built one axis at a time, one byte per sample.
     """
+    ndim = inside.ndim if ndim is None else ndim
     code = inside.view(np.uint8)
-    for axis in range(inside.ndim):
+    for axis in range(ndim):
         dim = inside.ndim - 1 - axis
         # shifted by a multiply: numpy's uint8 shift runs several times slower
         high = code[(slice(None),) * dim + (slice(1, None),)] * (1 << (1 << axis))
@@ -287,7 +301,7 @@ def _active_cells(inside):
     # minus 1 wraps the all-outside 0 to 255, so one compare drops it and the
     # all-inside code
     code -= 1
-    cells = np.flatnonzero(code < (1 << (1 << inside.ndim)) - 2)
+    cells = np.flatnonzero(code < (1 << (1 << ndim)) - 2)
     return cells, code.reshape(-1)[cells] + 1
 
 
@@ -301,15 +315,16 @@ def _nudge_zeros(peak, *gathered):
             g[z] = nudge
 
 
-def _edge_crossings(vals, inside):
+def _edge_crossings(vals, inside, ndim=None):
     """The lattice edges whose ends differ in sign, per axis (x first), in
     lattice order: the lattice index of each edge's low end (a tuple of
     arrays, slowest axis first), its flat index into vals and the samples at
-    both ends. vals and inside (vals < 0) are indexed slowest axis first."""
+    both ends. vals and inside (vals < 0) are indexed slowest axis first;
+    only the last ndim axes (default: all) are lattice axes."""
     n = vals.ndim
     flat = vals.reshape(-1)
     crossings = []
-    for axis in range(n):
+    for axis in range(n if ndim is None else ndim):
         dim = n - 1 - axis
         shape = vals.shape[:dim] + (vals.shape[dim] - 1,) + vals.shape[dim + 1:]
         # np.diff is not_equal on booleans; only its nonzero positions are kept
@@ -408,12 +423,17 @@ def _band(load, k0, k1, below, top, slots, cases):
     del inside
     ids = _slot_ids(code, slots, indices, cell_shape, first_ids)
     del indices
-    rows = cases(k0, cells, code)
+    return peak, layer, (kept, _element_ids(cases(k0, cells, code), ids), first_ids)
+
+
+def _element_ids(rows, ids):
+    """The elements of rows (per active cell, its elements as edge slots,
+    -1 padded), in cell order, as the ids[slot, cell] of their slots."""
     # the (cell, element) pairs that hold an element, in order, and each
     # element's slots, gathered from ids as one flat array
     pick = np.flatnonzero(rows[:, :, 0] >= 0)
     ends = rows.reshape(-1, rows.shape[2])[pick].astype(np.intp)
-    return peak, layer, (kept, ids.reshape(-1)[ends * len(code) + (pick // rows.shape[1])[:, None]], first_ids)
+    return ids.reshape(-1)[ends * ids.shape[1] + (pick // rows.shape[1])[:, None]]
 
 
 def _mesh_bands(load, bounds, coords, steps, slots, cases, workers):
@@ -504,15 +524,137 @@ def _mesh_lattice(source, domain, slots, cases, workers):
                        lambda k0, cells, code: cases(k0, cells, code, lattice), workers)
 
 
+def _key_blocks(key, n):
+    """Per block of BLOCK_CELLS cells along an axis of n cells, given the
+    keys of its n + 1 samples: the sample indices of the least and of the
+    greatest key in the block's closed sample range, and its largest |key|."""
+    blocks = -(-n // BLOCK_CELLS)
+    # the last sample repeated past the lattice's end changes no extreme
+    # and, coming after it, no first index of one
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(key, (0, blocks * BLOCK_CELLS - n), mode="edge"), BLOCK_CELLS + 1)[::BLOCK_CELLS]
+    start = BLOCK_CELLS * np.arange(blocks)
+    return start + windows.argmin(axis=1), start + windows.argmax(axis=1), np.abs(windows).max(axis=1)
+
+
+def _block_signs(field, keys, axes):
+    """The proven sign of every sample in each block of BLOCK_CELLS x
+    BLOCK_CELLS cells of the lattice of axes (x first), indexed (block row,
+    block column): +1 or -1, or 0 where no sign is proven.
+
+    The field, monotone or multilinear in the keys (`fields2d.Keys`), is
+    bounded over a block by its values at the 4 samples that pair each
+    axis's least and greatest key in the block. A sign is proven when the 4
+    are finite and all lie beyond CERTIFY_MARGIN times `keys.terms` of the
+    block's largest |keys|, a normal float.
+    """
+    xs, ys = axes
+    with np.errstate(**_FIELD_ERRSTATE):
+        (x0, x1, kx), (y0, y1, ky) = (_key_blocks(keys.key(a), len(a) - 1) for a in axes)
+        corners = field(xs[np.stack([x0, x1])][:, None, None, :], ys[np.stack([y0, y1])][None, :, :, None])
+        margin = CERTIFY_MARGIN * keys.terms(kx[None, :], ky[:, None])
+    corners = corners.reshape(4, len(y0), len(x0))
+    low, high = corners.min(axis=0), corners.max(axis=0)
+    proven = np.isfinite(corners).all(axis=0) & (margin >= np.finfo(float).tiny) & (margin < np.inf)
+    return proven * ((low > margin).astype(np.int8) - (high < -margin))
+
+
+def _sparse_mesh(field, keys, domain, cases, workers):
+    """`_mesh_lattice`'s points and segments for a 2D field with keys, from
+    the samples of the blocks whose sign `_block_signs` does not prove, or
+    None where one of those samples is not finite.
+
+    The closed sample ranges of those blocks, in block order, are stacked
+    and sampled in chunks of at most SLAB_SAMPLES samples (at least one
+    block), one field call each, on `_run_bands(..., workers)`. A proven
+    block has no active cell nor crossing edge, so each crossing edge is in
+    one or two of the sampled blocks and each active cell in one. Their
+    crossings are mapped to lattice indices, the copies of an edge that two
+    blocks share are dropped and the rest put in lattice order, x-edges
+    first; the active cells are put in cell order and meshed by
+    cases(cells, code). An exact zero that ends a crossing edge is nudged by
+    the largest |sample| of the whole lattice, sampled for that alone.
+    """
+    axes = xs, ys = domain.axes()
+    nx, ny, b = domain.nx, domain.ny, BLOCK_CELLS
+    block_rows, block_cols = np.nonzero(_block_signs(field, keys, axes) == 0)
+    if not len(block_rows):
+        return np.empty((0, 2)), np.empty((0, 2), dtype=np.int64)
+    # each block's closed sample range per axis; past the lattice's last
+    # sample it repeats that sample, so it adds no crossing that is not a copy
+    span = np.arange(b + 1)
+    rows = np.minimum(b * block_rows[:, None] + span, ny)
+    cols = np.minimum(b * block_cols[:, None] + span, nx)
+    fills = getattr(field, "fills_out", False)
+
+    def run(c0, c1):
+        x, y = xs[cols[c0:c1, None, :]], ys[rows[c0:c1, :, None]]
+        vals = np.empty((c1 - c0, b + 1, b + 1))
+        with np.errstate(**_FIELD_ERRSTATE):
+            if fills:
+                field(x, y, out=vals)
+            else:
+                vals[...] = field(x, y)
+        if not math.isfinite(max(vals.max(), -vals.min())):
+            return None
+        inside = vals < 0
+        # per axis: the flat index of each crossing edge among that axis's
+        # lattice edges, (ny + 1) x nx for x, ny x (nx + 1) for y
+        edges = [(rows[c0 + c, j] * (nx + axis) + cols[c0 + c, i], v0, v1)
+                 for axis, ((c, j, i), _, v0, v1) in enumerate(_edge_crossings(vals, inside, 2))]
+        cells, code = _active_cells(inside, 2)
+        c, j, i = np.unravel_index(cells, (c1 - c0, b, b))
+        j += b * block_rows[c0 + c]
+        i += b * block_cols[c0 + c]
+        real = (j < ny) & (i < nx)
+        return edges, j[real] * nx + i[real], code[real]
+
+    per = max(1, SLAB_SAMPLES // (b + 1) ** 2)
+    bounds = np.arange(0, len(rows) + per, per).clip(max=len(rows))
+    parts = _run_bands(lambda spans: [run(c0, c1) for c0, c1 in spans], bounds, workers)
+    if any(part is None for part in parts):
+        return None
+    flats, crossings = [], []
+    for axis in range(2):
+        flat, v0, v1 = (np.concatenate([part[0][axis][k] for part in parts]) for k in range(3))
+        flat, first = np.unique(flat, return_index=True)
+        v0, v1 = v0[first], v1[first]
+        zero = np.flatnonzero((v0 == 0.0) | (v1 == 0.0))
+        flats.append(flat)
+        crossings.append((v0 / (v0 - v1), zero, v0[zero], v1[zero]))
+    if any(len(zero) for _, zero, _, _ in crossings):
+        load = _slab_loader(field, axes)
+        peak = max(_run_bands(lambda spans: [load(k0, k1, None)[1] for k0, k1 in spans], _slab_bounds(axes), workers))
+        _nudge_zeros(peak, *(v for _, _, v0, v1 in crossings for v in (v0, v1)))
+        for t, zero, v0, v1 in crossings:
+            t[zero] = v0 / (v0 - v1)
+    points = np.concatenate([_edge_points(np.divmod(flat, nx + axis), t, axes, domain.steps(), axis)
+                             for axis, (flat, (t, *_)) in enumerate(zip(flats, crossings))])
+
+    cells, code = (np.concatenate([part[k] for part in parts]) for k in (1, 2))
+    order = np.argsort(cells)
+    cells, code = cells[order], code[order]
+    # the point id of each cell edge slot, wherever that edge crosses
+    j, i = np.divmod(cells, nx)
+    first_ids = (0, len(flats[0]))
+    ids = np.stack([first_ids[axis] + np.searchsorted(flats[axis], (j + dj) * (nx + axis) + i + di)
+                    for axis, (dj, di) in _SLOTS])
+    return points, _element_ids(cases(cells, code), ids)
+
+
 def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polyline]:
     """Extract the zero level set of a field as polylines:
     `marching_squares` of `sample_grid2d`, byte for byte, without holding the
     sampled grid.
 
-    This is the band kernel (`_mesh_lattice`) over row bands of at most
-    SLAB_SAMPLES samples, each sampled as it starts, one run of bands per
-    thread (`workers`, default `default_workers()`). A non-finite sample
-    raises the ValueError `sample_grid2d` raises.
+    A field with keys (`fields2d.Keys`) on a lattice of more than
+    SLAB_SAMPLES samples is sampled and meshed only in the blocks whose sign
+    `_block_signs` does not prove (`_sparse_mesh`). Any other, or one of
+    those with a non-finite sample, runs the band kernel (`_mesh_lattice`)
+    over row bands of at most SLAB_SAMPLES samples, each sampled as it
+    starts, one run of bands per thread (`workers`, default
+    `default_workers()`). A non-finite sample raises the ValueError
+    `sample_grid2d` raises.
     """
     return _polylines(field, domain, field, workers)
 
@@ -532,18 +674,20 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     order, then every y-edge crossing. Exact-zero samples count as outside
     and are nudged toward positive (by ZERO_NUDGE times the grid's largest
     |sample|) where they end a crossing edge; `grid.samples` is left
-    untouched. Segments follow cell order, and a segment whose ends coincide
-    is dropped. Each polyline is the chain of one first segment (the first
-    not yet used), grown forward from its tail, then backward from its head;
-    polylines are ordered by their first segment. The output depends on
-    neither the bands nor the threads.
+    untouched. Segments follow cell order; a segment whose ends coincide is
+    dropped and its ends welded (`_weld`). Each polyline is the chain of one
+    first segment (the first not yet used), grown forward from its tail, then
+    backward from its head; polylines are ordered by their first segment.
+    The output depends on neither the bands nor the threads.
     """
     return _polylines(grid.samples, grid.domain, grid.field, None)
 
 
 def _polylines(source, domain, field, workers):
     """The polylines of `_mesh_lattice(source, domain, ...)` on `workers`
-    threads.
+    threads, or, for a field with keys on a lattice of more than
+    SLAB_SAMPLES samples, of `_sparse_mesh`, which gives the same points and
+    segments, with zero-length segments welded away (`_weld`).
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
@@ -569,10 +713,33 @@ def _polylines(source, domain, field, workers):
             key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
         return _SEGMENTS[key]
 
-    points, segments = _mesh_lattice(source, domain, _SLOTS, cases, workers)
-    a, b = segments.T
-    keep = (points[a] != points[b]).any(axis=1)
-    return _chains(a[keep], b[keep], points)
+    keys = getattr(field, "keys", None) if callable(source) else None
+    mesh = None
+    if keys is not None and len(xs) * len(ys) > SLAB_SAMPLES:
+        mesh = _sparse_mesh(field, keys, domain, lambda cells, code: cases(0, cells, code, None), workers)
+    if mesh is None:
+        mesh = _mesh_lattice(source, domain, _SLOTS, cases, workers)
+    points, segments = mesh
+    # a closed chain of two points is a loop the weld shrank to nothing
+    return [line for line in _chains(*_weld(*segments.T, points), points) if len(line.points) > 2 or not line.closed]
+
+
+def _weld(a, b, points):
+    """The segments a[s]-b[s] over vertex ids without those whose ends
+    coincide, each such segment's ends welded into one vertex, transitively
+    (the least id of them), so that the chain through it does not split."""
+    same = (points[a] == points[b]).all(axis=1)
+    if not same.any():
+        return a, b
+    root = np.arange(len(points))
+    while True:
+        step = root.copy()
+        np.minimum.at(step, a[same], root[b[same]])
+        np.minimum.at(step, b[same], root[a[same]])
+        step = step[step]
+        if np.array_equal(step, root):
+            return root[a[~same]], root[b[~same]]
+        root = step
 
 
 def _chains(a, b, points):

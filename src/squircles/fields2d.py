@@ -37,12 +37,27 @@ class Family:
     """Everything the package encodes about one shape family: field(spec) builds
     its inside-negative field, each of checks(spec) raises ValueError on a bad
     parameter, bounds(spec, tiles) is the default (xmin, xmax, ymin, ymax[,
-    zmin, zmax]) and info is the `info` text."""
+    zmin, zmax]) and info is the `info` text. keys(spec), where a 2D field
+    has them, gives the field's `Keys`."""
 
     field: Callable
     checks: tuple
     bounds: Callable
     info: str
+    keys: Callable | None = None
+
+
+@dataclass(frozen=True)
+class Keys:
+    """A 2D field as a function of one key per axis, key(x) and key(y), in
+    each of which it is monotone or multilinear: over any box of key values
+    it takes its extremes at the box's corners. terms(kx, ky) bounds the sum
+    of the |terms| the field adds up where no |key| exceeds kx and ky, and so
+    the rounding of any of its values. `contour2d` certifies the sign of a
+    block of the lattice by these."""
+
+    key: Callable
+    terms: Callable
 
 
 def _check_spec(spec, families, dims):
@@ -103,6 +118,10 @@ def _scaled_pnorm(p, *parts, out=None):
     # Where m is 0 every part is 0, so max(m, 5e-324), the least positive
     # float, stands for m: each term and the result are +0 either way. It is
     # rebuilt from the parts (max is exact) rather than held in a second array.
+    # At p = inf the norm is the max, which those steps give too, except
+    # where every part is 0: there 0 ** (1/inf) = 1 would leave 5e-324.
+    if math.isinf(p):
+        return functools.reduce(lambda f, part: np.maximum(f, part, out=out), parts)
     low = np.maximum(functools.reduce(np.maximum, parts[:-1]), 5e-324)
     scratch = _scratch(out)
     f = np.divide(parts[0], np.maximum(low, parts[-1], out=out), out=out)
@@ -151,14 +170,28 @@ def eval_fg(x, y, s, r, out=None):
     return np.subtract(f, r * r, out=out)
 
 
+def _cos_key(c):
+    # the per-axis factor cos(c x) of the periodic and oblique fields: their
+    # keys are this very expression, so a key is the factor's bits
+    return lambda x: np.cos(c * x)
+
+
+def _periodic_key(s, r):
+    return _cos_key(s * np.pi / (2.0 * r))
+
+
+def _oblique_key(s, r):
+    return _cos_key(s * np.pi / r)
+
+
 def eval_periodic(x, y, s, r, out=None):
     """Doubly-periodic cosine-product squircle.
 
     The constant term is cos(s*pi/2), which puts (+-r, 0) and (0, +-r) on the
     curve for every s and r.
     """
-    c = s * np.pi / (2.0 * r)
-    f = np.multiply(np.cos(c * x), np.cos(c * y), out=out)
+    key = _periodic_key(s, r)
+    f = np.multiply(key(x), key(y), out=out)
     return np.subtract(np.cos(s * np.pi / 2.0), f, out=out)
 
 
@@ -167,9 +200,9 @@ def eval_oblique(x, y, s, r, h=0.0, out=None):
 
     The floor(s) factor keeps the overshoot h inert until s reaches 1.
     """
-    c = s * np.pi / r
-    f = 1.0 + np.cos(s * np.pi) - math.floor(s) * h - np.cos(c * x)
-    return np.subtract(f, np.cos(c * y), out=out)
+    key = _oblique_key(s, r)
+    f = 1.0 + np.cos(s * np.pi) - math.floor(s) * h - key(x)
+    return np.subtract(f, key(y), out=out)
 
 
 def eval_phase_grid(x, y, out=None):
@@ -186,10 +219,11 @@ def frantz_point(t, s, r):
     return r * np.tanh(s * np.cos(t)) / d, r * np.tanh(s * np.sin(t)) / d
 
 
-def _round_at_s0(build):
+def _round_at_s0(build, limit=None):
     # the periodic and oblique families reduce to 0 = 0 at s = 0; substitute
-    # their proven limit, the circle (sphere) of radius r
-    return lambda sp: _sphere(sp.r) if sp.s == 0 else build(sp)
+    # their proven limit, the circle (sphere) of radius r, or limit(r), the
+    # circle's keys
+    return lambda sp: (limit or _sphere)(sp.r) if sp.s == 0 else build(sp)
 
 
 def _sphere(r):
@@ -200,6 +234,23 @@ def _sphere(r):
         return np.subtract(f, r * r, out=out)
 
     return field
+
+
+def _circle_keys(r):
+    # x^2 + y^2 - r^2 is linear in the keys x^2 and y^2
+    return Keys(np.square, lambda kx, ky: kx + ky + r * r)
+
+
+def _lame_keys(sp):
+    # the p-norm of (|x|, |y|) grows with each and is at most |x| + |y|
+    return Keys(np.abs, lambda kx, ky: kx + ky + sp.r)
+
+
+def _fg_keys(sp):
+    # bilinear in x^2 and y^2, with the field's own coefficient of x^2 y^2,
+    # taken, as the field takes it, only when called (r * r may underflow to
+    # 0, and then both raise ZeroDivisionError)
+    return Keys(np.square, lambda kx, ky: kx + ky + (sp.s * sp.s) / (sp.r * sp.r) * kx * ky + sp.r * sp.r)
 
 
 def _parametric_only(spec):
@@ -213,21 +264,25 @@ def _square(ext):
 FAMILY_RECORDS_2D = {
     "lame": Family(
         field=lambda sp: lambda x, y, out=None: eval_lame(x, y, sp.p, sp.r, out), checks=(_P_AT_LEAST_1,),
-        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles), keys=_lame_keys,
         info="superellipse |x|^p + |y|^p = r^p; p in [1, inf], p=2 circle, p=inf axis square, p=1 tilted square"),
     "fg": Family(
         field=lambda sp: lambda x, y, out=None: eval_fg(x, y, sp.s, sp.r, out), checks=(_UNIT_S,),
-        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles), keys=_fg_keys,
         info="Fernandez-Guasti quartic x^2 + y^2 - (s^2/r^2) x^2 y^2 = r^2; s in [0, 1]"),
     "periodic": Family(
         field=_round_at_s0(lambda sp: lambda x, y, out=None: eval_periodic(x, y, sp.s, sp.r, out)),
         checks=(_UNIT_S,),
         bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        # bilinear in the cosines, each term at most 1 in size
+        keys=_round_at_s0(lambda sp: Keys(_periodic_key(sp.s, sp.r), lambda kx, ky: 2.0), _circle_keys),
         info="doubly-periodic cos(s pi x/2r) cos(s pi y/2r) = cos(s pi/2); s in (0, 1], square grid at s=1"),
     "oblique": Family(
         field=_round_at_s0(lambda sp: lambda x, y, out=None: eval_oblique(x, y, sp.s, sp.r, sp.h, out)),
         checks=(_UNIT_S, _require(lambda sp: 0 <= sp.h <= 2, "2D overshoot h must be in [0, 2], got {h}")),
         bounds=lambda sp, tiles: _square(1.2 * sp.r * tiles),
+        # linear in the cosines; 1 + cos(s pi) - floor(s) h is in [-2, 2]
+        keys=_round_at_s0(lambda sp: Keys(_oblique_key(sp.s, sp.r), lambda kx, ky: 4.0), _circle_keys),
         info="doubly-periodic cos(s pi x/r) + cos(s pi y/r) = 1 + cos(s pi) - floor(s) h; "
         "tilted square at s=1, overshoot h in [0, 2]"),
     "frantz": Family(
@@ -251,8 +306,13 @@ def make_field2d(spec: ShapeSpec2D):
 
     The field takes out=None: given an array of the broadcast shape of x and
     y, it writes its values there and returns it (`fills_out` says so to
-    `contour2d._sample_banded`).
+    `contour2d._sample_banded`). A family with keys gives the field its
+    `Keys` as `keys`, by which `contour2d.contour` skips the blocks of a
+    large lattice that the curve cannot cross.
     """
-    field = FAMILY_RECORDS_2D[spec.family].field(spec)
+    record = FAMILY_RECORDS_2D[spec.family]
+    field = record.field(spec)
     field.fills_out = True
+    if record.keys is not None:
+        field.keys = record.keys(spec)
     return field

@@ -22,7 +22,7 @@ from squircles.contour2d import (
     marching_squares,
     sample_grid2d,
 )
-from squircles.fields2d import FAMILY_RECORDS_2D, ShapeSpec2D, make_field2d
+from squircles.fields2d import FAMILY_RECORDS_2D, Keys, ShapeSpec2D, make_field2d
 from squircles.fields3d import FAMILIES_3D, ShapeSpec3D, make_field3d
 from squircles.polygonize3d import Domain3D, sample_grid3d
 
@@ -208,7 +208,9 @@ class TestGrid2D:
 
 # ---------------------------------------------------------------------------
 # Reference: the per-cell marching squares that the active-cell kernel
-# replaced, kept verbatim (dict case table, scalar saddle calls, dict chainer).
+# replaced, kept verbatim (dict case table, scalar saddle calls, dict chainer),
+# except that a dropped zero-length segment welds its two ends as the kernel
+# does.
 
 REF_CASE_SEGMENTS = {
     0: [],
@@ -276,6 +278,13 @@ def ref_marching_squares(grid):
             verts[key] = pt
         return pt
 
+    welded = {}
+
+    def find(key):
+        while key in welded:
+            key = welded[key]
+        return key
+
     segments = []
     for j, i in active:
         c = int(case[j, i])
@@ -295,8 +304,11 @@ def ref_marching_squares(grid):
             ka, kb = edge_key(ea, i, j), edge_key(eb, i, j)
             if vertex(ka) != vertex(kb):
                 segments.append((ka, kb))
+            elif find(ka) != find(kb):
+                # a segment whose ends coincide is dropped, its end kb welded onto ka
+                welded[find(kb)] = find(ka)
 
-    return ref_chain_segments(segments, verts)
+    return ref_chain_segments([(find(ka), find(kb)) for ka, kb in segments], verts)
 
 
 def ref_chain_segments(segments, verts):
@@ -571,11 +583,13 @@ def lattice_field2d(grid):
 def assert_fused_matches(field, dom, layers, workers):
     """contour, in row bands of `layers` cell rows on `workers` threads
     (pooled whenever workers > 1), gives marching_squares of sample_grid2d
-    byte for byte."""
+    byte for byte; a field with keys takes the band kernel too, not the
+    sparse route its lattice would take (see TestSparseContour)."""
     want = marching_squares(sample_grid2d(field, dom, workers=1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contour2d, "SLAB_SAMPLES", (layers + 1) * (dom.nx + 1))
         mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        mp.setattr(contour2d, "_sparse_mesh", lambda *args: None)
         assert len(contour2d._slab_bounds((dom.xs(), dom.ys()))) - 1 == -(-dom.ny // layers)
         got = contour(field, dom, workers=workers)
     assert [g.closed for g in got] == [w.closed for w in want]
@@ -679,3 +693,163 @@ class TestFusedContour:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 2049**2 * 8
+
+
+UNIT_S = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+# the 2D families whose fields have keys, over their parameters
+KEYED_SPECS = st.one_of(
+    st.builds(lambda p: ShapeSpec2D("lame", p=p), st.one_of(st.sampled_from([1.0, math.inf]), st.floats(1, 12))),
+    st.builds(lambda family, s: ShapeSpec2D(family, s=s), st.sampled_from(["fg", "periodic"]), UNIT_S),
+    st.builds(lambda s, h: ShapeSpec2D("oblique", s=s, h=h), UNIT_S, st.one_of(st.just(0.0), st.floats(0, 2))),
+)
+
+
+def shifted_domain(spec, n, tiles, shift):
+    d = default_domain2d(spec, n, tiles)
+    ox, oy = shift[0] * d.dx, shift[1] * d.dy
+    return Domain2D(d.xmin + ox, d.xmax + ox, d.ymin + oy, d.ymax + oy, n, n)
+
+
+def sparse_contour(field, dom, block, workers):
+    """contour on blocks of `block` cells, sampled in chunks of two blocks
+    (pooled whenever workers > 1), and what each `_sparse_mesh` call gave."""
+    meshes = []
+    sparse = contour2d._sparse_mesh
+
+    def spy(*args):
+        meshes.append(sparse(*args))
+        return meshes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contour2d, "BLOCK_CELLS", block)
+        mp.setattr(contour2d, "SLAB_SAMPLES", 2 * (block + 1) ** 2)
+        mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        mp.setattr(contour2d, "_sparse_mesh", spy)
+        return contour(field, dom, workers=workers), meshes
+
+
+def assert_same_as_sampled_grid(got, field, dom):
+    want = marching_squares(sample_grid2d(field, dom, workers=1))
+    assert [g.closed for g in got] == [w.closed for w in want]
+    for g, w in zip(got, want):
+        assert g.points.dtype == w.points.dtype
+        assert g.points.tobytes() == w.points.tobytes()
+
+
+class TestSparseContour:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=KEYED_SPECS, n=st.integers(8, 64), tiles=st.integers(1, 3),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), block=st.integers(2, 5),
+           workers=st.integers(1, 3))
+    def test_families_match_sampled_grid(self, spec, n, tiles, shift, block, workers):
+        # blocks that do not divide the grid, chunks of two blocks: the same
+        # points, closed flags and order as marching squares of the lattice,
+        # from the very points and segments the band kernel gives the weld
+        field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
+        got, meshes = sparse_contour(field, dom, block, workers)
+        assert len(meshes) == 1 and meshes[0] is not None
+        assert_same_as_sampled_grid(got, field, dom)
+        welded = []
+        weld = contour2d._weld
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "_weld", lambda a, b, points: welded.append((a, b, points)) or weld(a, b, points))
+            contour(field, dom, workers=1)  # one slab: the band kernel
+        (a, b, points), (sparse_points, segments) = welded[0], meshes[0]
+        assert sparse_points.tobytes() == points.tobytes()
+        assert segments.dtype == a.dtype and np.array_equal(segments, np.column_stack([a, b]))
+
+    @pytest.mark.parametrize("n, tiles, h", [(24, 1, 0.0), (24, 2, 0.0), (48, 2, 0.0), (60, 1, 0.0), (48, 1, 1.0)])
+    def test_exact_zeros_take_the_whole_lattice_peak(self, n, tiles, h):
+        # the aligned oblique square at s = 1 samples to exact zeros on its
+        # sides: they are nudged by the largest |sample| of the whole lattice,
+        # sampled slab by slab for that alone
+        spec = ShapeSpec2D("oblique", s=1.0, h=h)
+        field, dom = make_field2d(spec), default_domain2d(spec, n, tiles)
+        assert np.count_nonzero(sample_grid2d(field, dom).samples == 0.0) > 0
+        loads = []
+        loader = contour2d._slab_loader
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "_slab_loader", lambda *args: loads.append(args) or loader(*args))
+            got, meshes = sparse_contour(field, dom, 4, 2)
+        assert len(meshes) == 1 and meshes[0] is not None and len(loads) == 1
+        assert_same_as_sampled_grid(got, field, dom)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=KEYED_SPECS, n=st.integers(8, 64), tiles=st.integers(1, 3),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), block=st.integers(1, 8))
+    def test_proven_blocks_hold_their_sign(self, spec, n, tiles, shift, block):
+        field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
+        samples = sample_grid2d(field, dom).samples
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "BLOCK_CELLS", block)
+            signs = contour2d._block_signs(field, field.keys, dom.axes())
+        assert signs.shape == (-(-n // block),) * 2
+        for (bj, bi), sign in np.ndenumerate(signs):
+            if sign:
+                assert (sign * samples[bj * block:(bj + 1) * block + 1, bi * block:(bi + 1) * block + 1] > 0).all()
+
+    @pytest.mark.parametrize("family, kw, tiles, share", [
+        ("lame", dict(p=4.5), 1, 0.06), ("fg", dict(s=0.75), 1, 0.06), ("periodic", dict(s=0.78), 3, 0.09),
+        ("oblique", dict(s=0.77), 3, 0.16)])
+    def test_blocks_off_the_curve_are_proven_at_grid_2048(self, family, kw, tiles, share):
+        spec = ShapeSpec2D(family, **kw)
+        field = make_field2d(spec)
+        signs = contour2d._block_signs(field, field.keys, default_domain2d(spec, 2048, tiles).axes())
+        assert signs.shape == (64, 64) and np.mean(signs == 0) <= share
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, r, error, text", [
+        # s^2 / r^2 overflows: every sample is nan or inf, no block is proven,
+        # the first chunk is not finite and the dense route names the sample
+        (1.0, 1e-160, ValueError, "non-finite field value at sample (-1.2e-160, -1.2e-160)"),
+        # r * r underflows to 0: the field's first call divides by it
+        (0.0, 1e-320, ZeroDivisionError, "float division by zero"),
+    ])
+    def test_non_finite_field_raises_the_sampled_grid_error(self, s, r, error, text):
+        spec = ShapeSpec2D("fg", s=s, r=r)
+        field, dom = make_field2d(spec), default_domain2d(spec, 40, 1)
+        with pytest.raises(error) as dense:
+            sample_grid2d(field, dom)
+        with pytest.raises(error) as sparse:
+            sparse_contour(field, dom, 4, 2)
+        assert str(sparse.value) == str(dense.value) == text
+
+    def test_an_infinite_corner_proves_no_sign(self):
+        # x + y - 0.97 with keys x and y, and inf past x = 1.5, where y >= 0
+        # keeps it positive: the corners of a block there are positive, but
+        # some are inf, which proves nothing, so the block is sampled and the
+        # first inf is named as the sampled grid names it
+        def field(x, y):
+            return np.where(x > 1.5, np.inf, x + y - 0.97)
+
+        field.keys = Keys(lambda x: x, lambda kx, ky: kx + ky + 1.0)
+        dom = Domain2D(-2, 2, 0, 2, 40, 40)
+        with pytest.raises(ValueError) as dense:
+            sample_grid2d(field, dom)
+        with pytest.raises(ValueError) as sparse:
+            sparse_contour(field, dom, 4, 1)
+        assert str(sparse.value) == str(dense.value)
+
+    def test_fields_without_keys_and_small_lattices_stay_dense(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(contour2d, "_sparse_mesh", lambda *args: called.append(args))
+        spec = ShapeSpec2D("lame", p=3.0)
+        big = default_domain2d(spec, 724, 1)
+        assert (big.nx + 1) * (big.ny + 1) > contour2d.SLAB_SAMPLES
+        contour(make_field2d(ShapeSpec2D("phase_grid")), big)
+        contour(circle_field, big)
+        contour(make_field2d(spec), default_domain2d(spec, 723, 1))
+        marching_squares(sample_grid2d(make_field2d(spec), big))
+        assert not called
+        contour(make_field2d(spec), big)
+        assert len(called) == 1
+
+
+def test_a_loop_the_weld_shrinks_to_two_points_is_dropped():
+    # a lone outside zero far from the origin: its four crossings round onto
+    # it but one, so two of the four segments are dropped and welded, and the
+    # other two join the same two points
+    samples = np.full((6, 4), -2.0)
+    samples[4, 2] = -0.0
+    assert marching_squares(Grid2D(Domain2D(2048.0, 2049.0, 4096.0, 4097.0, 3, 5), samples)) == []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squircles.fields2d import FAMILIES_2D, ShapeSpec2D, _scaled_pnorm, eval_fg, eval_periodic
@@ -430,10 +430,12 @@ class TestWritesIntoOut:
                                   lambda *xyz: frozen(*xyz, *params), xyz)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1, 512)), st.integers(2, 3),
+    @given(st.one_of(st.sampled_from([1.0, 2.0, 3.0, math.inf]), st.floats(1, 512)), st.integers(2, 3),
            st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(math.inf, 2, 3, 30)  # both parts hold a 0
     def test_scaled_pnorm_matches_frozen_expression(self, p, n_parts, size, seed):
-        # zero, tiny, huge and subnormal parts, broadcast as lattice axes
+        # zero, tiny, huge and subnormal parts, broadcast as lattice axes; at
+        # p = inf the norm of all-zero parts is 0
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, 5e-324, 1e-310, 1e-200, 0.3, 1.0, 7.5, 1e8, 1e200])
         parts = [rng.choice(pool, size).reshape((1,) * (n_parts - 1 - k) + (-1,) + (1,) * k)

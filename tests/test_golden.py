@@ -2,7 +2,8 @@
 
 The sha256 of every file written by every FIGURE_RECIPES entry, by one
 command per shape family (the determinism command list of the acceptance
-gate) and by two commands full of exact rounding ties, plus the exact stdout
+gate), by two commands full of exact rounding ties and by three grid-2048
+curves, plus the exact stdout
 of `info --family F` for every family and of `verify --suite all`. A refactor
 that keeps these green changed no output byte.
 
@@ -50,6 +51,22 @@ TIE_COMMANDS = [
     ["curve", "--family", "fg", "-s", "0.5", "--domain", "-1", "1", "-1", "1",
      "--grid", "2048", "--format", "csv", "--out", "tie_fg.csv"],
 ]
+
+# Grid-2048 curves, which `contour` meshes from the blocks of the lattice
+# that the curve can cross; none has an exact-zero sample on a crossing edge.
+LARGE_CURVE_COMMANDS = [
+    ["curve", "--family", "lame", "-p", "4.5", "--grid", "2048", "--out", "large_lame.svg"],
+    ["curve", "--family", "periodic", "-s", "0.78", "--tiles", "3", "--grid", "2048", "--format", "csv",
+     "--out", "large_periodic.csv"],
+    ["curve", "--family", "oblique", "-s", "0.77", "--tiles", "2", "--grid", "2048", "--format", "csv",
+     "--out", "large_oblique.csv"],
+]
+
+LARGE_CURVE_SHA256 = {
+    "large_lame.svg": "c73bfff4c44d5c393a3637445c5045e6edc0d543e148ca5277eba74139cee51c",
+    "large_oblique.csv": "4f602ee319e6eff364fb01923d2484fb900d5cdbd1f3943e2b346d59e18778f8",
+    "large_periodic.csv": "030e8e6b2a1e8f25c7eb6955f88160a3c0cbd2adae1f5e2dddb2d2351b943ede",
+}
 
 TIE_SHA256 = {
     "tie_fg.csv": "6a655be7b35336e48a11f776940be56ae0276a7ca59758a6ccc5578fdc282b9e",
@@ -101,7 +118,7 @@ RECIPE_SHA256 = {
     "fig15/fig15_03.svg": "d4d7bb5741cceb9739835817167f631ef9f8c9838c48c788ccc54e98fd521ed8",
     "fig15/fig15_04.svg": "56148edcbad45fe42294ac67e055213e490217838d6724da7c4ae337ad525282",
     "fig16/fig16.svg": "657643111270b5df96147afa73ec440fa323fb79ebcc6a2d8f3efac89621e80a",
-    "fig17/fig17.svg": "c91b701b1b8c1af1dc6f4f3a08a91d6fcfaa9de932cd9ebf27e8c7e6bcfc0dc2",
+    "fig17/fig17.svg": "c5c5340e60bb55230a061c6d3b17e74ea5dc636d314650742eb250d0ce625497",
     "fig18/fig18_00.obj": "894e86510c8370f35f9cf3f5d42cd917a773cef57db7a7c7aafe0312b0f3af3c",
     "fig18/fig18_01.obj": "4cf9637dd25fc03bf5626e48542fba0c4448438132b1159f9686c5595e4dd17a",
     "fig18/fig18_02.obj": "3f5efe98e7692d5ba35ab37ebe6a86ba265bc0857a89d75d22b2530afa09add1",
@@ -235,6 +252,10 @@ def test_family_command_bytes(tmp_path, capsys):
 
 def test_tie_command_bytes(tmp_path, capsys):
     assert _run_commands(TIE_COMMANDS, tmp_path) == TIE_SHA256
+
+
+def test_large_curve_bytes(tmp_path, capsys):
+    assert _run_commands(LARGE_CURVE_COMMANDS, tmp_path) == LARGE_CURVE_SHA256
 
 
 def test_info_text(capsys):

@@ -62,8 +62,6 @@ def test_closed_families_mesh_watertight(family, data, n, shift):
 @given(n=st.integers(8, 48), tiles=st.integers(1, 3), s=UNIT_S,
        p=st.one_of(st.sampled_from([1.0, math.inf]), st.floats(1.0, 12.0)), shift=st.tuples(SHIFT, SHIFT))
 def test_open_polylines_end_on_the_boundary(family, n, tiles, s, p, shift):
-    # or at a lattice point where another open polyline ends: see
-    # test_a_curve_through_a_zero_crossing_at_a_lattice_point_stays_one_loop
     spec = ShapeSpec2D(family, s=s, p=p)
     d = default_domain2d(spec, n, tiles)
     ox, oy = shift[0] * d.dx, shift[1] * d.dy
@@ -72,16 +70,15 @@ def test_open_polylines_end_on_the_boundary(family, n, tiles, s, p, shift):
     ends = [tuple(end) for line in contour(make_field2d(spec), dom, workers=1) if not line.closed
             for end in line.points[[0, -1]]]
     for x, y in ends:
-        split = x in xs and y in ys and ends.count((x, y)) == 2
-        assert x in (xs[0], xs[-1]) or y in (ys[0], ys[-1]) or split
+        assert x in (xs[0], xs[-1]) or y in (ys[0], ys[-1])
 
 
-@pytest.mark.xfail(strict=True, reason="a segment whose ends coincide is dropped, which splits its chain")
 def test_a_curve_through_a_zero_crossing_at_a_lattice_point_stays_one_loop():
     # the oblique square at s = 1 on its grid-24 default domain: lattice
     # points on its sides sample to zero or within rounding of it, so the
-    # crossings on both edges at such a point land on the point itself, and
-    # the contour breaks into open pieces that end there, inside the domain
+    # crossings on both edges at such a point land on the point itself; the
+    # segment between them is dropped and its ends welded, so the contour
+    # does not break into open pieces that end there, inside the domain
     spec = ShapeSpec2D("oblique", s=1.0)
     dom = default_domain2d(spec, 24, 1)
     xs, ys = dom.xs(), dom.ys()
