@@ -562,7 +562,8 @@ def _block_signs(field, keys, axes):
 def _sparse_mesh(field, keys, domain, cases, workers):
     """`_mesh_lattice`'s points and segments for a 2D field with keys, from
     the samples of the blocks whose sign `_block_signs` does not prove, or
-    None where one of those samples is not finite.
+    None where one of those samples is not finite or an exact zero ends a
+    crossing edge (its nudge needs the largest |sample| of the lattice).
 
     The closed sample ranges of those blocks, in block order, are stacked
     and sampled in chunks of at most SLAB_SAMPLES samples (at least one
@@ -572,8 +573,7 @@ def _sparse_mesh(field, keys, domain, cases, workers):
     crossings are mapped to lattice indices, the copies of an edge that two
     blocks share are dropped and the rest put in lattice order, x-edges
     first; the active cells are put in cell order and meshed by
-    cases(cells, code). An exact zero that ends a crossing edge is nudged by
-    the largest |sample| of the whole lattice, sampled for that alone.
+    cases(cells, code).
     """
     axes = xs, ys = domain.axes()
     nx, ny, b = domain.nx, domain.ny, BLOCK_CELLS
@@ -598,10 +598,13 @@ def _sparse_mesh(field, keys, domain, cases, workers):
         if not math.isfinite(max(vals.max(), -vals.min())):
             return None
         inside = vals < 0
+        crossings = _edge_crossings(vals, inside, 2)
+        if any(((v0 == 0.0) | (v1 == 0.0)).any() for *_, v0, v1 in crossings):
+            return None
         # per axis: the flat index of each crossing edge among that axis's
-        # lattice edges, (ny + 1) x nx for x, ny x (nx + 1) for y
-        edges = [(rows[c0 + c, j] * (nx + axis) + cols[c0 + c, i], v0, v1)
-                 for axis, ((c, j, i), _, v0, v1) in enumerate(_edge_crossings(vals, inside, 2))]
+        # lattice edges, (ny + 1) x nx for x, ny x (nx + 1) for y, and its t
+        edges = [(rows[c0 + c, j] * (nx + axis) + cols[c0 + c, i], v0 / (v0 - v1))
+                 for axis, ((c, j, i), _, v0, v1) in enumerate(crossings)]
         cells, code = _active_cells(inside, 2)
         c, j, i = np.unravel_index(cells, (c1 - c0, b, b))
         j += b * block_rows[c0 + c]
@@ -614,22 +617,14 @@ def _sparse_mesh(field, keys, domain, cases, workers):
     parts = _run_bands(lambda spans: [run(c0, c1) for c0, c1 in spans], bounds, workers)
     if any(part is None for part in parts):
         return None
-    flats, crossings = [], []
+    flats, ts = [], []
     for axis in range(2):
-        flat, v0, v1 = (np.concatenate([part[0][axis][k] for part in parts]) for k in range(3))
+        flat, t = (np.concatenate([part[0][axis][k] for part in parts]) for k in range(2))
         flat, first = np.unique(flat, return_index=True)
-        v0, v1 = v0[first], v1[first]
-        zero = np.flatnonzero((v0 == 0.0) | (v1 == 0.0))
         flats.append(flat)
-        crossings.append((v0 / (v0 - v1), zero, v0[zero], v1[zero]))
-    if any(len(zero) for _, zero, _, _ in crossings):
-        load = _slab_loader(field, axes)
-        peak = max(_run_bands(lambda spans: [load(k0, k1, None)[1] for k0, k1 in spans], _slab_bounds(axes), workers))
-        _nudge_zeros(peak, *(v for _, _, v0, v1 in crossings for v in (v0, v1)))
-        for t, zero, v0, v1 in crossings:
-            t[zero] = v0 / (v0 - v1)
+        ts.append(t[first])
     points = np.concatenate([_edge_points(np.divmod(flat, nx + axis), t, axes, domain.steps(), axis)
-                             for axis, (flat, (t, *_)) in enumerate(zip(flats, crossings))])
+                             for axis, (flat, t) in enumerate(zip(flats, ts))])
 
     cells, code = (np.concatenate([part[k] for part in parts]) for k in (1, 2))
     order = np.argsort(cells)
@@ -650,7 +645,8 @@ def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polylin
     A field with keys (`fields2d.Keys`) on a lattice of more than
     SLAB_SAMPLES samples is sampled and meshed only in the blocks whose sign
     `_block_signs` does not prove (`_sparse_mesh`). Any other, or one of
-    those with a non-finite sample, runs the band kernel (`_mesh_lattice`)
+    those with a non-finite sample or an exact zero ending a crossing edge,
+    runs the band kernel (`_mesh_lattice`)
     over row bands of at most SLAB_SAMPLES samples, each sampled as it
     starts, one run of bands per thread (`workers`, default
     `default_workers()`). A non-finite sample raises the ValueError

@@ -146,10 +146,8 @@ def eval_lame(x, y, p, r, out=None):
     nan (inf/inf) and this one inf: both are non-finite.
     """
     ax, ay = np.abs(x), np.abs(y)
-    if math.isinf(p):
-        return np.subtract(np.maximum(ax, ay, out=out), r, out=out)
-    if out is None:
-        return _scaled_pnorm(p, ax, ay) - r
+    if out is None or math.isinf(p):
+        return np.subtract(_scaled_pnorm(p, ax, ay, out=out), r, out=out)
     scratch = np.maximum(np.maximum(ax, 5e-324), ay, out=_scratch(out))
     np.divide(np.minimum(ax, ay, out=out), scratch, out=out)
     out **= p

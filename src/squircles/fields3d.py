@@ -62,11 +62,7 @@ _CONE_HEIGHT = _require(lambda sp: sp.c > 0, "cone height c must be positive, go
 def eval_lame3d(x, y, z, p, r, out=None):
     """Superellipsoid |x|^p + |y|^p + |z|^p = r^p in normalized p-norm form."""
     ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
-    if math.isinf(p):
-        f = np.maximum(np.maximum(ax, ay), az, out=out)
-    else:
-        f = _scaled_pnorm(p, ax, ay, az, out=out)
-    return np.subtract(f, r, out=out)
+    return np.subtract(_scaled_pnorm(p, ax, ay, az, out=out), r, out=out)
 
 
 def eval_sphube(x, y, z, s, r, out=None):
