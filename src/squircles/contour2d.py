@@ -14,10 +14,11 @@ signs) and the crossing edges, and never writes to the samples. One entry,
 `LatticeDomain` is the one body of `Domain2D` and `Domain3D`, and
 `_sample_banded` the one sampler, which checks its own samples. A large 2D
 lattice of a field with keys is meshed only in the blocks the curve may
-cross (`_sparse_mesh`), to the same points and segments. Marching squares'
-segments follow cell order, and chains follow segment order: each chain
-starts at the first segment no earlier chain used, grows forward from its
-tail, then backward from its head.
+cross (`_sparse_mesh`), to the same points and segments, built from the
+kernel's parts (`_sample_banded`, `_active_cells`, `_slot_ids`). Marching
+squares' segments follow cell order, and chains follow segment order: each
+chain starts at the first segment no earlier chain used, grows forward from
+its tail, then backward from its head.
 """
 
 from __future__ import annotations
@@ -204,42 +205,49 @@ def _run_bands(run, bounds, workers):
     return run(spans)
 
 
-def _sample_banded(field, axes, workers, out=None):
-    """Samples of field over the lattice spanned by axes (x first), indexed
-    slowest axis first and evaluated in bands of the slowest axis, and their
-    largest |sample|.
-
-    Each band holds at most BAND_SAMPLES samples (at least one row) and is
-    written straight into out (default: a new array): a field whose
-    `fills_out` attribute is true is called with out= the band's view and
-    fills it, any other field's result is assigned to the band. The samples
-    are independent of the band size and the worker count: each sample is
-    one scalar expression. A non-finite sample raises a ValueError naming
-    the first one in lattice order; each band's max and min carry nan and
-    +-inf through, so only a failed check reads the samples again.
-    """
+def _open_lattice(axes):
+    """The coordinates of each of axes (x first) shaped to broadcast over
+    their lattice, which is indexed slowest axis first."""
     n = len(axes)
     # axis k varies along array dimension n - 1 - k
-    coords = [a.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, a in enumerate(axes)]
-    shape = tuple(len(a) for a in reversed(axes))
+    return [a.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, a in enumerate(axes)]
+
+
+def _sample_banded(field, coords, workers, out=None):
+    """Samples of field at coords (x first, arrays that broadcast to the
+    samples: `_open_lattice` of a lattice's axes, or a stack of lattices),
+    evaluated in bands of their first dimension, and their largest |sample|.
+
+    Each band holds at most BAND_SAMPLES samples (at least one index of the
+    first dimension) and is written straight into out (default: a new
+    array): a field whose `fills_out` attribute is true is called with out=
+    the band's view and fills it, any other field's result is assigned to
+    the band. The samples are independent of the band size and the worker
+    count: each sample is one scalar expression. A non-finite sample raises
+    a ValueError naming the first one in index order; each band's max and
+    min carry nan and +-inf through, so only a failed check reads the
+    samples again.
+    """
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
     vals = np.empty(shape) if out is None else out
     fills = getattr(field, "fills_out", False)
 
     def run(lo, hi):
         band = vals[lo:hi]
+        part = [c[lo:hi] if len(c) > 1 else c for c in coords]
         with np.errstate(**_FIELD_ERRSTATE):
             if fills:
-                field(*coords[:-1], coords[-1][lo:hi], out=band)
+                field(*part, out=band)
             else:
-                band[...] = field(*coords[:-1], coords[-1][lo:hi])
+                band[...] = field(*part)
         return max(band.max(), -band.min())
 
     rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
     bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
     peak = np.max(_run_bands(lambda spans: [run(lo, hi) for lo, hi in spans], bounds, workers))
     if not math.isfinite(peak):
-        index = np.argwhere(~np.isfinite(vals))[0][::-1]
-        where = ", ".join(f"{a[i]}" for a, i in zip(axes, index))
+        index = tuple(np.argwhere(~np.isfinite(vals))[0])
+        where = ", ".join(f"{np.broadcast_to(c, shape)[index]}" for c in coords)
         raise ValueError(f"non-finite field value at sample ({where})")
     return vals, peak
 
@@ -247,7 +255,7 @@ def _sample_banded(field, axes, workers, out=None):
 def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D:
     """Evaluate a field on the domain lattice, partitioned over row bands.
     `contour` contours a field without holding this grid."""
-    return Grid2D(domain, _sample_banded(field, domain.axes(), workers)[0], field=field)
+    return Grid2D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers)[0], field=field)
 
 
 def _slab_bounds(axes):
@@ -270,10 +278,11 @@ def _slab_loader(field, axes):
     scalar expression), nor checked again. `_sample_banded` checks the rest,
     so no band is meshed, or handed up, with a non-finite sample.
     """
-    *across, slow = axes
+    *across, slow = _open_lattice(axes)
+    layer = tuple(len(a) for a in reversed(axes[:-1]))
 
     def load(k0, k1, below):
-        vals = np.empty((k1 - k0 + 1,) + tuple(len(a) for a in reversed(across)))
+        vals = np.empty((k1 - k0 + 1,) + layer)
         first = 0 if below is None else 1
         if first:
             vals[0] = below
@@ -503,25 +512,22 @@ def _mesh_bands(load, bounds, coords, steps, slots, cases, workers):
 def _mesh_lattice(source, domain, slots, cases, workers):
     """Points and elements of the zero level set on the lattice of domain:
     `_mesh_bands` over the bands of `_slab_bounds`, on `workers` threads
-    (default `default_workers()`), with cases(k0, cells, code, lattice) as
-    its cases.
+    (default `default_workers()`), with cases(k0, cells, code) as its cases.
 
     source is a field, sampled band by band by `_slab_loader` as each band
-    starts (lattice is None), or the samples of the whole lattice, slowest
-    axis first, meshed over views (lattice is (samples, their largest
-    |sample|), taken once).
+    starts, or the samples of the whole lattice, slowest axis first, meshed
+    over views (their largest |sample| taken once).
     """
     axes = domain.axes()
     if callable(source):
-        load, lattice = _slab_loader(source, axes), None
+        load = _slab_loader(source, axes)
     else:
-        lattice = source, max(source.max(), -source.min())
+        peak = max(source.max(), -source.min())
 
         def load(k0, k1, below):
-            return source[k0:k1 + 1], lattice[1]
+            return source[k0:k1 + 1], peak
 
-    return _mesh_bands(load, _slab_bounds(axes), axes, domain.steps(), slots,
-                       lambda k0, cells, code: cases(k0, cells, code, lattice), workers)
+    return _mesh_bands(load, _slab_bounds(axes), axes, domain.steps(), slots, cases, workers)
 
 
 def _key_blocks(key, n):
@@ -559,21 +565,21 @@ def _block_signs(field, keys, axes):
     return proven * ((low > margin).astype(np.int8) - (high < -margin))
 
 
-def _sparse_mesh(field, keys, domain, cases, workers):
+def _sparse_mesh(field, keys, domain, cases):
     """`_mesh_lattice`'s points and segments for a 2D field with keys, from
     the samples of the blocks whose sign `_block_signs` does not prove, or
     None where one of those samples is not finite or an exact zero ends a
     crossing edge (its nudge needs the largest |sample| of the lattice).
 
     The closed sample ranges of those blocks, in block order, are stacked
-    and sampled in chunks of at most SLAB_SAMPLES samples (at least one
-    block), one field call each, on `_run_bands(..., workers)`. A proven
-    block has no active cell nor crossing edge, so each crossing edge is in
-    one or two of the sampled blocks and each active cell in one. Their
-    crossings are mapped to lattice indices, the copies of an edge that two
-    blocks share are dropped and the rest put in lattice order, x-edges
-    first; the active cells are put in cell order and meshed by
-    cases(cells, code).
+    and sampled by `_sample_banded` on the calling thread, in chunks of at
+    most SLAB_SAMPLES samples (at least one block), each meshed before the
+    next is sampled. A proven block has no active cell nor crossing edge,
+    so each crossing edge is in one or two of the sampled blocks and each
+    active cell in one. The copies of an edge that two blocks share are
+    dropped and the rest put in lattice order, x-edges first; the active
+    cells are put in cell order, meshed by cases(0, cells, code) and their
+    slots numbered by `_slot_ids` as over the whole lattice.
     """
     axes = xs, ys = domain.axes()
     nx, ny, b = domain.nx, domain.ny, BLOCK_CELLS
@@ -585,56 +591,40 @@ def _sparse_mesh(field, keys, domain, cases, workers):
     span = np.arange(b + 1)
     rows = np.minimum(b * block_rows[:, None] + span, ny)
     cols = np.minimum(b * block_cols[:, None] + span, nx)
-    fills = getattr(field, "fills_out", False)
-
-    def run(c0, c1):
-        x, y = xs[cols[c0:c1, None, :]], ys[rows[c0:c1, :, None]]
-        vals = np.empty((c1 - c0, b + 1, b + 1))
-        with np.errstate(**_FIELD_ERRSTATE):
-            if fills:
-                field(x, y, out=vals)
-            else:
-                vals[...] = field(x, y)
-        if not math.isfinite(max(vals.max(), -vals.min())):
+    per = max(1, SLAB_SAMPLES // (b + 1) ** 2)
+    # per axis, the flat index of each crossing edge among that axis's
+    # lattice edges, (ny + 1) x nx for x, ny x (nx + 1) for y, and its t
+    edges, cells, codes = ([], []), [], []
+    for c0 in range(0, len(rows), per):
+        r, c = rows[c0:c0 + per], cols[c0:c0 + per]
+        try:
+            vals = _sample_banded(field, (xs[c][:, None, :], ys[r][:, :, None]), 1)[0]
+        except ValueError:
             return None
         inside = vals < 0
-        crossings = _edge_crossings(vals, inside, 2)
-        if any(((v0 == 0.0) | (v1 == 0.0)).any() for *_, v0, v1 in crossings):
-            return None
-        # per axis: the flat index of each crossing edge among that axis's
-        # lattice edges, (ny + 1) x nx for x, ny x (nx + 1) for y, and its t
-        edges = [(rows[c0 + c, j] * (nx + axis) + cols[c0 + c, i], v0 / (v0 - v1))
-                 for axis, ((c, j, i), _, v0, v1) in enumerate(crossings)]
-        cells, code = _active_cells(inside, 2)
-        c, j, i = np.unravel_index(cells, (c1 - c0, b, b))
-        j += b * block_rows[c0 + c]
-        i += b * block_cols[c0 + c]
+        for axis, ((k, j, i), _, v0, v1) in enumerate(_edge_crossings(vals, inside, 2)):
+            if ((v0 == 0.0) | (v1 == 0.0)).any():
+                return None
+            edges[axis].append((r[k, j] * (nx + axis) + c[k, i], v0 / (v0 - v1)))
+        cell, code = _active_cells(inside, 2)
+        del vals, inside  # else the last chunk's outlive the loop
+        k, j, i = np.unravel_index(cell, (len(r), b, b))
+        j += b * block_rows[c0 + k]
+        i += b * block_cols[c0 + k]
         real = (j < ny) & (i < nx)
-        return edges, j[real] * nx + i[real], code[real]
-
-    per = max(1, SLAB_SAMPLES // (b + 1) ** 2)
-    bounds = np.arange(0, len(rows) + per, per).clip(max=len(rows))
-    parts = _run_bands(lambda spans: [run(c0, c1) for c0, c1 in spans], bounds, workers)
-    if any(part is None for part in parts):
-        return None
-    flats, ts = [], []
-    for axis in range(2):
-        flat, t = (np.concatenate([part[0][axis][k] for part in parts]) for k in range(2))
+        cells.append(j[real] * nx + i[real])
+        codes.append(code[real])
+    points, indices = [], []
+    for axis, pieces in enumerate(edges):
+        flat, t = (np.concatenate([piece[k] for piece in pieces]) for k in range(2))
         flat, first = np.unique(flat, return_index=True)
-        flats.append(flat)
-        ts.append(t[first])
-    points = np.concatenate([_edge_points(np.divmod(flat, nx + axis), t, axes, domain.steps(), axis)
-                             for axis, (flat, t) in enumerate(zip(flats, ts))])
-
-    cells, code = (np.concatenate([part[k] for part in parts]) for k in (1, 2))
+        indices.append(np.divmod(flat, nx + axis))
+        points.append(_edge_points(indices[axis], t[first], axes, domain.steps(), axis))
+    cells, code = np.concatenate(cells), np.concatenate(codes)
     order = np.argsort(cells)
     cells, code = cells[order], code[order]
-    # the point id of each cell edge slot, wherever that edge crosses
-    j, i = np.divmod(cells, nx)
-    first_ids = (0, len(flats[0]))
-    ids = np.stack([first_ids[axis] + np.searchsorted(flats[axis], (j + dj) * (nx + axis) + i + di)
-                    for axis, (dj, di) in _SLOTS])
-    return points, _element_ids(cases(cells, code), ids)
+    ids = _slot_ids(code, _SLOTS, indices, (ny, nx), (0, len(points[0])))
+    return np.concatenate(points), _element_ids(cases(0, cells, code), ids).astype(np.int64)
 
 
 def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polyline]:
@@ -644,13 +634,12 @@ def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polylin
 
     A field with keys (`fields2d.Keys`) on a lattice of more than
     SLAB_SAMPLES samples is sampled and meshed only in the blocks whose sign
-    `_block_signs` does not prove (`_sparse_mesh`). Any other, or one of
-    those with a non-finite sample or an exact zero ending a crossing edge,
-    runs the band kernel (`_mesh_lattice`)
-    over row bands of at most SLAB_SAMPLES samples, each sampled as it
-    starts, one run of bands per thread (`workers`, default
-    `default_workers()`). A non-finite sample raises the ValueError
-    `sample_grid2d` raises.
+    `_block_signs` does not prove (`_sparse_mesh`), on the calling thread.
+    Any other, or one of those with a non-finite sample or an exact zero
+    ending a crossing edge, runs the band kernel (`_mesh_lattice`) over row
+    bands of at most SLAB_SAMPLES samples, each sampled as it starts, one
+    run of bands per thread (`workers`, default `default_workers()`). A
+    non-finite sample raises the ValueError `sample_grid2d` raises.
     """
     return _polylines(field, domain, field, workers)
 
@@ -687,12 +676,14 @@ def _polylines(source, domain, field, workers):
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
-    or, when field is None, by the sum of its corners in the lattice's
-    samples, zeros nudged by their largest |sample|.
+    or, when field is None, by the sum of its corners in the samples source
+    holds, zeros nudged by their largest |sample|.
     """
     xs, ys = domain.axes()
+    if field is None:
+        peak = max(source.max(), -source.min())
 
-    def cases(k0, cells, code, lattice):
+    def cases(k0, cells, code):
         key = code.astype(np.intp)
         saddle = np.flatnonzero((code == 6) | (code == 9))
         if len(saddle):
@@ -702,8 +693,7 @@ def _polylines(source, domain, field, workers):
                 with np.errstate(**_FIELD_ERRSTATE):
                     center = field(xs[i] + 0.5 * domain.dx, ys[j] + 0.5 * domain.dy)
             else:
-                vals, peak = lattice
-                corners = [vals[j, i], vals[j, i + 1], vals[j + 1, i], vals[j + 1, i + 1]]
+                corners = [source[j, i], source[j, i + 1], source[j + 1, i], source[j + 1, i + 1]]
                 _nudge_zeros(peak, *corners)
                 center = corners[0] + corners[1] + corners[2] + corners[3]
             key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
@@ -712,7 +702,7 @@ def _polylines(source, domain, field, workers):
     keys = getattr(field, "keys", None) if callable(source) else None
     mesh = None
     if keys is not None and len(xs) * len(ys) > SLAB_SAMPLES:
-        mesh = _sparse_mesh(field, keys, domain, lambda cells, code: cases(0, cells, code, None), workers)
+        mesh = _sparse_mesh(field, keys, domain, cases)
     if mesh is None:
         mesh = _mesh_lattice(source, domain, _SLOTS, cases, workers)
     points, segments = mesh

@@ -164,7 +164,7 @@ def eval_fg(x, y, s, r, out=None):
     scratch = _scratch(out)
     f = np.add(x2, y2, out=out)
     t = np.multiply(x2, y2, out=scratch)
-    f = np.subtract(f, np.multiply(t, (s * s) / (r * r), out=scratch), out=out)
+    f = np.subtract(f, np.multiply(t, np.float64(s * s) / (r * r), out=scratch), out=out)
     return np.subtract(f, r * r, out=out)
 
 
@@ -246,9 +246,9 @@ def _lame_keys(sp):
 
 def _fg_keys(sp):
     # bilinear in x^2 and y^2, with the field's own coefficient of x^2 y^2,
-    # taken, as the field takes it, only when called (r * r may underflow to
-    # 0, and then both raise ZeroDivisionError)
-    return Keys(np.square, lambda kx, ky: kx + ky + (sp.s * sp.s) / (sp.r * sp.r) * kx * ky + sp.r * sp.r)
+    # a float64 as the field takes it: where r * r underflows to 0 both give
+    # inf or nan, which proves no block, and the sampler names the sample
+    return Keys(np.square, lambda kx, ky: kx + ky + np.float64(sp.s * sp.s) / (sp.r * sp.r) * kx * ky + sp.r * sp.r)
 
 
 def _parametric_only(spec):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields2d import (
-    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _scratch, _square,
+    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _scratch, _square, eval_fg,
 )
 
 
@@ -70,7 +70,7 @@ def eval_sphube(x, y, z, s, r, out=None):
     x2 + y2 + z2 - c2 (x2 y2 + y2 z2 + x2 z2) + c2^2 x2 y2 z2 - r^2 with
     c2 = s^2 / r^2, evaluated left to right."""
     x2, y2, z2 = np.square(x), np.square(y), np.square(z)
-    c2 = (s * s) / (r * r)
+    c2 = np.float64(s * s) / (r * r)
     xy, scratch = x2 * y2, _scratch(out)
     f = np.add(x2 + y2, z2, out=out)
     t = np.add(xy, y2 * z2, out=scratch)
@@ -107,14 +107,9 @@ def eval_oblique3d(x, y, z, s, r, h=0.0, out=None):
 
 def eval_toroid(x, y, z, s, R, r, out=None):
     """Squircular toroid, sqrt form: squareness-deformed torus of radii R, r,
-    u2 + z2 - (s^2 / r^2) z2 u2 - r^2 with u = sqrt(x2 + y2) - R."""
-    u = np.sqrt(np.square(x) + np.square(y)) - R
-    u2, z2 = np.square(u), np.square(z)
-    scratch = _scratch(out)
-    f = np.add(u2, z2, out=out)
-    t = np.multiply(z2, u2, out=scratch)
-    f = np.subtract(f, np.multiply(t, (s * s) / (r * r), out=scratch), out=out)
-    return np.subtract(f, r * r, out=out)
+    u2 + z2 - (s^2 / r^2) z2 u2 - r^2 with u = sqrt(x2 + y2) - R, which is
+    the Fernandez-Guasti squircle of (u, z)."""
+    return eval_fg(np.sqrt(np.square(x) + np.square(y)) - R, z, s, r, out)
 
 
 def eval_toroid_octic(x, y, z, s, R, r, out=None):
@@ -123,7 +118,7 @@ def eval_toroid_octic(x, y, z, s, R, r, out=None):
     q2 = x2 + y2 and w = (s^2 / r^2) z2."""
     q2 = np.square(x) + np.square(y)
     z2 = np.square(z)
-    w = (s * s) / (r * r) * z2
+    w = np.float64(s * s) / (r * r) * z2
     scratch = _scratch(out)
     f = np.add(q2, z2, out=out)
     f = np.add(f, R * R, out=out)
@@ -233,7 +228,10 @@ FAMILY_RECORDS_3D = {
         checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
         info="squircular toroid (sqrt form), R > r > 0, cross-section squareness s"),
     "toroid_octic": Family(
-        field=lambda sp: lambda x, y, z, out=None: eval_toroid_octic(x, y, z, sp.s, sp.R, sp.r, out),
+        field=lambda sp: lambda x, y, z, out=None: _ring_clip(
+            np.maximum(eval_toroid_octic(x, y, z, sp.s, sp.R, sp.r, out),
+                       np.where(np.abs(z) > sp.r, 0.0, -np.inf), out=out),
+            x, y, sp.R, sp.r, out),
         checks=(_UNIT_S, _RING_TORUS), bounds=_toroid_bounds,
         info="squircular toroid, equivalent octic polynomial form"),
     "cone_fg": Family(
@@ -265,7 +263,12 @@ def make_field3d(spec: ShapeSpec3D):
     sheets past |x| = r for every s > 0, meeting the cube only at the six face
     centers); the toroid is clipped to the slab |z| <= r, which at s = 1
     removes the far sheets (|q - R| > r with |z| > r) without touching the
-    toroid itself.
+    toroid itself. toroid_octic is raised to at least 0 beyond |z| = r:
+    with q = sqrt(x2 + y2) its polynomial is the product
+    ((1 - w)(q - R)^2 + z2 - r^2)((1 - w)(q + R)^2 + z2 - r^2), positive
+    there while w <= 1, so only samples past |z| = r / s, where its far
+    sheets lie, change (none on the default domain, |z| <= 1.5 r, for
+    s <= 2/3). Both toroids are then clipped to their ring (`_ring_clip`).
 
     The field takes out=None: given an array of the broadcast shape of x, y,
     z, it writes its values there and returns it (`fills_out` says so to

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour2d import LatticeDomain, _mesh_lattice, _sample_banded
+from .contour2d import LatticeDomain, _mesh_lattice, _open_lattice, _sample_banded
 from .mc_tables import TRI_TABLE
 
 
@@ -84,7 +84,7 @@ class TriangleMesh:
 def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D:
     """Evaluate a field on the whole voxel lattice, in bands of z-planes.
     `polygonize` meshes a field without holding this volume."""
-    return Grid3D(domain, _sample_banded(field, domain.axes(), workers)[0].reshape(-1))
+    return Grid3D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers)[0].reshape(-1))
 
 
 # (dk, dj, di) lattice offset of cell corners 0-7 in mc_tables' numbering
@@ -107,7 +107,7 @@ _CODE_TO_CASE = sum(
 _TRIANGLES = TRI_TABLE[_CODE_TO_CASE, :15].reshape(256, 5, 3)[:, :, ::-1].astype(np.int8)
 
 
-def _cell_triangles(k0, cells, code, lattice):
+def _cell_triangles(k0, cells, code):
     """The band kernel's cases: the triangles of each active cell as rows of
     cell edge slots, padded with -1.
 

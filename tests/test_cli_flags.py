@@ -406,10 +406,13 @@ class TestExitCodes:
         ["surface", "--family", "toroid_octic"],
     ])
     def test_tiny_radius_is_a_numeric_error(self, tmp_path, capsys, argv):
-        # r * r underflows to 0 in the fields' Python-float scale factors
+        # r * r underflows to 0: the fields' float64 scale factors s^2 / r^2
+        # are then inf or nan, and the sampler names the first sample
+        sample = {"fg": "-1.2e-320, -1.2e-320", "sphube": "-1e-320, -1e-320, -1e-320",
+                  "toroid": "-2.3, -2.3, -1.5e-320", "toroid_octic": "-2.3, -2.3, -1.5e-320"}[argv[2]]
         ext = "svg" if argv[0] == "curve" else "obj"
         assert cli.main(argv + ["--radius", "1e-320", "--grid", "16", "--out", str(tmp_path / f"x.{ext}")]) == 2
-        assert capsys.readouterr() == ("", "numeric error: float division by zero\n")
+        assert capsys.readouterr() == ("", f"numeric error: non-finite field value at sample ({sample})\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [

@@ -713,7 +713,7 @@ def shifted_domain(spec, n, tiles, shift):
 
 def sparse_contour(field, dom, block, workers):
     """contour on blocks of `block` cells, sampled in chunks of two blocks
-    (pooled whenever workers > 1), and what each `_sparse_mesh` call gave."""
+    and bands of one block each, and what each `_sparse_mesh` call gave."""
     meshes = []
     sparse = contour2d._sparse_mesh
 
@@ -724,7 +724,7 @@ def sparse_contour(field, dom, block, workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contour2d, "BLOCK_CELLS", block)
         mp.setattr(contour2d, "SLAB_SAMPLES", 2 * (block + 1) ** 2)
-        mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        mp.setattr(contour2d, "BAND_SAMPLES", (block + 1) ** 2)
         mp.setattr(contour2d, "_sparse_mesh", spy)
         return contour(field, dom, workers=workers), meshes
 
@@ -799,19 +799,19 @@ class TestSparseContour:
         assert signs.shape == (64, 64) and np.mean(signs == 0) <= share
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("s, r, error, text", [
+    @pytest.mark.parametrize("s, r, text", [
         # s^2 / r^2 overflows: every sample is nan or inf, no block is proven,
         # the first chunk is not finite and the dense route names the sample
-        (1.0, 1e-160, ValueError, "non-finite field value at sample (-1.2e-160, -1.2e-160)"),
-        # r * r underflows to 0: the field's first call divides by it
-        (0.0, 1e-320, ZeroDivisionError, "float division by zero"),
+        (1.0, 1e-160, "non-finite field value at sample (-1.2e-160, -1.2e-160)"),
+        # r * r underflows to 0: s^2 / r^2 is nan, and so is every sample
+        (0.0, 1e-320, "non-finite field value at sample (-1.2e-320, -1.2e-320)"),
     ])
-    def test_non_finite_field_raises_the_sampled_grid_error(self, s, r, error, text):
+    def test_non_finite_field_raises_the_sampled_grid_error(self, s, r, text):
         spec = ShapeSpec2D("fg", s=s, r=r)
         field, dom = make_field2d(spec), default_domain2d(spec, 40, 1)
-        with pytest.raises(error) as dense:
+        with pytest.raises(ValueError) as dense:
             sample_grid2d(field, dom)
-        with pytest.raises(error) as sparse:
+        with pytest.raises(ValueError) as sparse:
             sparse_contour(field, dom, 4, 2)
         assert str(sparse.value) == str(dense.value) == text
 

@@ -342,7 +342,9 @@ FROZEN_FIELDS = {
                                       else frozen_oblique3d(x, y, z, sp.s, sp.r, sp.h)),
     "toroid": lambda sp, x, y, z: frozen_ring_clip(np.maximum(frozen_toroid(x, y, z, sp.s, sp.R, sp.r),
                                                               np.abs(z) - sp.r), x, y, sp.R, sp.r),
-    "toroid_octic": lambda sp, x, y, z: frozen_toroid_octic(x, y, z, sp.s, sp.R, sp.r),
+    "toroid_octic": lambda sp, x, y, z: frozen_ring_clip(
+        np.maximum(frozen_toroid_octic(x, y, z, sp.s, sp.R, sp.r), np.where(np.abs(z) > sp.r, 0.0, -np.inf)),
+        x, y, sp.R, sp.r),
     "cone_fg": lambda sp, x, y, z: frozen_cone_fg(x, y, z, sp.s, sp.c),
     "cone_lame": lambda sp, x, y, z: frozen_cone_lame(x, y, z, sp.p, sp.a, sp.b, sp.c),
     "cuboctahedron": lambda sp, x, y, z: frozen_cuboctahedron(x, y, z, sp.k, sp.cc),

@@ -6,9 +6,9 @@ The default domain is shifted by a fraction in [-1/2, 1/2) of a cell along
 each axis, which reaches every phase of the lattice. A larger shift moves the
 domain's edge further than some defaults pad the shape at coarse grids: the
 toroid's margin is 0.15 (R + r), 0.45 at R = 2, r = 1, against a 0.86 cell at
-grid 8, and a 0.75-cell shift opens that mesh. sphube, periodic3d, oblique3d
-and toroid_octic are left out: their default domains have no margin (and
-toroid_octic at s >= 0.7 has stray sheets), so a shift opens their meshes.
+grid 8, and a 0.75-cell shift opens that mesh. sphube, periodic3d and
+oblique3d are left out: their default domains have no margin, so a shift
+opens their meshes.
 """
 
 import math
@@ -33,6 +33,7 @@ CLOSED_3D = {
     "lame3d": (st.builds(lambda p: ShapeSpec3D("lame3d", p=p),
                          st.one_of(st.sampled_from([1.0, 2.0, math.inf]), st.floats(1.0, 12.0))), 2),
     "toroid": (st.builds(lambda s: ShapeSpec3D("toroid", s=s), UNIT_S), 0),
+    "toroid_octic": (st.builds(lambda s: ShapeSpec3D("toroid_octic", s=s), UNIT_S), 0),
     "cone_fg": (st.builds(lambda s, c: ShapeSpec3D("cone_fg", s=s, c=c), UNIT_S, st.floats(0.5, 3.0)), 2),
     "cone_lame": (st.builds(lambda p: ShapeSpec3D("cone_lame", p=p), st.floats(1.0, 2.0)), 2),
     "cuboctahedron": (st.builds(lambda k: ShapeSpec3D("cuboctahedron", k=k), st.floats(0.5, 2.0)), 2),
