@@ -16,9 +16,9 @@ signs) and the crossing edges, and never writes to the samples. One entry,
 lattice of a field with keys is meshed only in the blocks the curve may
 cross (`_sparse_mesh`), to the same points and segments, built from the
 kernel's parts (`_sample_banded`, `_active_cells`, `_slot_ids`). Marching
-squares' segments follow cell order, and chains follow segment order: each
-chain starts at the first segment no earlier chain used, grows forward from
-its tail, then backward from its head.
+squares' segments follow cell order, and chains follow segment order
+(`_chains`): each chain starts at the first segment no earlier chain used,
+walks forward along each segment's successor, then, if open, backward.
 """
 
 from __future__ import annotations
@@ -660,10 +660,11 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     and are nudged toward positive (by ZERO_NUDGE times the grid's largest
     |sample|) where they end a crossing edge; `grid.samples` is left
     untouched. Segments follow cell order; a segment whose ends coincide is
-    dropped and its ends welded (`_weld`). Each polyline is the chain of one
-    first segment (the first not yet used), grown forward from its tail, then
-    backward from its head; polylines are ordered by their first segment.
-    The output depends on neither the bands nor the threads.
+    flat, walked through without a point (`_chains`). Each polyline is the
+    chain of one first segment (the first non-flat one not yet used), walked
+    forward from its tail, then, if open, backward from it; polylines are
+    ordered by their first segment. The output depends on neither the bands
+    nor the threads.
     """
     return _polylines(grid.samples, grid.domain, grid.field, None)
 
@@ -672,7 +673,7 @@ def _polylines(source, domain, field, workers):
     """The polylines of `_mesh_lattice(source, domain, ...)` on `workers`
     threads, or, for a field with keys on a lattice of more than
     SLAB_SAMPLES samples, of `_sparse_mesh`, which gives the same points and
-    segments, with zero-length segments welded away (`_weld`).
+    segments, chained by `_chains`.
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
@@ -706,42 +707,25 @@ def _polylines(source, domain, field, workers):
     if mesh is None:
         mesh = _mesh_lattice(source, domain, _SLOTS, cases, workers)
     points, segments = mesh
-    # a closed chain of two points is a loop the weld shrank to nothing
-    return [line for line in _chains(*_weld(*segments.T, points), points) if len(line.points) > 2 or not line.closed]
-
-
-def _weld(a, b, points):
-    """The segments a[s]-b[s] over vertex ids without those whose ends
-    coincide, each such segment's ends welded into one vertex, transitively
-    (the least id of them), so that the chain through it does not split."""
-    same = (points[a] == points[b]).all(axis=1)
-    if not same.any():
-        return a, b
-    root = np.arange(len(points))
-    while True:
-        step = root.copy()
-        np.minimum.at(step, a[same], root[b[same]])
-        np.minimum.at(step, b[same], root[a[same]])
-        step = step[step]
-        if np.array_equal(step, root):
-            return root[a[~same]], root[b[~same]]
-        root = step
+    return _chains(*segments.T, points)
 
 
 def _chains(a, b, points):
     """Polylines of the segments a[s]-b[s] over vertex ids, chained through
     shared vertices; no vertex has more than two segments.
 
-    Each connected set of segments is one chain, started by its lowest
-    segment s0 in the direction a[s0] -> b[s0]: a path runs from the end on
-    the a[s0] side to the end on the b[s0] side, a cycle from a[s0] through
-    b[s0] around. Both are found by pointer doubling over the 2n directed
-    segments (d < n runs a[d] -> b[d], d + n the reverse), so the Python loop
-    runs over polylines, not segments.
+    A segment whose ends coincide is flat: a chain walks through it, adds
+    no point for it and never starts at it, so the chain does not split
+    where a crossing rounds onto a lattice point. Each chain starts at the
+    first non-flat segment s0 no earlier chain used, and walks forward from
+    a[s0] -> b[s0] along each directed segment's successor (d < n runs a[d]
+    -> b[d], d + n the reverse) to an end or back to s0; an open chain then
+    walks backward from s0's reverse, and that part, reversed, comes first.
+    Its polyline is the tail of each non-flat segment, plus the last head
+    if it is open. A closed chain left with two points encloses nothing and
+    is dropped.
     """
     n = len(a)
-    if n == 0:
-        return []
     tail, head = np.concatenate([a, b]), np.concatenate([b, a])
     directed = np.arange(2 * n)
     reverse = np.concatenate([directed[n:], directed[:n]])
@@ -750,59 +734,39 @@ def _chains(a, b, points):
     out[tail, 0] = directed
     second = out[tail, 0] != directed
     out[tail[second], 1] = directed[second]
-    # successor: leave the head along its other segment; 2n marks an end
+    # successor: leave the head along its other segment; -1 marks an end.
+    # The walk reads it and `used` through memoryviews, which give Python
+    # ints and bools without a list copy of the array.
     nxt_out = out[head]
-    succ = np.where(nxt_out[:, 0] == reverse, nxt_out[:, 1], nxt_out[:, 0])
-    end = 2 * n
-    succ = np.append(np.where(succ < 0, end, succ), end)
-
-    # lowest segment reachable forward; once a doubling changes nothing, no
-    # later one would, and the forward reaches of d and of its reverse cover
-    # the whole chain
-    lowest = np.append(directed % n, n)
-    jump = succ
-    while True:
-        step = np.minimum(lowest, lowest[jump])
-        if np.array_equal(step, lowest):
-            break
-        lowest, jump = step, jump[jump]
-    first = np.minimum(lowest[:n], lowest[n:2 * n])  # each segment's chain
-    closed = np.ones(n, dtype=bool)  # indexed by a chain's first segment
-    closed[first[np.flatnonzero(succ[:-1] == end) % n]] = False
-
-    # open each cycle just before its first segment, in both directions
-    s0 = np.flatnonzero(closed & (first == np.arange(n)))
-    succ[reverse[succ[s0 + n]]] = end
-    succ[s0 + n] = end
-
-    # steps to the end and the last directed segment, by pointer doubling
-    rank = (succ != end).astype(np.int64)
-    last = np.arange(2 * n + 1)
-    jump = succ
-    while True:
-        going = jump != end
-        if not going.any():
-            break
-        last = np.where(going, last[jump], last)
-        rank = rank + rank[jump]
-        jump = jump[jump]
-
-    # each segment in its chain's direction, placed by its rank
-    seg = np.arange(n)
-    chain_dir = np.where(last[:n] == last[first], seg, seg + n)
-    length = np.bincount(first, minlength=n)
-    offset = np.cumsum(length) - length
-    walk = np.empty(n, dtype=np.int64)
-    walk[offset[first] + length[first] - 1 - rank[chain_dir]] = chain_dir
-
-    starts = np.flatnonzero(length)
-    is_closed = closed[starts]
-    stops = offset[starts] + length[starts]
-    opened = stops[~is_closed]
-    verts = np.insert(tail[walk], opened, head[walk[opened - 1]])
-    sizes = length[starts] + ~is_closed
-    pieces = np.split(points[verts], np.cumsum(sizes)[:-1])
-    return [Polyline(p, bool(c)) for p, c in zip(pieces, is_closed)]
+    succ = memoryview(np.where(nxt_out[:, 0] == reverse, nxt_out[:, 1], nxt_out[:, 0]))
+    flat = (points[a] == points[b]).all(axis=1)
+    used = flat.copy()  # a flat segment starts no chain
+    is_used = memoryview(used)
+    lines = []
+    for s0 in range(n):
+        if is_used[s0]:
+            continue
+        walk, d = [s0], succ[s0]
+        while d >= 0 and d != s0:
+            walk.append(d)
+            d = succ[d]
+        closed = d >= 0
+        if not closed:
+            back, d = [], succ[s0 + n]
+            while d >= 0:
+                back.append(d)
+                d = succ[d]
+            walk = np.concatenate([reverse[back[::-1]], walk])
+        walk = np.asarray(walk)
+        seg = walk % n
+        used[seg] = True
+        verts = tail[walk[~flat[seg]]]
+        if not closed:
+            verts = np.append(verts, head[walk[-1]])
+        elif len(verts) == 2:
+            continue
+        lines.append(Polyline(points[verts], closed))
+    return lines
 
 
 def frantz_polyline(s, r, n) -> Polyline:

@@ -209,8 +209,8 @@ class TestGrid2D:
 # ---------------------------------------------------------------------------
 # Reference: the per-cell marching squares that the active-cell kernel
 # replaced, kept verbatim (dict case table, scalar saddle calls, dict chainer),
-# except that a dropped zero-length segment welds its two ends as the kernel
-# does.
+# except that a dropped zero-length segment welds its two ends, which chains
+# as the kernel's walk through such a segment does.
 
 REF_CASE_SEGMENTS = {
     0: [],
@@ -417,6 +417,25 @@ class TestActiveCellKernel:
         samples[1, 1] = 1.0
         (loop,) = assert_same_polylines(Grid2D(Domain2D(0, 2, 0, 2, 2, 2), samples))
         assert loop.closed and len(loop.points) == 4
+
+    def test_a_chain_whose_lowest_segment_is_flat(self, monkeypatch):
+        # A zero at lattice point [1, 1], far from the origin, with inside
+        # samples left of and below it: the crossings next to it round onto
+        # it, so cell (0, 0)'s segment, the lowest, is flat. The chain starts
+        # at the next segment, in its direction, and walks through the flat
+        # one without a point for it: the left end, the zero's point, the
+        # bottom end.
+        o = 2.0 ** 20
+        samples = np.array([[-2.0, -2.0, 1.0], [-2.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        chained = []
+        chains = contour2d._chains
+        monkeypatch.setattr(contour2d, "_chains", lambda a, b, points: chained.append((a, b, points)) or chains(a, b, points))
+        (line,) = assert_same_polylines(Grid2D(Domain2D(o, o + 2, o, o + 2, 2, 2), samples))
+        a, b, points = chained[0]
+        assert len(a) == 3 and points[a[0]].tolist() == points[b[0]].tolist() == [o + 1, o + 1]
+        assert not line.closed and len(line.points) == 3
+        (left, _), middle, (_, bottom) = line.points.tolist()
+        assert (left, middle, bottom) == (o, [o + 1, o + 1], o)
 
     def test_saddle_fallback_sums_nudged_corners(self):
         # Cell (0, 0) is a saddle (inside corners [0, 0] and [1, 1]) whose
@@ -745,7 +764,7 @@ class TestSparseContour:
     def test_families_match_sampled_grid(self, spec, n, tiles, shift, block, workers):
         # blocks that do not divide the grid, chunks of two blocks: the same
         # points, closed flags and order as marching squares of the lattice,
-        # from the very points and segments the band kernel gives the weld
+        # from the very points and segments the band kernel gives the chains
         field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
         got, meshes = sparse_contour(field, dom, block, workers)
         assert len(meshes) == 1
@@ -754,12 +773,12 @@ class TestSparseContour:
             # an exact zero ends a crossing edge: the band kernel took over
             assert (sample_grid2d(field, dom).samples == 0.0).any()
             return
-        welded = []
-        weld = contour2d._weld
+        chained = []
+        chains = contour2d._chains
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour2d, "_weld", lambda a, b, points: welded.append((a, b, points)) or weld(a, b, points))
+            mp.setattr(contour2d, "_chains", lambda a, b, points: chained.append((a, b, points)) or chains(a, b, points))
             contour(field, dom, workers=1)  # one slab: the band kernel
-        (a, b, points), (sparse_points, segments) = welded[0], meshes[0]
+        (a, b, points), (sparse_points, segments) = chained[0], meshes[0]
         assert sparse_points.tobytes() == points.tobytes()
         assert segments.dtype == a.dtype and np.array_equal(segments, np.column_stack([a, b]))
 
@@ -848,8 +867,8 @@ class TestSparseContour:
 
 def test_a_loop_the_weld_shrinks_to_two_points_is_dropped():
     # a lone outside zero far from the origin: its four crossings round onto
-    # it but one, so two of the four segments are dropped and welded, and the
-    # other two join the same two points
+    # it but one, so two of the four segments are flat, and the other two
+    # join the same two points
     samples = np.full((6, 4), -2.0)
     samples[4, 2] = -0.0
     assert marching_squares(Grid2D(Domain2D(2048.0, 2049.0, 4096.0, 4097.0, 3, 5), samples)) == []

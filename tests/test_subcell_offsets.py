@@ -1,6 +1,7 @@
 """Extraction under sub-cell domain offsets: the closed 3D families mesh
-watertight and consistently oriented at any grid and any lattice phase, and
-every open 2D polyline runs to the domain boundary.
+watertight and consistently oriented at any grid and any lattice phase, a
+closed 2D curve at one tile is one closed polyline, and every open 2D
+polyline runs to the domain boundary.
 
 The default domain is shifted by a fraction in [-1/2, 1/2) of a cell along
 each axis, which reaches every phase of the lattice. A larger shift moves the
@@ -58,6 +59,40 @@ def test_closed_families_mesh_watertight(family, data, n, shift):
     assert len(np.unique(directed, axis=0)) == len(directed)
 
 
+# each closed 2D family's parameters at one tile: past these squareness
+# values the default domain reaches the family's far sheets as well. Below
+# s = 1e-6 the periodic and oblique fields lose their curve to rounding
+# (`test_a_tiny_squareness_keeps_its_curve`).
+CLOSED_2D = {
+    "lame": st.builds(lambda p: ShapeSpec2D("lame", p=p),
+                      st.one_of(st.sampled_from([1.0, 2.0, math.inf]), st.floats(1.0, 12.0))),
+    **{family: st.builds(lambda s, family=family: ShapeSpec2D(family, s=s),
+                         st.one_of(st.just(0.0), st.floats(low, below, exclude_max=True)))
+       for family, low, below in (("fg", 0.0, 0.89), ("periodic", 1e-6, 0.91), ("oblique", 1e-6, 0.85))},
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_2D)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(8, 48), shift=st.tuples(SHIFT, SHIFT))
+def test_closed_curves_are_one_closed_polyline(family, data, n, shift):
+    spec = data.draw(CLOSED_2D[family])
+    d = default_domain2d(spec, n, 1)
+    ox, oy = shift[0] * d.dx, shift[1] * d.dy
+    dom = Domain2D(d.xmin + ox, d.xmax + ox, d.ymin + oy, d.ymax + oy, n, n)
+    assert [line.closed for line in contour(make_field2d(spec), dom, workers=1)] == [True]
+
+
+@pytest.mark.xfail(strict=True, reason="cos(s*pi/2) and the cosine keys round to 1, so every sample is 0")
+@pytest.mark.parametrize("family", ["periodic", "oblique"])
+def test_a_tiny_squareness_keeps_its_curve(family):
+    # at s = 1e-9 the field's terms differ from 1 by ~1e-18, below float64's
+    # resolution: the lattice samples to exact zeros and the curve, near the
+    # s = 0 circle, comes out empty
+    spec = ShapeSpec2D(family, s=1e-9)
+    assert [line.closed for line in contour(make_field2d(spec), default_domain2d(spec, 24, 1), workers=1)] == [True]
+
+
 @pytest.mark.parametrize("family", ["lame", "fg", "periodic", "oblique", "phase_grid"])
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(8, 48), tiles=st.integers(1, 3), s=UNIT_S,
@@ -78,7 +113,7 @@ def test_a_curve_through_a_zero_crossing_at_a_lattice_point_stays_one_loop():
     # the oblique square at s = 1 on its grid-24 default domain: lattice
     # points on its sides sample to zero or within rounding of it, so the
     # crossings on both edges at such a point land on the point itself; the
-    # segment between them is dropped and its ends welded, so the contour
+    # chain walks through the flat segment between them, so the contour
     # does not break into open pieces that end there, inside the domain
     spec = ShapeSpec2D("oblique", s=1.0)
     dom = default_domain2d(spec, 24, 1)
