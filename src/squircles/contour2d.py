@@ -15,7 +15,9 @@ signs) and the crossing edges, and never writes to the samples. One entry,
 `_sample_banded` the one sampler, which checks its own samples. A large 2D
 lattice of a field with keys is meshed only in the blocks the curve may
 cross (`_sparse_mesh`), to the same points and segments, built from the
-kernel's parts (`_sample_banded`, `_active_cells`, `_slot_ids`). Marching
+kernel's parts (`_sample_banded`, `_active_cells`, `_slot_ids`); a large 3D
+lattice is, one layer of blocks per band of `_mesh_bands` itself
+(`_sparse_bands`). Both prove the blocks' signs by `_certify`. Marching
 squares' segments follow cell order, and chains follow segment order
 (`_chains`): each chain starts at the first segment no earlier chain used,
 walks forward along each segment's successor, then, if open, backward.
@@ -23,6 +25,7 @@ walks forward along each segment's successor, then, if open, backward.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +63,11 @@ SLAB_SAMPLES = 4 * BAND_SAMPLES
 # prove. A grid-2048 curve crosses about 5% of such blocks at tiles 1 and at
 # most 16% at tiles 3.
 BLOCK_CELLS = 32
+
+# The same for the blocks of a surface (`_sparse_bands`). At grid 256 a
+# surface crosses 12-16% of such blocks (lame3d p = 4.5, oblique3d s = 0.9
+# at tiles 2, sphube s = 0.75).
+SURFACE_BLOCK_CELLS = 8
 
 # How far past zero, relative to the bound `Keys.terms` puts on the field's
 # terms over a block, its corner values must lie to prove the block's sign:
@@ -356,13 +364,13 @@ def _slot_ids(code, slots, indices, cell_shape, first_ids):
     n = len(cell_shape)
     end = first_ids[-1] + len(indices[-1][0])
     ids = np.zeros((len(slots), len(code)), dtype=np.int32 if end <= np.iinfo(np.int32).max else np.int64)
+    crosses = _slot_crossings(slots)[:, code]
     compares = {}
     for e, (axis, offset) in enumerate(slots):
         # Slot e of cell c is the edge at c + offset: the crossing edges that
         # have such a cell, in order, pair up with the cells whose slot-e edge
         # crosses, in cell order.
-        low_bit = sum(o << (n - 1 - d) for d, o in enumerate(offset))
-        sel = np.flatnonzero(((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1)
+        sel = np.flatnonzero(crosses[e])
         # Along its own axis every edge has a cell; along another dimension
         # an edge at lattice index i has one at offset 1 when i >= 1, at
         # offset 0 when i < the cell count. Each compare serves every slot of
@@ -377,6 +385,19 @@ def _slot_ids(code, slots, indices, cell_shape, first_ids):
                 has_cell = compares[key] if has_cell is None else has_cell & compares[key]
         ids[e, sel] = first_ids[axis] + np.flatnonzero(has_cell)
     return ids
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_crossings(slots):
+    """crosses[e, code]: whether edge slot e (as `_slot_ids` takes slots)
+    of a cell with sign code crosses, its two end corners' bits differing."""
+    n = len(slots[0][1])
+    code = np.arange(1 << (1 << n))
+    crosses = np.empty((len(slots), len(code)), dtype=bool)
+    for e, (axis, offset) in enumerate(slots):
+        low_bit = sum(o << (n - 1 - d) for d, o in enumerate(offset))
+        crosses[e] = ((code >> low_bit) ^ (code >> (low_bit + (1 << axis)))) & 1
+    return crosses
 
 
 def _edge_points(index, t, coords, steps, axis):
@@ -418,14 +439,7 @@ def _band(load, k0, k1, below, top, slots, cases):
     del vals
     if not any(len(lo) for _, lo, _, _ in crossings):
         return peak, layer, None
-    kept = []
-    for axis, (index, lo, v0, v1) in enumerate(crossings):
-        n = len(lo) if top or axis == len(crossings) - 1 else np.searchsorted(index[0], k1 - k0)
-        v0, v1 = v0[:n], v1[:n]
-        zero = np.flatnonzero((v0 == 0.0) | (v1 == 0.0))
-        kept.append((lo[:n].copy(), v0 / (v0 - v1), zero, v0[zero], v1[zero]))
-    first_ids = np.cumsum([0] + [len(c[1]) for c in crossings[:-1]])
-    indices = [c[0] for c in crossings]
+    kept, indices, first_ids = _band_crossings(crossings, k1 - k0, top)
     del crossings
     cells, code = _active_cells(inside)
     cell_shape = tuple(s - 1 for s in inside.shape)
@@ -433,6 +447,21 @@ def _band(load, k0, k1, below, top, slots, cases):
     ids = _slot_ids(code, slots, indices, cell_shape, first_ids)
     del indices
     return peak, layer, (kept, _element_ids(cases(k0, cells, code), ids), first_ids)
+
+
+def _band_crossings(crossings, layers, top):
+    """`_band`'s crossings of a band of `layers` cell layers, from the
+    `_edge_crossings` of all its layers in lattice order: the part it
+    returns of each axis, the lattice index of every crossing and the first
+    band-local id of each axis."""
+    kept = []
+    for axis, (index, lo, v0, v1) in enumerate(crossings):
+        n = len(lo) if top or axis == len(crossings) - 1 else np.searchsorted(index[0], layers)
+        v0, v1 = v0[:n], v1[:n]
+        zero = np.flatnonzero((v0 == 0.0) | (v1 == 0.0))
+        kept.append((lo[:n].copy(), v0 / (v0 - v1), zero, v0[zero], v1[zero]))
+    first_ids = np.cumsum([0] + [len(c[1]) for c in crossings[:-1]])
+    return kept, [c[0] for c in crossings], first_ids
 
 
 def _element_ids(rows, ids):
@@ -445,28 +474,31 @@ def _element_ids(rows, ids):
     return ids.reshape(-1)[ends * ids.shape[1] + (pick // rows.shape[1])[:, None]]
 
 
-def _mesh_bands(load, bounds, coords, steps, slots, cases, workers):
+def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
     """Points and elements of the zero level set on the lattice of coords
     (x first) spaced by steps, in bands of cell layers along the slowest axis
     (Lorensen & Cline's slice-wise formulation, for any dimension).
 
-    Each band between consecutive bounds runs `_band` on its samples
-    load(k0, k1, below), in runs of bands on `_run_bands(..., workers)`: a
-    run goes bottom to top and hands each band's top layer to the next as
-    below (None for its first band). A weld in band order turns the
-    band-local ids into global ones. The points are every x-edge crossing in
-    lattice order, then every y-edge crossing, and so on; the elements are
-    the rows of cases(k0, cells, code) over point ids. A zero sample ending a
-    crossing edge counts as +ZERO_NUDGE times the largest |sample| of all the
-    bands. The output depends on neither the bands nor the worker count.
+    Each band between consecutive bounds runs band(k0, k1, below, top),
+    which returns what `_band` returns, in runs of bands on
+    `_run_bands(..., workers)`: a run goes bottom to top and hands each
+    band's top layer to the next as below (None for its first band); top is
+    set for the last band. A weld in band order turns the band-local ids
+    into global ones. The points are every x-edge crossing in lattice order,
+    then every y-edge crossing, and so on; the elements are the rows of the
+    band's cases over point ids. A zero sample ending a crossing edge counts
+    as +ZERO_NUDGE times peak(the bands' largest |sample|s), which is taken
+    only then; the default, their max, is the lattice's largest |sample|
+    when the bands sample all of it. The output depends on neither the
+    bands nor the worker count.
     """
     n = len(coords)
 
     def run(spans):
         below, results = None, []
         for k0, k1 in spans:
-            peak, below, band = _band(load, k0, k1, below, k1 == bounds[-1], slots, cases)
-            results.append((peak, band))
+            largest, below, part = band(k0, k1, below, k1 == bounds[-1])
+            results.append((largest, part))
         return results
 
     peaks, bands = zip(*_run_bands(run, bounds, workers))
@@ -486,14 +518,19 @@ def _mesh_bands(load, bounds, coords, steps, slots, cases, workers):
         k0, kept, local, first_ids = parts[b]
         shift = base - first_ids
         out = elements[start:start + len(local)]
-        np.add(local, shift[0], out=out)
-        for axis in range(1, n):
+        # a multiply and a plain add where they serve: a masked add runs at
+        # half their speed; each temporary is one byte per id
+        np.multiply(local >= first_ids[1], shift[1] - shift[0], out=out)
+        for axis in range(2, n):
             np.add(out, shift[axis] - shift[axis - 1], out=out, where=local >= first_ids[axis])
+        out += local
+        out += shift[0]
         start += len(local)
         parts[b] = k0, kept
 
     zeros = [c[1:] for _, kept in parts for c in kept if len(c[2])]
-    _nudge_zeros(max(peaks), *(v for *_, v0, v1 in zeros for v in (v0, v1)))
+    if zeros:
+        _nudge_zeros(peak(peaks), *(v for *_, v0, v1 in zeros for v in (v0, v1)))
     for t, zero, v0, v1 in zeros:
         t[zero] = v0 / (v0 - v1)
     shape = tuple(len(c) for c in reversed(coords))
@@ -527,42 +564,170 @@ def _mesh_lattice(source, domain, slots, cases, workers):
         def load(k0, k1, below):
             return source[k0:k1 + 1], peak
 
-    return _mesh_bands(load, _slab_bounds(axes), axes, domain.steps(), slots, cases, workers)
+    return _mesh_bands(lambda k0, k1, below, top: _band(load, k0, k1, below, top, slots, cases),
+                       _slab_bounds(axes), axes, domain.steps(), workers)
 
 
-def _key_blocks(key, n):
-    """Per block of BLOCK_CELLS cells along an axis of n cells, given the
-    keys of its n + 1 samples: the sample indices of the least and of the
+def _key_blocks(key, n, block):
+    """Per block of `block` cells along an axis of n cells, given the keys
+    of its n + 1 samples: the sample indices of the least and of the
     greatest key in the block's closed sample range, and its largest |key|."""
-    blocks = -(-n // BLOCK_CELLS)
+    blocks = -(-n // block)
     # the last sample repeated past the lattice's end changes no extreme
     # and, coming after it, no first index of one
     windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(key, (0, blocks * BLOCK_CELLS - n), mode="edge"), BLOCK_CELLS + 1)[::BLOCK_CELLS]
-    start = BLOCK_CELLS * np.arange(blocks)
+        np.pad(key, (0, blocks * block - n), mode="edge"), block + 1)[::block]
+    start = block * np.arange(blocks)
     return start + windows.argmin(axis=1), start + windows.argmax(axis=1), np.abs(windows).max(axis=1)
+
+
+def _certify(field, keys, axes, block):
+    """Per block of `block` cells a side of the lattice of axes (x first),
+    indexed by block, slowest axis first: the proven sign of every sample in
+    it, +1 or -1, or 0 where no sign is proven; a bound on its |samples|,
+    which holds where a sign is proven; and the field at its corners, the
+    2^n samples that pair each axis's least and greatest key in the block,
+    shaped (2,) * n + the block counts (axis k's pair on dimension n-1-k).
+
+    The field, or each of `keys.parts` (the field is their max), is
+    monotone or multilinear in the keys (`fields2d.Keys`), so its least and
+    greatest value at the corners bound it over the block; a max of parts is
+    bounded below by the greatest of their least values and above by the
+    greatest of their greatest. A sign is proven when the corners are finite
+    and the bounds lie beyond the margin, CERTIFY_MARGIN times `keys.terms`
+    of the block's largest |keys|, a normal float; the bound on |samples| is
+    the larger |bound| plus the margin. The corners are the field's values
+    at those lattice samples, the same bits as sampling gives them.
+    """
+    n = len(axes)
+    pairs = tuple(range(n))
+    with np.errstate(**_FIELD_ERRSTATE):
+        ends = [_key_blocks(keys.key(a), len(a) - 1, block) for a in axes]
+        coords = []
+        for k, (a, (least, greatest, _)) in enumerate(zip(axes, ends)):
+            shape = [1] * (2 * n)
+            shape[n - 1 - k], shape[2 * n - 1 - k] = 2, len(least)
+            coords.append(a[np.stack([least, greatest])].reshape(shape))
+        parts = [part(*coords) for part in keys.parts] or [field(*coords)]
+        margin = CERTIFY_MARGIN * keys.terms(*(
+            largest.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, (_, _, largest) in enumerate(ends)))
+        low = functools.reduce(np.maximum, [p.min(axis=pairs) for p in parts])
+        high = functools.reduce(np.maximum, [p.max(axis=pairs) for p in parts])
+        bound = np.maximum(high, -low) + margin
+    corners = functools.reduce(np.maximum, parts)
+    proven = np.isfinite(corners).all(axis=pairs) & (margin >= np.finfo(float).tiny) & (margin < np.inf)
+    return proven * ((low > margin).astype(np.int8) - (high < -margin)), bound, corners
 
 
 def _block_signs(field, keys, axes):
     """The proven sign of every sample in each block of BLOCK_CELLS x
     BLOCK_CELLS cells of the lattice of axes (x first), indexed (block row,
-    block column): +1 or -1, or 0 where no sign is proven.
+    block column): +1 or -1, or 0 where no sign is proven (`_certify`)."""
+    return _certify(field, keys, axes, BLOCK_CELLS)[0]
 
-    The field, monotone or multilinear in the keys (`fields2d.Keys`), is
-    bounded over a block by its values at the 4 samples that pair each
-    axis's least and greatest key in the block. A sign is proven when the 4
-    are finite and all lie beyond CERTIFY_MARGIN times `keys.terms` of the
-    block's largest |keys|, a normal float.
+
+def _sparse_bands(field, keys, domain, slots, cases, workers):
+    """`_mesh_lattice`'s points and elements for a field with keys, from the
+    samples of the blocks of SURFACE_BLOCK_CELLS cells a side whose sign
+    `_certify` does not prove, or None where one of those samples is not
+    finite (the band kernel then names the first).
+
+    A band is one layer of blocks along the slowest axis, run by
+    `_mesh_bands` on `_run_bands(..., workers)`. Its unproven blocks' closed
+    sample ranges (past the lattice's last sample each repeats that sample)
+    are placed side by side along x and sampled by `_sample_banded` in one
+    array of the band's layers: an x-edge or cell that spans two blocks is a
+    seam and is dropped. A proven block has no active cell nor crossing
+    edge, so each crossing edge is in at least one sampled block of the band
+    and each active cell in one. Each edge goes to the block that holds its
+    low end (the last block on an axis at the lattice's upper face), which
+    drops the copies, and the crossings of each axis and the active cells
+    are put in lattice order (one argsort each). The band then returns
+    `_band`'s very tuple, with no top layer. The zero nudge takes the
+    lattice's largest |sample|, found exactly: the largest of the sampled
+    blocks', of the corners' and of the samples of each proven block whose
+    bound on |samples| reaches those.
     """
-    xs, ys = axes
-    with np.errstate(**_FIELD_ERRSTATE):
-        (x0, x1, kx), (y0, y1, ky) = (_key_blocks(keys.key(a), len(a) - 1) for a in axes)
-        corners = field(xs[np.stack([x0, x1])][:, None, None, :], ys[np.stack([y0, y1])][None, :, :, None])
-        margin = CERTIFY_MARGIN * keys.terms(kx[None, :], ky[:, None])
-    corners = corners.reshape(4, len(y0), len(x0))
-    low, high = corners.min(axis=0), corners.max(axis=0)
-    proven = np.isfinite(corners).all(axis=0) & (margin >= np.finfo(float).tiny) & (margin < np.inf)
-    return proven * ((low > margin).astype(np.int8) - (high < -margin))
+    axes = domain.axes()
+    n, b = len(axes), SURFACE_BLOCK_CELLS
+    signs, bound, corners = _certify(field, keys, axes, b)
+    if not np.isfinite(corners).all():
+        return None
+    # cell counts and the side of each block's closed sample range, slowest axis first
+    cells, span = tuple(len(a) - 1 for a in reversed(axes)), np.arange(b + 1)
+
+    def band(k0, k1, below, top):
+        starts = [b * q for q in np.nonzero(signs[k0 // b] == 0)]
+        if not len(starts[0]):
+            return 0.0, None, None
+        layers, width = k1 - k0, len(starts[0]) * (b + 1)
+        # sample (k, j, ..., q (b + 1) + i) is lattice sample (k0 + k, ranges of
+        # block q at j, ..., i); sampled on this thread, as the band is
+        ranges = [np.minimum(st[:, None] + span, c) for st, c in zip(starts, cells[1:])]
+        coords = [axes[0][ranges[-1]].reshape((1,) * (n - 1) + (width,))]
+        for d in range(n - 2, 0, -1):
+            shape = [1] * (n - 1) + [width]
+            shape[d] = b + 1
+            coords.append(np.repeat(axes[n - 1 - d][ranges[d - 1]].T, b + 1, axis=1).reshape(shape))
+        coords.append(axes[-1][k0:k1 + 1].reshape((-1,) + (1,) * (n - 1)))
+        vals, largest = _sample_banded(field, coords, 1)
+        inside = vals < 0
+        crossings = []
+        for axis, (index, _, v0, v1) in enumerate(_edge_crossings(vals, inside)):
+            at, local = _block_lattice(index, starts, b)
+            # an x-edge from a block's last sample is a seam; along each other
+            # axis a point on a block's upper face belongs to the next block
+            keep = local[-1] < b if axis == 0 else np.ones(len(v0), dtype=bool)
+            for d in range(1, n):
+                if d != n - 1 - axis:
+                    keep &= ((local[d - 1] < b) & (at[d] <= cells[d])) | (at[d] == cells[d])
+            at = tuple(i[keep] for i in at)
+            lo = np.ravel_multi_index(at, (layers + 1,) + tuple(c + 1 for c in cells[1:]))
+            order = np.argsort(lo)
+            crossings.append((tuple(i[order] for i in at), lo[order], v0[keep][order], v1[keep][order]))
+        del vals
+        if not any(len(lo) for _, lo, _, _ in crossings):
+            return largest, None, None
+        kept, indices, first_ids = _band_crossings(crossings, layers, top)
+        del crossings
+        cell, code = _active_cells(inside)
+        at, local = _block_lattice(np.unravel_index(cell, tuple(s - 1 for s in inside.shape)), starts, b)
+        del inside
+        # a cell from a block's last sample is a seam; past the lattice's end, a copy
+        keep = local[-1] < b
+        for d in range(1, n):
+            keep &= at[d] < cells[d]
+        cell = np.ravel_multi_index(tuple(i[keep] for i in at), (layers,) + cells[1:])
+        order = np.argsort(cell)
+        cell, code = cell[order], code[keep][order]
+        ids = _slot_ids(code, slots, indices, (layers,) + cells[1:], first_ids)
+        return largest, None, (kept, _element_ids(cases(k0, cell, code), ids), first_ids)
+
+    def peak(peaks):
+        top = max(max(peaks), np.abs(corners).max())
+        far = np.argwhere((signs != 0) & (bound >= top))
+        if len(far):
+            coords = [a[np.minimum(b * far[:, n - 1 - k, None] + span, len(a) - 1)].reshape(
+                (len(far),) + (1,) * (n - 1 - k) + (b + 1,) + (1,) * k) for k, a in enumerate(axes)]
+            top = max(top, _sample_banded(field, coords, 1)[1])
+        return top
+
+    try:
+        return _mesh_bands(band, np.arange(0, cells[0] + b, b).clip(max=cells[0]), axes, domain.steps(), workers,
+                           peak=peak)
+    except ValueError:
+        return None
+
+
+def _block_lattice(index, starts, b):
+    """The lattice index (within the band, slowest axis first) of the points
+    at index in a band's side-by-side blocks (`_sparse_bands`), whose blocks
+    start at starts (per axis but the slowest), and their index within
+    their block along each of those axes. Along x, index runs through the
+    blocks, b + 1 samples each."""
+    block, i = np.divmod(index[-1], b + 1)
+    local = list(index[1:-1]) + [i]
+    return [index[0]] + [st[block] + j for st, j in zip(starts, local)], local
 
 
 def _sparse_mesh(field, keys, domain, cases):

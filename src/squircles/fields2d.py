@@ -37,8 +37,8 @@ class Family:
     """Everything the package encodes about one shape family: field(spec) builds
     its inside-negative field, each of checks(spec) raises ValueError on a bad
     parameter, bounds(spec, tiles) is the default (xmin, xmax, ymin, ymax[,
-    zmin, zmax]) and info is the `info` text. keys(spec), where a 2D field
-    has them, gives the field's `Keys`."""
+    zmin, zmax]) and info is the `info` text. keys(spec), where a field has
+    them, gives the field's `Keys`."""
 
     field: Callable
     checks: tuple
@@ -49,15 +49,19 @@ class Family:
 
 @dataclass(frozen=True)
 class Keys:
-    """A 2D field as a function of one key per axis, key(x) and key(y), in
-    each of which it is monotone or multilinear: over any box of key values
-    it takes its extremes at the box's corners. terms(kx, ky) bounds the sum
-    of the |terms| the field adds up where no |key| exceeds kx and ky, and so
-    the rounding of any of its values. `contour2d` certifies the sign of a
-    block of the lattice by these."""
+    """A field as a function of one key per axis, key(c) of each coordinate
+    c, in each of which it is monotone or multilinear: over any box of key
+    values it takes its extremes at the box's corners. terms(*k) (one |key|
+    bound per axis, x first) bounds the sum of the |terms| the field adds up
+    where no |key| exceeds them, and so the rounding of any of its values.
+    Where parts are given, the field is their pointwise max, and it is each
+    part, a function of the coordinates, that is monotone or multilinear in
+    the keys. `contour2d` certifies the sign of a block of the lattice by
+    these."""
 
     key: Callable
     terms: Callable
+    parts: tuple = ()
 
 
 def _check_spec(spec, families, dims):
@@ -235,13 +239,13 @@ def _sphere(r):
 
 
 def _circle_keys(r):
-    # x^2 + y^2 - r^2 is linear in the keys x^2 and y^2
-    return Keys(np.square, lambda kx, ky: kx + ky + r * r)
+    # x^2 + y^2 [+ z^2] - r^2 is linear in the keys x^2, y^2 [and z^2]
+    return Keys(np.square, lambda *k: sum(k) + r * r)
 
 
 def _lame_keys(sp):
-    # the p-norm of (|x|, |y|) grows with each and is at most |x| + |y|
-    return Keys(np.abs, lambda kx, ky: kx + ky + sp.r)
+    # the p-norm of (|x|, |y| [, |z|]) grows with each and is at most their sum
+    return Keys(np.abs, lambda *k: sum(k) + sp.r)
 
 
 def _fg_keys(sp):

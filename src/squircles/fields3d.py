@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields2d import (
-    _P_AT_LEAST_1, _UNIT_S, Family, _check_spec, _require, _round_at_s0, _scaled_pnorm, _scratch, _square, eval_fg,
+    _P_AT_LEAST_1, _UNIT_S, Family, Keys, _check_spec, _circle_keys, _lame_keys, _oblique_key, _periodic_key,
+    _require, _round_at_s0, _scaled_pnorm, _scratch, _square, eval_fg,
 )
 
 
@@ -83,8 +84,8 @@ def eval_sphube(x, y, z, s, r, out=None):
 
 def eval_periodic3d(x, y, z, s, r, out=None):
     """Triply-periodic cosine-product counterpart of the periodic squircle."""
-    c = s * np.pi / (2.0 * r)
-    f = np.multiply(np.cos(c * x) * np.cos(c * y), np.cos(c * z), out=out)
+    key = _periodic_key(s, r)
+    f = np.multiply(key(x) * key(y), key(z), out=out)
     return np.subtract(np.cos(s * np.pi / 2.0), f, out=out)
 
 
@@ -97,11 +98,8 @@ def eval_oblique3d(x, y, z, s, r, h=0.0, out=None):
     ulp. At s=1, r=pi, h=1 the field is -(cos x + cos y + cos z) to rounding,
     the sham Schwarz surface.
     """
-    c = s * np.pi / r
-    paired = np.add(
-        (np.cos(s * np.pi) - np.cos(c * x)) + (1.0 - np.cos(c * y)),
-        1.0 - np.cos(c * z), out=out,
-    )
+    key = _oblique_key(s, r)
+    paired = np.add((np.cos(s * np.pi) - key(x)) + (1.0 - key(y)), 1.0 - key(z), out=out)
     return np.subtract(paired, math.floor(s) * h, out=out)
 
 
@@ -193,6 +191,22 @@ def _ring_clip(f, x, y, R, r, out=None):
     return np.maximum(f, np.where(beyond, 0.0, -np.inf), out=out)
 
 
+def _sphube_keys(sp):
+    # The raw field is multilinear in x^2, y^2 and z^2, so over |x|, |y|,
+    # |z| >= 0 it takes its extremes where each |c| does; each clip term
+    # |c| - r grows with |c|. The coefficient c2 is a float64 as the field
+    # takes it, computed in the bound: where r * r underflows or s^2 / r^2
+    # overflows the bound is not finite and proves no block.
+    def terms(kx, ky, kz):
+        x2, y2, z2 = np.square(kx), np.square(ky), np.square(kz)
+        c2 = np.float64(sp.s * sp.s) / (sp.r * sp.r)
+        return x2 + y2 + z2 + c2 * (x2 * y2 + y2 * z2 + x2 * z2) + c2 * c2 * (x2 * y2 * z2) + sp.r * sp.r
+
+    return Keys(np.abs, terms, parts=(lambda x, y, z: eval_sphube(x, y, z, sp.s, sp.r),
+                                      lambda x, y, z: np.abs(x) - sp.r, lambda x, y, z: np.abs(y) - sp.r,
+                                      lambda x, y, z: np.abs(z) - sp.r))
+
+
 def _cube(ext):
     return _square(ext) + (-ext, ext)
 
@@ -204,21 +218,26 @@ def _toroid_bounds(sp, tiles):
 FAMILY_RECORDS_3D = {
     "lame3d": Family(
         field=lambda sp: lambda x, y, z, out=None: eval_lame3d(x, y, z, sp.p, sp.r, out), checks=(_P_AT_LEAST_1,),
-        bounds=lambda sp, tiles: _cube(1.2 * sp.r * tiles),
+        bounds=lambda sp, tiles: _cube(1.2 * sp.r * tiles), keys=_lame_keys,
         info="superellipsoid |x|^p + |y|^p + |z|^p = r^p; sphere to cube (or octahedron for p in [1, 2])"),
     "sphube": Family(
         field=lambda sp: lambda x, y, z, out=None: _box_clip(eval_sphube(x, y, z, sp.s, sp.r, out), x, y, z, sp.r, out),
-        checks=(_UNIT_S,), bounds=lambda sp, tiles: _cube(sp.r * tiles),
+        checks=(_UNIT_S,), bounds=lambda sp, tiles: _cube(sp.r * tiles), keys=_sphube_keys,
         info="sphere-cube blend with squareness s in [0, 1]"),
     # unit cells: the periodic families grow far sheets past |x| = r
     "periodic3d": Family(
         field=_round_at_s0(lambda sp: lambda x, y, z, out=None: eval_periodic3d(x, y, z, sp.s, sp.r, out)),
         checks=(_UNIT_S,), bounds=lambda sp, tiles: _cube(sp.r * tiles),
+        # multilinear in the cosines, each term at most 1 in size
+        keys=_round_at_s0(lambda sp: Keys(_periodic_key(sp.s, sp.r), lambda kx, ky, kz: 2.0), _circle_keys),
         info="triply-periodic cosine product; cube with side 2r at s=1"),
     "oblique3d": Family(
         field=_round_at_s0(lambda sp: lambda x, y, z, out=None: eval_oblique3d(x, y, z, sp.s, sp.r, sp.h, out)),
         checks=(_UNIT_S, _require(lambda sp: 0 <= sp.h <= 4, "3D overshoot h must be in [0, 4], got {h}")),
         bounds=lambda sp, tiles: _cube(sp.r * tiles),
+        # linear in the cosines; its terms, the 3 cosines, cos(s pi), two 1s and
+        # floor(s) h <= 4, add up to at most 10 in size
+        keys=_round_at_s0(lambda sp: Keys(_oblique_key(sp.s, sp.r), lambda kx, ky, kz: 10.0), _circle_keys),
         info="triply-periodic cosine sum; sham octahedron at s=1, overshoot h in [0, 4], "
         "sham Schwarz at s=1 r=pi h=1"),
     "toroid": Family(
@@ -272,8 +291,14 @@ def make_field3d(spec: ShapeSpec3D):
 
     The field takes out=None: given an array of the broadcast shape of x, y,
     z, it writes its values there and returns it (`fills_out` says so to
-    `contour2d._sample_banded`).
+    `contour2d._sample_banded`). A family with keys (lame3d, sphube,
+    periodic3d, oblique3d) gives the field its `Keys` as `keys`, by which
+    `polygonize3d.polygonize` skips the blocks of a large lattice that the
+    surface cannot cross.
     """
-    field = FAMILY_RECORDS_3D[spec.family].field(spec)
+    record = FAMILY_RECORDS_3D[spec.family]
+    field = record.field(spec)
     field.fills_out = True
+    if record.keys is not None:
+        field.keys = record.keys(spec)
     return field

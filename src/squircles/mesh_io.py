@@ -26,15 +26,19 @@ and spliced in.
 `MESH_BAND` rows, so their temporaries do not grow with the mesh; each row's
 result does not depend on the band, so neither do the bits. (A band of OBJ
 rows may reserve fewer digit groups or no sign byte, but those bytes are NUL
-and deleted.) `mesh_area` and `write_stl` gather a band's triangle corners
-with `np.take(vertices, ids, axis=0)`: the same values as `vertices[ids]`,
-in less time.
+and deleted.) `mesh_area` gathers a band's triangle corners with
+`np.take(vertices, ids, axis=0)`: the same values as `vertices[ids]`, in
+less time. `write_stl` gathers them straight into the vertex fields of its
+records and reads them as (corner, axis, row), so that each step of the
+normal runs along the band's rows, not along 3-element rows: the float32
+cross product one component at a time in `np.cross`'s order, and the
+length as `np.linalg.norm` sums it, left to right, so the bits are theirs.
 
-`area_below` decides `mesh_area(mesh) < floor` band by band. Under
-round-to-nearest a sum of non-negative terms is never below any one of its
-terms, in any order, and halving is monotone, so one band whose largest
-`0.5 * norm` reaches the floor proves the whole area does. The full sum is
-taken only when no band proves it.
+`area_below` decides `mesh_area(mesh) < floor` band by band, from a small
+first band. Under round-to-nearest a sum of non-negative terms is never
+below any one of its terms, in any order, and halving is monotone, so one
+band whose largest `0.5 * norm` reaches the floor proves the whole area
+does. The full sum is taken only when no band proves it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ _FMT = "{:.9f}"
 # faulted in ~37 MB at grid 128. Measured on 2 cores, bands of BAND_SAMPLES / 8
 # rows ran ~10% faster than bands of BAND_SAMPLES at grids 128 and 256.
 MESH_BAND = BAND_SAMPLES // 8
+
+# Rows of the first band of `area_below`. Almost any one triangle of a real
+# mesh decides the answer, and a first band of MESH_BAND rows covers the
+# whole of most small meshes; on a grid-256 sphube (2 cores, in-process, 7
+# runs) the call went from 2.9 to 0.3 ms.
+AREA_FIRST_BAND = 256
 
 
 def _word(text: bytes) -> np.uint32:
@@ -200,10 +210,10 @@ class MeshStats:
     total_area: float
 
 
-def _band_norms(mesh: TriangleMesh, lo: int) -> np.ndarray:
-    """Twice the area of each triangle in the band of rows `lo` to `lo +
-    MESH_BAND`: the norm of its edges' cross product."""
-    tri = np.take(mesh.vertices, mesh.triangles[lo:lo + MESH_BAND], axis=0)
+def _band_norms(mesh: TriangleMesh, lo: int, hi: int) -> np.ndarray:
+    """Twice the area of each triangle in the band of rows `lo` to `hi`: the
+    norm of its edges' cross product."""
+    tri = np.take(mesh.vertices, mesh.triangles[lo:hi], axis=0)
     return np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
 
 
@@ -211,18 +221,21 @@ def mesh_area(mesh: TriangleMesh) -> float:
     """Summed triangle area, without the edge counting of `mesh_stats`."""
     norms = np.empty(len(mesh.triangles))
     for lo in range(0, len(norms), MESH_BAND):
-        norms[lo:lo + MESH_BAND] = _band_norms(mesh, lo)
+        norms[lo:lo + MESH_BAND] = _band_norms(mesh, lo, lo + MESH_BAND)
     return float(0.5 * norms.sum())
 
 
 def area_below(mesh: TriangleMesh, floor: float) -> bool:
     """`mesh_area(mesh) < floor`, stopping at the first band whose largest
-    triangle alone reaches `floor`."""
+    triangle alone reaches `floor`. The first band is AREA_FIRST_BAND rows,
+    the others MESH_BAND."""
     norms = np.empty(len(mesh.triangles))
-    for lo in range(0, len(norms), MESH_BAND):
-        band = norms[lo:lo + MESH_BAND] = _band_norms(mesh, lo)
+    lo, hi = 0, AREA_FIRST_BAND
+    while lo < len(norms):
+        band = norms[lo:hi] = _band_norms(mesh, lo, hi)
         if 0.5 * band.max() >= floor:
             return False
+        lo, hi = hi, hi + MESH_BAND
     return float(0.5 * norms.sum()) < floor
 
 
@@ -279,19 +292,28 @@ def write_stl(mesh: TriangleMesh, sink, comment: str = "") -> None:
     record = np.zeros(min(len(mesh.triangles), MESH_BAND),
                       dtype=np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")]))
     for lo in range(0, len(mesh.triangles), MESH_BAND):
-        tri = np.take(vertices, mesh.triangles[lo:lo + MESH_BAND], axis=0)
+        ids = mesh.triangles[lo:lo + MESH_BAND]
+        band = record[:len(ids)]
+        # gathered straight into the records (TriangleMesh checks the ids),
+        # then read as (corner, axis, row) so each op runs along the rows
+        np.take(vertices, ids, axis=0, out=band["v"], mode="clip")
+        corner = band["v"].transpose(1, 2, 0)
+        normals = np.empty((3, len(ids)))
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone in float64
-            normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]).astype("<f8")
-            lengths = np.linalg.norm(normals, axis=1)
+            a, b = corner[1] - corner[0], corner[2] - corner[0]
+            # np.cross's float32 products and differences, in its order
+            normals[0] = a[1] * b[2] - a[2] * b[1]
+            normals[1] = a[2] * b[0] - a[0] * b[2]
+            normals[2] = a[0] * b[1] - a[1] * b[0]
+            # np.linalg.norm's sum, left to right
+            lengths = np.sqrt((np.square(normals[0]) + np.square(normals[1])) + np.square(normals[2]))
         wide = np.flatnonzero(~np.isfinite(lengths))
         if len(wide):
-            corners = tri[wide].astype("<f8")
-            normals[wide] = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-            lengths[wide] = np.linalg.norm(normals[wide], axis=1)
+            corners = band["v"][wide].astype("<f8")
+            normals[:, wide] = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]).T
+            lengths[wide] = np.linalg.norm(normals[:, wide], axis=0)
         lengths[lengths == 0] = 1.0
-        band = record[:len(tri)]
-        band["n"] = normals / lengths[:, None]
-        band["v"] = tri
+        np.divide(normals, lengths, out=band["n"].T)
         sink.write(memoryview(band).cast("B"))
 
 

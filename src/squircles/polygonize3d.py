@@ -18,12 +18,25 @@ held; `marching_cubes` runs the same slabs over views of a sampled grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import contour2d
 from .contour2d import LatticeDomain, _mesh_lattice, _open_lattice, _sample_banded
 from .mc_tables import TRI_TABLE
+
+# Most lattice samples for which `polygonize` meshes a field with keys in
+# full; on a larger lattice it meshes only the blocks the surface may cross
+# (`contour2d._sparse_bands`). 2^24 is a cube of side 256: the default
+# lattice of grid 256 (257^3 samples) takes the route, that of grid 254
+# (255^3) does not. Measured in-process on 2 cores: at grid 256 the route
+# took x0.44-0.85 of the full kernel's time
+# (lame3d, periodic3d, sphube, oblique3d); at grid 240 oblique3d lost
+# (x1.03), at grid 192 all but lame3d lost (x1.01-1.24), at grid 128 all
+# but lame3d lost by x1.5-1.8.
+SPARSE_MIN_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -127,10 +140,21 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     This is the band kernel (`contour2d._mesh_lattice`) over z-slabs of at
     most `contour2d.SLAB_SAMPLES` samples, each sampled as it starts, one run
     of slabs per thread (`workers`, default `contour2d.default_workers()`);
-    a slab takes its bottom plane from the slab below in its run. A
-    non-finite sample raises the ValueError `sample_grid3d` raises.
+    a slab takes its bottom plane from the slab below in its run. A field
+    with keys (`fields2d.Keys`) on a lattice of more than SPARSE_MIN_SAMPLES
+    samples is sampled and meshed only in the blocks whose sign
+    `contour2d._certify` does not prove (`contour2d._sparse_bands`), to the
+    same bytes; where one of those samples is not finite, the band kernel
+    meshes it. A non-finite sample raises the ValueError `sample_grid3d`
+    raises.
     """
-    return TriangleMesh(*_mesh_lattice(field, domain, _SLOTS, _cell_triangles, workers))
+    mesh = None
+    keys = getattr(field, "keys", None)
+    if keys is not None and math.prod(len(a) for a in domain.axes()) > SPARSE_MIN_SAMPLES:
+        mesh = contour2d._sparse_bands(field, keys, domain, _SLOTS, _cell_triangles, workers)
+    if mesh is None:
+        mesh = _mesh_lattice(field, domain, _SLOTS, _cell_triangles, workers)
+    return TriangleMesh(*mesh)
 
 
 def marching_cubes(grid: Grid3D) -> TriangleMesh:

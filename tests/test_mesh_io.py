@@ -559,9 +559,9 @@ class TestAreaFloor:
         seen = []  # the first row of each band the shared norm helper reads
         band_norms = mesh_io._band_norms
 
-        def counted(mesh, lo):
+        def counted(mesh, lo, hi):
             seen.append(lo)
-            return band_norms(mesh, lo)
+            return band_norms(mesh, lo, hi)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mesh_io, "_band_norms", counted)

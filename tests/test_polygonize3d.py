@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from squircles import contour2d
+from squircles import contour2d, polygonize3d
 from squircles.cli import default_domain3d
 from squircles.contour2d import ZERO_NUDGE, _active_cells
+from squircles.fields2d import Keys
 from squircles.fields3d import FAMILIES_3D, ShapeSpec3D, make_field3d
 from squircles.mc_tables import TRI_TABLE
 from squircles.mesh_io import mesh_stats
@@ -441,6 +442,14 @@ def slab_grids(draw):
     return Grid3D(dom, samples), draw(st.integers(1, 3)), draw(st.integers(1, 3))
 
 
+@pytest.fixture
+def dense_kernel(monkeypatch):
+    """The band kernel over the whole lattice, not the sparse route that a
+    large lattice of a field with keys takes (see TestSparseSurface)."""
+    monkeypatch.setattr(contour2d, "_sparse_bands", lambda *args: None)
+
+
+@pytest.mark.usefixtures("dense_kernel")
 class TestSlabKernel:
     @settings(max_examples=60, deadline=None)
     @given(slab_grids())
@@ -539,6 +548,7 @@ def counted(field, fills):
     return wrapped, sizes
 
 
+@pytest.mark.usefixtures("dense_kernel")
 class TestSharedPlanes:
     # grid 40 in slabs of 3 cell layers: 14 slabs, 13 planes shared
     @pytest.mark.parametrize("fills", [True, False])
@@ -643,6 +653,7 @@ class TestSharedPlanes:
         assert meshed and all(meshed)
 
 
+@pytest.mark.usefixtures("dense_kernel")
 class TestThreadPool:
     def _runs(self, n_bands, workers):
         """The calls of run that `_run_bands` makes over n_bands bands, as
@@ -694,3 +705,199 @@ class TestThreadPool:
         field = make_field3d(spec)
         sample_grid3d(field, dom, workers=2)
         polygonize(field, dom, workers=2)
+
+
+# --- the sparse route: only the blocks a surface can cross -------------------
+
+KEYED_3D = ("lame3d", "sphube", "periodic3d", "oblique3d")
+UNIT_S = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def keyed_surfaces(draw):
+    """A keyed family at s in [0, 1] (0 and 1 included), its default domain
+    at grid 8-32 and 1-2 tiles shifted by up to a cell per axis, and a
+    radius."""
+    family = draw(st.sampled_from(KEYED_3D))
+    kw = dict(r=draw(st.sampled_from([1.0, 0.8, 1.25, 3.0])))
+    if family == "lame3d":
+        kw["p"] = draw(st.one_of(st.sampled_from([1.0, 2.0, math.inf]), st.floats(1, 8)))
+    else:
+        kw["s"] = draw(UNIT_S)
+    if family == "oblique3d":
+        kw["h"] = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    spec = ShapeSpec3D(family, **kw)
+    n, tiles = draw(st.integers(8, 32)), draw(st.integers(1, 2))
+    d = default_domain3d(spec, n, tiles)
+    shift = [draw(st.sampled_from([0.0, 0.25, 0.5])) or draw(st.floats(0, 1)) if draw(st.booleans()) else 0.0
+             for _ in range(3)]
+    dom = Domain3D(d.xmin + shift[0] * d.dx, d.xmax + shift[0] * d.dx, d.ymin + shift[1] * d.dy,
+                   d.ymax + shift[1] * d.dy, d.zmin + shift[2] * d.dz, d.zmax + shift[2] * d.dz, d.nx, d.ny, d.nz)
+    return make_field3d(spec), dom
+
+
+def sparse_polygonize(field, dom, block, workers):
+    """polygonize on the sparse route at any lattice size, in blocks of
+    `block` cells pooled whenever workers > 1, and what each
+    `_sparse_bands` call gave."""
+    meshes = []
+    sparse = contour2d._sparse_bands
+
+    def spy(*args):
+        meshes.append(sparse(*args))
+        return meshes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygonize3d, "SPARSE_MIN_SAMPLES", 0)
+        mp.setattr(contour2d, "SURFACE_BLOCK_CELLS", block)
+        mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+        mp.setattr(contour2d, "_sparse_bands", spy)
+        return polygonize(field, dom, workers=workers), meshes
+
+
+class TestSparseSurface:
+    @settings(max_examples=120, deadline=None)
+    @given(keyed_surfaces(), st.integers(2, 9), st.integers(1, 3))
+    def test_families_match_sampled_volume(self, surface, block, workers):
+        # blocks that need not divide the grid, sub-cell shifts, radii and
+        # pooled bands: the bytes of marching cubes of the sampled volume,
+        # exact zeros (nudged by the whole lattice's peak) included
+        field, dom = surface
+        got, meshes = sparse_polygonize(field, dom, block, workers)
+        assert len(meshes) == 1 and meshes[0] is not None
+        assert_mesh_bytes(got, marching_cubes(sample_grid3d(field, dom, workers=1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(keyed_surfaces(), st.integers(1, 9))
+    def test_proven_blocks_hold_their_sign(self, surface, block):
+        # the clipped sphube too: its bounds come from each part, not from
+        # the clipped field's own corners
+        field, dom = surface
+        vals = sample_grid3d(field, dom, workers=1).view3d()
+        signs, bound, _ = contour2d._certify(field, field.keys, dom.axes(), block)
+        assert signs.shape == tuple(-(-n // block) for n in (dom.nz, dom.ny, dom.nx))
+        for (bk, bj, bi), sign in np.ndenumerate(signs):
+            if sign:
+                part = vals[bk * block:(bk + 1) * block + 1, bj * block:(bj + 1) * block + 1,
+                            bi * block:(bi + 1) * block + 1]
+                assert (sign * part > 0).all()
+                assert np.abs(part).max() <= bound[bk, bj, bi]
+
+    def test_a_max_of_parts_is_bounded_by_its_parts(self):
+        # max(0.9 - x, x - 1.1) is 0.9 at both ends of the block x in [0, 2]
+        # but -0.1 at x = 1: its corners alone would prove it positive, its
+        # parts' bounds, max(-1.1, -1.1) below, prove nothing
+        parts = (lambda x, y, z: 0.9 - x + 0 * (y + z), lambda x, y, z: x - 1.1 + 0 * (y + z))
+
+        def field(x, y, z):
+            return np.maximum(parts[0](x, y, z), parts[1](x, y, z))
+
+        field.keys = Keys(lambda c: c, lambda kx, ky, kz: kx + 1.1, parts=parts)
+        dom = Domain3D(0, 2, 0, 1, 0, 1, 4, 2, 2)
+        signs, _, corners = contour2d._certify(field, field.keys, dom.axes(), 4)
+        assert (corners > 0).all() and signs.tolist() == [[[0]]]
+        assert sample_grid3d(field, dom, workers=1).samples.min() < 0
+
+    @pytest.mark.parametrize("n", [24, 32, 48])
+    def test_face_centre_zeros_take_the_exact_peak(self, n):
+        # the default sphube domain is its cube, so at an even grid the six
+        # face centres (|x| = r, y = z = 0) sample to exact zeros that end
+        # crossing edges; the lattice's largest |sample| sits at the cube's
+        # corners, in proven blocks, and must scale their nudge
+        spec = ShapeSpec3D("sphube", s=0.75)
+        field, dom = make_field3d(spec), default_domain3d(spec, n, 1)
+        vals = sample_grid3d(field, dom, workers=1).view3d()
+        assert vals[n // 2, n // 2, 0] == vals[n // 2, n // 2, n] == 0.0
+        peaks = []
+        nudge = contour2d._nudge_zeros
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "_nudge_zeros", lambda peak, *g: peaks.append(peak) or nudge(peak, *g))
+            got, meshes = sparse_polygonize(field, dom, 4, 2)
+        assert meshes[0] is not None and peaks == [np.abs(vals).max()]
+        signs = contour2d._certify(field, field.keys, dom.axes(), 4)[0]
+        assert signs[0, 0, 0] == 1  # the peak's block was proven, not sampled
+        assert_mesh_bytes(got, marching_cubes(sample_grid3d(field, dom, workers=1)))
+
+    @pytest.mark.parametrize("family, kw, tiles", [("sphube", dict(s=0.75, r=1.1), 1),
+                                                  ("oblique3d", dict(s=0.9, r=0.95), 2)])
+    def test_grid_256_commands_take_the_route(self, family, kw, tiles):
+        # the large-surface bench commands: both take the route, their exact
+        # zeros included, with the bytes of the band kernel
+        spec = ShapeSpec3D(family, **kw)
+        field, dom = make_field3d(spec), default_domain3d(spec, 256, tiles)
+        peaks = []
+        nudge = contour2d._nudge_zeros
+        calls = []
+        sparse = contour2d._sparse_bands
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "_nudge_zeros", lambda peak, *g: peaks.append(peak) or nudge(peak, *g))
+            mp.setattr(contour2d, "_sparse_bands", lambda *a: calls.append(sparse(*a)) or calls[-1])
+            got = polygonize(field, dom, workers=2)
+        assert len(calls) == 1 and calls[0] is not None and len(peaks) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SPARSE_MIN_SAMPLES", math.inf)
+            want = polygonize(field, dom, workers=2)
+        assert_mesh_bytes(got, want)
+
+    def test_small_lattices_and_fields_without_keys_stay_dense(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(contour2d, "_sparse_bands", lambda *args: called.append(args))
+        spec = ShapeSpec3D("lame3d", p=4.5)
+        big, small = default_domain3d(spec, 256, 1), default_domain3d(spec, 254, 1)
+        assert math.prod(len(a) for a in big.axes()) > polygonize3d.SPARSE_MIN_SAMPLES
+        assert math.prod(len(a) for a in small.axes()) <= polygonize3d.SPARSE_MIN_SAMPLES
+        polygonize(make_field3d(spec), small)
+        polygonize(make_field3d(ShapeSpec3D("toroid", s=0.5)), default_domain3d(ShapeSpec3D("toroid"), 256, 1))
+        assert not called
+        polygonize(make_field3d(spec), big)
+        assert len(called) == 1
+
+    def test_keys_of_the_families(self):
+        for family in FAMILIES_3D:
+            field = make_field3d(ShapeSpec3D(family, s=0.5))
+            assert hasattr(field, "keys") == (family in KEYED_3D), family
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, r", [(1.0, 1e-160), (0.0, 1e-320), (0.5, 1e-200)])
+    def test_non_finite_field_raises_the_sampled_volume_error(self, s, r):
+        # s^2 / r^2 overflows, or r * r underflows to 0: the corners are not
+        # finite, and the band kernel names the first sample
+        spec = ShapeSpec3D("sphube", s=s, r=r)
+        field, dom = make_field3d(spec), default_domain3d(spec, 24, 1)
+        with pytest.raises(ValueError) as dense:
+            sample_grid3d(field, dom, workers=1)
+        with pytest.raises(ValueError) as sparse:
+            sparse_polygonize(field, dom, 4, 2)
+        assert str(sparse.value) == str(dense.value)
+        assert str(dense.value).startswith("non-finite field value at sample")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_bad_sample_inside_a_sampled_block(self, workers):
+        # finite corners, and a nan inside a block the plane crosses, so the
+        # route samples it, drops its work and the band kernel names it
+        def field(x, y, z):
+            return np.where((x == 2.0) & (y == 1.0) & (z == 3.0), np.nan, x + y + z - 6.0)
+
+        field.keys = Keys(lambda c: c, lambda kx, ky, kz: kx + ky + kz + 6.0)
+        dom = Domain3D(0, 8, 0, 8, 0, 8, 8, 8, 8)
+        with pytest.raises(ValueError) as dense:
+            sample_grid3d(field, dom, workers=1)
+        with pytest.raises(ValueError) as sparse:
+            sparse_polygonize(field, dom, 4, workers)
+        assert str(sparse.value) == str(dense.value) == "non-finite field value at sample (2.0, 1.0, 3.0)"
+
+    def test_peak_memory_below_half_the_volume(self):
+        # the route at grid 128, where it is forced here: its bands hold
+        # the sampled blocks of one layer each
+        spec = ShapeSpec3D("sphube", s=0.75)
+        field, dom = make_field3d(spec), default_domain3d(spec, 128, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygonize3d, "SPARSE_MIN_SAMPLES", 0)
+            tracemalloc.start()
+            try:
+                mesh = polygonize(field, dom, workers=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert not mesh.empty
+        assert peak <= 0.5 * 129**3 * 8
