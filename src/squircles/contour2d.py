@@ -12,15 +12,15 @@ signs) and the crossing edges, and never writes to the samples. One entry,
 `marching_cubes`: from a field, sampled band by band as each starts
 (`_slab_loader`), so no whole lattice is held, or from a sampled lattice.
 `LatticeDomain` is the one body of `Domain2D` and `Domain3D`, and
-`_sample_banded` the one sampler, which checks its own samples. A large 2D
-lattice of a field with keys is meshed only in the blocks the curve may
-cross (`_sparse_mesh`), to the same points and segments, built from the
-kernel's parts (`_sample_banded`, `_active_cells`, `_slot_ids`); a large 3D
-lattice is, one layer of blocks per band of `_mesh_bands` itself
-(`_sparse_bands`). Both prove the blocks' signs by `_certify`. Marching
-squares' segments follow cell order, and chains follow segment order
-(`_chains`): each chain starts at the first segment no earlier chain used,
-walks forward along each segment's successor, then, if open, backward.
+`_sample_banded` the one sampler, which checks its own samples. A large
+lattice of a field with keys, curve or surface, is meshed only in the blocks
+the level set may cross (`_sparse_bands`), to the same points and elements:
+`_certify` proves the other blocks' signs, and each band of `_mesh_bands` is
+a run of block layers whose unproven blocks are stacked and sampled
+together. Marching squares' segments follow cell order, and chains follow
+segment order (`_chains`): each chain starts at the first segment no earlier
+chain used, walks forward along each segment's successor, then, if open,
+backward.
 """
 
 from __future__ import annotations
@@ -51,17 +51,18 @@ BAND_SAMPLES = 1 << 17
 # slabs) by ~10%; meshing at grid 128 (5 slabs) ran ~30% faster.
 POOL_MIN_BANDS = 2
 
-# Most samples one band of `_slab_loader` holds, chosen by measurement on 2
-# cores. Against 4x BAND_SAMPLES, slabs of 2x ran 35-60% slower at grid 256
-# (sphube, oblique3d). Slabs of 8x ran ~20% faster there, but ~30% slower for
-# lame3d at grid 128 (3 slabs, too few to pool), and one such slab alone is
-# half the grid-128 volume, the tracemalloc bound the tests set. A 2D curve
-# at grid 2048 is then 9 bands of 254 cell rows.
+# Most samples one band of `_slab_loader` holds, or of a curve's
+# `_sparse_bands`, chosen by measurement on 2 cores. Against 4x BAND_SAMPLES,
+# slabs of 2x ran 35-60% slower at grid 256 (sphube, oblique3d). Slabs of 8x
+# ran ~20% faster there, but ~30% slower for lame3d at grid 128 (3 slabs, too
+# few to pool), and one such slab alone is half the grid-128 volume, the
+# tracemalloc bound the tests set. A 2D curve at grid 2048 is then 9 bands of
+# 254 cell rows.
 SLAB_SAMPLES = 4 * BAND_SAMPLES
 
-# Cells along each side of the blocks whose sign `_block_signs` tries to
-# prove. A grid-2048 curve crosses about 5% of such blocks at tiles 1 and at
-# most 16% at tiles 3.
+# Cells along each side of the blocks of a curve whose sign `_certify` tries
+# to prove (`_sparse_bands`). A grid-2048 curve crosses about 5% of such
+# blocks at tiles 1 and at most 16% at tiles 3.
 BLOCK_CELLS = 32
 
 # The same for the blocks of a surface (`_sparse_bands`). At grid 256 a
@@ -301,8 +302,8 @@ def _slab_loader(field, axes):
 
 def _active_cells(inside, ndim=None):
     """Flat indices (in lattice order) and sign codes of the cells whose
-    corners have both signs, over the last ndim axes of inside (default:
-    all); any axes before them index a stack of lattices.
+    corners have both signs, over the first ndim axes of inside (default:
+    all); an axis after them indexes a stack of lattices.
 
     A cell's code has the corner at lattice offset (..., dj, di) at bit
     ... + 2 dj + di. It is built one axis at a time, one byte per sample.
@@ -310,7 +311,7 @@ def _active_cells(inside, ndim=None):
     ndim = inside.ndim if ndim is None else ndim
     code = inside.view(np.uint8)
     for axis in range(ndim):
-        dim = inside.ndim - 1 - axis
+        dim = ndim - 1 - axis
         # shifted by a multiply: numpy's uint8 shift runs several times slower
         high = code[(slice(None),) * dim + (slice(1, None),)] * (1 << (1 << axis))
         high |= code[(slice(None),) * dim + (slice(None, -1),)]
@@ -337,17 +338,18 @@ def _edge_crossings(vals, inside, ndim=None):
     lattice order: the lattice index of each edge's low end (a tuple of
     arrays, slowest axis first), its flat index into vals and the samples at
     both ends. vals and inside (vals < 0) are indexed slowest axis first;
-    only the last ndim axes (default: all) are lattice axes."""
-    n = vals.ndim
+    only the first ndim axes (default: all) are lattice axes, and an axis
+    after them indexes a stack of lattices."""
+    ndim = vals.ndim if ndim is None else ndim
     flat = vals.reshape(-1)
     crossings = []
-    for axis in range(n if ndim is None else ndim):
-        dim = n - 1 - axis
+    for axis in range(ndim):
+        dim = ndim - 1 - axis
         shape = vals.shape[:dim] + (vals.shape[dim] - 1,) + vals.shape[dim + 1:]
         # np.diff is not_equal on booleans; only its nonzero positions are kept
         index = np.unravel_index(np.flatnonzero(np.diff(inside, axis=dim)), shape)
         lo = np.ravel_multi_index(index, vals.shape)
-        crossings.append((index, lo, flat[lo], flat[lo + math.prod(vals.shape[n - axis:])]))
+        crossings.append((index, lo, flat[lo], flat[lo + math.prod(vals.shape[dim + 1:])]))
     return crossings
 
 
@@ -619,177 +621,105 @@ def _certify(field, keys, axes, block):
     return proven * ((low > margin).astype(np.int8) - (high < -margin)), bound, corners
 
 
-def _block_signs(field, keys, axes):
-    """The proven sign of every sample in each block of BLOCK_CELLS x
-    BLOCK_CELLS cells of the lattice of axes (x first), indexed (block row,
-    block column): +1 or -1, or 0 where no sign is proven (`_certify`)."""
-    return _certify(field, keys, axes, BLOCK_CELLS)[0]
-
-
-def _sparse_bands(field, keys, domain, slots, cases, workers):
+def _sparse_bands(field, keys, domain, slots, cases, workers, block, samples):
     """`_mesh_lattice`'s points and elements for a field with keys, from the
-    samples of the blocks of SURFACE_BLOCK_CELLS cells a side whose sign
-    `_certify` does not prove, or None where one of those samples is not
-    finite (the band kernel then names the first).
+    samples of the blocks of `block` cells a side whose sign `_certify` does
+    not prove, or None where one of those samples is not finite (the band
+    kernel then names the first).
 
-    A band is one layer of blocks along the slowest axis, run by
-    `_mesh_bands` on `_run_bands(..., workers)`. Its unproven blocks' closed
-    sample ranges (past the lattice's last sample each repeats that sample)
-    are placed side by side along x and sampled by `_sample_banded` in one
-    array of the band's layers: an x-edge or cell that spans two blocks is a
-    seam and is dropped. A proven block has no active cell nor crossing
-    edge, so each crossing edge is in at least one sampled block of the band
-    and each active cell in one. Each edge goes to the block that holds its
-    low end (the last block on an axis at the lattice's upper face), which
-    drops the copies, and the crossings of each axis and the active cells
-    are put in lattice order (one argsort each). The band then returns
-    `_band`'s very tuple, with no top layer. The zero nudge takes the
-    lattice's largest |sample|, found exactly: the largest of the sampled
-    blocks', of the corners' and of the samples of each proven block whose
-    bound on |samples| reaches those.
+    A band is a run of whole block layers along the slowest axis whose
+    unproven blocks hold at most `samples` samples together, or a single
+    layer, run by `_mesh_bands` on `_run_bands(..., workers)`. Its unproven
+    blocks' closed sample ranges (past the lattice's last sample each
+    repeats that sample) are stacked along a last axis, as (block + 1, ...,
+    block + 1, blocks) samples, and sampled by `_sample_banded`. A proven block
+    has no active cell nor crossing edge, so a crossing edge is in every
+    block that holds it and an active cell in one. Along each axis but its
+    own, an edge is kept by the block that holds it below that block's upper
+    face, or on the lattice's end or the band's top, which drops the copies;
+    the crossings of each axis and the active cells are put in lattice order
+    (one argsort each). The band then returns `_band`'s very tuple, with no
+    top layer. The zero nudge takes the lattice's largest |sample|, found
+    exactly: the largest of the sampled blocks', of the corners' and of the
+    samples of each proven block whose bound on |samples| reaches those.
     """
     axes = domain.axes()
-    n, b = len(axes), SURFACE_BLOCK_CELLS
+    n, b = len(axes), block
     signs, bound, corners = _certify(field, keys, axes, b)
     if not np.isfinite(corners).all():
         return None
-    # cell counts and the side of each block's closed sample range, slowest axis first
+    # cell counts, slowest axis first, and the side of a block's closed sample range
     cells, span = tuple(len(a) - 1 for a in reversed(axes)), np.arange(b + 1)
 
+    def sample(where):
+        # the stacked samples of the blocks at where (per block, its block
+        # index, slowest axis first), on this thread, as the band is; numpy's
+        # inner loops run along the stack
+        coords = [a[np.minimum(b * where[:, n - 1 - k] + span[:, None], len(a) - 1)].reshape(
+            (1,) * (n - 1 - k) + (b + 1,) + (1,) * k + (len(where),)) for k, a in enumerate(axes)]
+        return _sample_banded(field, coords, 1)
+
     def band(k0, k1, below, top):
-        starts = [b * q for q in np.nonzero(signs[k0 // b] == 0)]
-        if not len(starts[0]):
+        where = np.argwhere(signs[k0 // b:-(-k1 // b)] == 0)
+        if not len(where):
             return 0.0, None, None
-        layers, width = k1 - k0, len(starts[0]) * (b + 1)
-        # sample (k, j, ..., q (b + 1) + i) is lattice sample (k0 + k, ranges of
-        # block q at j, ..., i); sampled on this thread, as the band is
-        ranges = [np.minimum(st[:, None] + span, c) for st, c in zip(starts, cells[1:])]
-        coords = [axes[0][ranges[-1]].reshape((1,) * (n - 1) + (width,))]
-        for d in range(n - 2, 0, -1):
-            shape = [1] * (n - 1) + [width]
-            shape[d] = b + 1
-            coords.append(np.repeat(axes[n - 1 - d][ranges[d - 1]].T, b + 1, axis=1).reshape(shape))
-        coords.append(axes[-1][k0:k1 + 1].reshape((-1,) + (1,) * (n - 1)))
-        vals, largest = _sample_banded(field, coords, 1)
+        # per axis, slowest first, each block's first band-local lattice index
+        first = list(b * where.T)
+        where[:, 0] += k0 // b
+        vals, largest = sample(where)
+        # the band's cell counts, slowest axis first
+        ends = (k1 - k0,) + cells[1:]
+
+        def lattice(index):
+            # the band-local lattice index of the points at a stacked index
+            return [f[index[n]] + i for f, i in zip(first, index)]
+
         inside = vals < 0
         crossings = []
-        for axis, (index, _, v0, v1) in enumerate(_edge_crossings(vals, inside)):
-            at, local = _block_lattice(index, starts, b)
-            # an x-edge from a block's last sample is a seam; along each other
-            # axis a point on a block's upper face belongs to the next block
-            keep = local[-1] < b if axis == 0 else np.ones(len(v0), dtype=bool)
-            for d in range(1, n):
+        for axis, (index, _, v0, v1) in enumerate(_edge_crossings(vals, inside, n)):
+            at, keep = lattice(index), np.ones(len(v0), dtype=bool)
+            for d in range(n):
                 if d != n - 1 - axis:
-                    keep &= ((local[d - 1] < b) & (at[d] <= cells[d])) | (at[d] == cells[d])
+                    keep &= (index[d] < b) & (at[d] < ends[d]) | (at[d] == ends[d])
             at = tuple(i[keep] for i in at)
-            lo = np.ravel_multi_index(at, (layers + 1,) + tuple(c + 1 for c in cells[1:]))
+            lo = np.ravel_multi_index(at, tuple(e + 1 for e in ends))
             order = np.argsort(lo)
             crossings.append((tuple(i[order] for i in at), lo[order], v0[keep][order], v1[keep][order]))
         del vals
         if not any(len(lo) for _, lo, _, _ in crossings):
             return largest, None, None
-        kept, indices, first_ids = _band_crossings(crossings, layers, top)
+        kept, indices, first_ids = _band_crossings(crossings, ends[0], top)
         del crossings
-        cell, code = _active_cells(inside)
-        at, local = _block_lattice(np.unravel_index(cell, tuple(s - 1 for s in inside.shape)), starts, b)
+        cell, code = _active_cells(inside, n)
         del inside
-        # a cell from a block's last sample is a seam; past the lattice's end, a copy
-        keep = local[-1] < b
-        for d in range(1, n):
-            keep &= at[d] < cells[d]
-        cell = np.ravel_multi_index(tuple(i[keep] for i in at), (layers,) + cells[1:])
+        at = lattice(np.unravel_index(cell, (b,) * n + (len(where),)))
+        # past the lattice's end, a cell is a copy
+        keep = np.logical_and.reduce([i < e for i, e in zip(at, ends)])
+        cell = np.ravel_multi_index(tuple(i[keep] for i in at), ends)
         order = np.argsort(cell)
         cell, code = cell[order], code[keep][order]
-        ids = _slot_ids(code, slots, indices, (layers,) + cells[1:], first_ids)
+        ids = _slot_ids(code, slots, indices, ends, first_ids)
         return largest, None, (kept, _element_ids(cases(k0, cell, code), ids), first_ids)
 
     def peak(peaks):
         top = max(max(peaks), np.abs(corners).max())
         far = np.argwhere((signs != 0) & (bound >= top))
-        if len(far):
-            coords = [a[np.minimum(b * far[:, n - 1 - k, None] + span, len(a) - 1)].reshape(
-                (len(far),) + (1,) * (n - 1 - k) + (b + 1,) + (1,) * k) for k, a in enumerate(axes)]
-            top = max(top, _sample_banded(field, coords, 1)[1])
-        return top
+        return max(top, sample(far)[1]) if len(far) else top
 
+    # each band's first block layer: a new band starts where the samples of
+    # the unproven blocks since the last start would pass `samples`
+    per_layer = np.count_nonzero(signs.reshape(len(signs), -1) == 0, axis=1) * (b + 1) ** n
+    starts, held = [0], 0
+    for layer, count in enumerate(per_layer):
+        if layer and held + count > samples:
+            starts.append(layer)
+            held = 0
+        held += count
     try:
-        return _mesh_bands(band, np.arange(0, cells[0] + b, b).clip(max=cells[0]), axes, domain.steps(), workers,
-                           peak=peak)
+        return _mesh_bands(band, np.minimum(b * np.array(starts + [len(per_layer)]), cells[0]), axes,
+                           domain.steps(), workers, peak=peak)
     except ValueError:
         return None
-
-
-def _block_lattice(index, starts, b):
-    """The lattice index (within the band, slowest axis first) of the points
-    at index in a band's side-by-side blocks (`_sparse_bands`), whose blocks
-    start at starts (per axis but the slowest), and their index within
-    their block along each of those axes. Along x, index runs through the
-    blocks, b + 1 samples each."""
-    block, i = np.divmod(index[-1], b + 1)
-    local = list(index[1:-1]) + [i]
-    return [index[0]] + [st[block] + j for st, j in zip(starts, local)], local
-
-
-def _sparse_mesh(field, keys, domain, cases):
-    """`_mesh_lattice`'s points and segments for a 2D field with keys, from
-    the samples of the blocks whose sign `_block_signs` does not prove, or
-    None where one of those samples is not finite or an exact zero ends a
-    crossing edge (its nudge needs the largest |sample| of the lattice).
-
-    The closed sample ranges of those blocks, in block order, are stacked
-    and sampled by `_sample_banded` on the calling thread, in chunks of at
-    most SLAB_SAMPLES samples (at least one block), each meshed before the
-    next is sampled. A proven block has no active cell nor crossing edge,
-    so each crossing edge is in one or two of the sampled blocks and each
-    active cell in one. The copies of an edge that two blocks share are
-    dropped and the rest put in lattice order, x-edges first; the active
-    cells are put in cell order, meshed by cases(0, cells, code) and their
-    slots numbered by `_slot_ids` as over the whole lattice.
-    """
-    axes = xs, ys = domain.axes()
-    nx, ny, b = domain.nx, domain.ny, BLOCK_CELLS
-    block_rows, block_cols = np.nonzero(_block_signs(field, keys, axes) == 0)
-    if not len(block_rows):
-        return np.empty((0, 2)), np.empty((0, 2), dtype=np.int64)
-    # each block's closed sample range per axis; past the lattice's last
-    # sample it repeats that sample, so it adds no crossing that is not a copy
-    span = np.arange(b + 1)
-    rows = np.minimum(b * block_rows[:, None] + span, ny)
-    cols = np.minimum(b * block_cols[:, None] + span, nx)
-    per = max(1, SLAB_SAMPLES // (b + 1) ** 2)
-    # per axis, the flat index of each crossing edge among that axis's
-    # lattice edges, (ny + 1) x nx for x, ny x (nx + 1) for y, and its t
-    edges, cells, codes = ([], []), [], []
-    for c0 in range(0, len(rows), per):
-        r, c = rows[c0:c0 + per], cols[c0:c0 + per]
-        try:
-            vals = _sample_banded(field, (xs[c][:, None, :], ys[r][:, :, None]), 1)[0]
-        except ValueError:
-            return None
-        inside = vals < 0
-        for axis, ((k, j, i), _, v0, v1) in enumerate(_edge_crossings(vals, inside, 2)):
-            if ((v0 == 0.0) | (v1 == 0.0)).any():
-                return None
-            edges[axis].append((r[k, j] * (nx + axis) + c[k, i], v0 / (v0 - v1)))
-        cell, code = _active_cells(inside, 2)
-        del vals, inside  # else the last chunk's outlive the loop
-        k, j, i = np.unravel_index(cell, (len(r), b, b))
-        j += b * block_rows[c0 + k]
-        i += b * block_cols[c0 + k]
-        real = (j < ny) & (i < nx)
-        cells.append(j[real] * nx + i[real])
-        codes.append(code[real])
-    points, indices = [], []
-    for axis, pieces in enumerate(edges):
-        flat, t = (np.concatenate([piece[k] for piece in pieces]) for k in range(2))
-        flat, first = np.unique(flat, return_index=True)
-        indices.append(np.divmod(flat, nx + axis))
-        points.append(_edge_points(indices[axis], t[first], axes, domain.steps(), axis))
-    cells, code = np.concatenate(cells), np.concatenate(codes)
-    order = np.argsort(cells)
-    cells, code = cells[order], code[order]
-    ids = _slot_ids(code, _SLOTS, indices, (ny, nx), (0, len(points[0])))
-    return np.concatenate(points), _element_ids(cases(0, cells, code), ids).astype(np.int64)
 
 
 def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polyline]:
@@ -798,13 +728,14 @@ def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polylin
     sampled grid.
 
     A field with keys (`fields2d.Keys`) on a lattice of more than
-    SLAB_SAMPLES samples is sampled and meshed only in the blocks whose sign
-    `_block_signs` does not prove (`_sparse_mesh`), on the calling thread.
-    Any other, or one of those with a non-finite sample or an exact zero
-    ending a crossing edge, runs the band kernel (`_mesh_lattice`) over row
-    bands of at most SLAB_SAMPLES samples, each sampled as it starts, one
-    run of bands per thread (`workers`, default `default_workers()`). A
-    non-finite sample raises the ValueError `sample_grid2d` raises.
+    SLAB_SAMPLES samples is sampled and meshed only in the blocks of
+    BLOCK_CELLS cells a side whose sign `_certify` does not prove
+    (`_sparse_bands`), on the calling thread, exact zeros included. Any
+    other, or one of those with a non-finite sample, runs the band kernel
+    (`_mesh_lattice`) over row bands of at most SLAB_SAMPLES samples, each
+    sampled as it starts, one run of bands per thread (`workers`, default
+    `default_workers()`). A non-finite sample raises the ValueError
+    `sample_grid2d` raises.
     """
     return _polylines(field, domain, field, workers)
 
@@ -837,8 +768,8 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
 def _polylines(source, domain, field, workers):
     """The polylines of `_mesh_lattice(source, domain, ...)` on `workers`
     threads, or, for a field with keys on a lattice of more than
-    SLAB_SAMPLES samples, of `_sparse_mesh`, which gives the same points and
-    segments, chained by `_chains`.
+    SLAB_SAMPLES samples, of `_sparse_bands` on the calling thread, which
+    gives the same points and segments, chained by `_chains`.
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
@@ -868,7 +799,13 @@ def _polylines(source, domain, field, workers):
     keys = getattr(field, "keys", None) if callable(source) else None
     mesh = None
     if keys is not None and len(xs) * len(ys) > SLAB_SAMPLES:
-        mesh = _sparse_mesh(field, keys, domain, cases)
+        # Bands of up to SLAB_SAMPLES samples, sampled in field calls of
+        # BAND_SAMPLES, as the dense bands are. With bands of BAND_SAMPLES,
+        # one field call's scratch array was as large as the band's samples,
+        # and the heap gave both back to the system after each band: 470-770
+        # minor page faults per grid-2048 curve (ru_minflt), and the
+        # `curves_2d` command loop ran 20-30% slower.
+        mesh = _sparse_bands(field, keys, domain, _SLOTS, cases, 1, BLOCK_CELLS, SLAB_SAMPLES)
     if mesh is None:
         mesh = _mesh_lattice(source, domain, _SLOTS, cases, workers)
     points, segments = mesh

@@ -142,16 +142,23 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     of slabs per thread (`workers`, default `contour2d.default_workers()`);
     a slab takes its bottom plane from the slab below in its run. A field
     with keys (`fields2d.Keys`) on a lattice of more than SPARSE_MIN_SAMPLES
-    samples is sampled and meshed only in the blocks whose sign
-    `contour2d._certify` does not prove (`contour2d._sparse_bands`), to the
-    same bytes; where one of those samples is not finite, the band kernel
+    samples is sampled and meshed only in the blocks of
+    `contour2d.SURFACE_BLOCK_CELLS` cells a side whose sign
+    `contour2d._certify` does not prove (`contour2d._sparse_bands`, the
+    route of large curves too), to the same bytes, in pooled bands of block
+    layers whose unproven blocks hold at most `contour2d.BAND_SAMPLES`
+    samples; where one of those samples is not finite, the band kernel
     meshes it. A non-finite sample raises the ValueError `sample_grid3d`
     raises.
     """
     mesh = None
     keys = getattr(field, "keys", None)
     if keys is not None and math.prod(len(a) for a in domain.axes()) > SPARSE_MIN_SAMPLES:
-        mesh = contour2d._sparse_bands(field, keys, domain, _SLOTS, _cell_triangles, workers)
+        # a band's crossing arrays, ~35 B per sampled point, set the route's
+        # peak: bands of 1.5x BAND_SAMPLES put the grid-128 sphube's
+        # tracemalloc peak at 1.05x half its volume, against 0.95x
+        mesh = contour2d._sparse_bands(field, keys, domain, _SLOTS, _cell_triangles, workers,
+                                       contour2d.SURFACE_BLOCK_CELLS, contour2d.BAND_SAMPLES)
     if mesh is None:
         mesh = _mesh_lattice(field, domain, _SLOTS, _cell_triangles, workers)
     return TriangleMesh(*mesh)

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -608,7 +608,7 @@ def assert_fused_matches(field, dom, layers, workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contour2d, "SLAB_SAMPLES", (layers + 1) * (dom.nx + 1))
         mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
-        mp.setattr(contour2d, "_sparse_mesh", lambda *args: None)
+        mp.setattr(contour2d, "_sparse_bands", lambda *args: None)
         assert len(contour2d._slab_bounds((dom.xs(), dom.ys()))) - 1 == -(-dom.ny // layers)
         got = contour(field, dom, workers=workers)
     assert [g.closed for g in got] == [w.closed for w in want]
@@ -731,10 +731,11 @@ def shifted_domain(spec, n, tiles, shift):
 
 
 def sparse_contour(field, dom, block, workers):
-    """contour on blocks of `block` cells, sampled in chunks of two blocks
-    and bands of one block each, and what each `_sparse_mesh` call gave."""
+    """contour on blocks of `block` cells, in bands of two blocks' samples
+    (at least one block layer) sampled in field calls of about one block,
+    and what each `_sparse_bands` call gave."""
     meshes = []
-    sparse = contour2d._sparse_mesh
+    sparse = contour2d._sparse_bands
 
     def spy(*args):
         meshes.append(sparse(*args))
@@ -744,7 +745,7 @@ def sparse_contour(field, dom, block, workers):
         mp.setattr(contour2d, "BLOCK_CELLS", block)
         mp.setattr(contour2d, "SLAB_SAMPLES", 2 * (block + 1) ** 2)
         mp.setattr(contour2d, "BAND_SAMPLES", (block + 1) ** 2)
-        mp.setattr(contour2d, "_sparse_mesh", spy)
+        mp.setattr(contour2d, "_sparse_bands", spy)
         return contour(field, dom, workers=workers), meshes
 
 
@@ -756,23 +757,35 @@ def assert_same_as_sampled_grid(got, field, dom):
         assert g.points.tobytes() == w.points.tobytes()
 
 
+def assert_bands_of_block_layers(bounds, signs, block, cap, cells):
+    """The bands between bounds are runs of whole block layers, each holding
+    at most cap samples of unproven blocks or one layer, and a band ends
+    only where the next layer would pass cap; notes a band of several
+    layers that ends inside the lattice."""
+    assert bounds[0] == 0 and bounds[-1] == cells and all(k % block == 0 for k in bounds[:-1])
+    held = np.count_nonzero(signs.reshape(len(signs), -1) == 0, axis=1) * (block + 1) ** signs.ndim
+    runs = np.split(held, [k // block for k in bounds[1:-1]])
+    for run, after in zip(runs, runs[1:] + [None]):
+        assert len(run) == 1 or run.sum() <= cap
+        if after is not None:
+            assert run.sum() + after[0] > cap
+            if len(run) > 1:
+                event("a band of several block layers ends inside the lattice")
+
+
 class TestSparseContour:
     @settings(max_examples=150, deadline=None)
     @given(spec=KEYED_SPECS, n=st.integers(8, 64), tiles=st.integers(1, 3),
            shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), block=st.integers(2, 5),
            workers=st.integers(1, 3))
     def test_families_match_sampled_grid(self, spec, n, tiles, shift, block, workers):
-        # blocks that do not divide the grid, chunks of two blocks: the same
+        # blocks that do not divide the grid, bands of two blocks: the same
         # points, closed flags and order as marching squares of the lattice,
         # from the very points and segments the band kernel gives the chains
         field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
         got, meshes = sparse_contour(field, dom, block, workers)
-        assert len(meshes) == 1
+        assert len(meshes) == 1 and meshes[0] is not None  # exact zeros stay on the route
         assert_same_as_sampled_grid(got, field, dom)
-        if meshes[0] is None:
-            # an exact zero ends a crossing edge: the band kernel took over
-            assert (sample_grid2d(field, dom).samples == 0.0).any()
-            return
         chained = []
         chains = contour2d._chains
         with pytest.MonkeyPatch.context() as mp:
@@ -783,15 +796,15 @@ class TestSparseContour:
         assert segments.dtype == a.dtype and np.array_equal(segments, np.column_stack([a, b]))
 
     @pytest.mark.parametrize("n, tiles, h", [(24, 1, 0.0), (24, 2, 0.0), (48, 2, 0.0), (60, 1, 0.0), (48, 1, 1.0)])
-    def test_exact_zeros_fall_back_to_the_band_kernel(self, n, tiles, h):
+    def test_exact_zeros_stay_on_the_route(self, n, tiles, h):
         # the aligned oblique square at s = 1 samples to exact zeros on its
-        # sides; their nudge needs the largest |sample| of the whole lattice,
-        # so the band kernel meshes it
+        # sides; their nudge takes the largest |sample| of the whole lattice,
+        # which the route finds without meshing the lattice
         spec = ShapeSpec2D("oblique", s=1.0, h=h)
         field, dom = make_field2d(spec), default_domain2d(spec, n, tiles)
         assert np.count_nonzero(sample_grid2d(field, dom).samples == 0.0) > 0
         got, meshes = sparse_contour(field, dom, 4, 2)
-        assert meshes == [None]
+        assert len(meshes) == 1 and meshes[0] is not None
         assert_same_as_sampled_grid(got, field, dom)
 
     @settings(max_examples=100, deadline=None)
@@ -800,9 +813,7 @@ class TestSparseContour:
     def test_proven_blocks_hold_their_sign(self, spec, n, tiles, shift, block):
         field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
         samples = sample_grid2d(field, dom).samples
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour2d, "BLOCK_CELLS", block)
-            signs = contour2d._block_signs(field, field.keys, dom.axes())
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
         assert signs.shape == (-(-n // block),) * 2
         for (bj, bi), sign in np.ndenumerate(signs):
             if sign:
@@ -814,13 +825,14 @@ class TestSparseContour:
     def test_blocks_off_the_curve_are_proven_at_grid_2048(self, family, kw, tiles, share):
         spec = ShapeSpec2D(family, **kw)
         field = make_field2d(spec)
-        signs = contour2d._block_signs(field, field.keys, default_domain2d(spec, 2048, tiles).axes())
+        signs = contour2d._certify(field, field.keys, default_domain2d(spec, 2048, tiles).axes(),
+                                   contour2d.BLOCK_CELLS)[0]
         assert signs.shape == (64, 64) and np.mean(signs == 0) <= share
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("s, r, text", [
-        # s^2 / r^2 overflows: every sample is nan or inf, no block is proven,
-        # the first chunk is not finite and the dense route names the sample
+        # s^2 / r^2 overflows: every sample is nan or inf, the corners are
+        # not finite and the dense route names the sample
         (1.0, 1e-160, "non-finite field value at sample (-1.2e-160, -1.2e-160)"),
         # r * r underflows to 0: s^2 / r^2 is nan, and so is every sample
         (0.0, 1e-320, "non-finite field value at sample (-1.2e-320, -1.2e-320)"),
@@ -850,9 +862,55 @@ class TestSparseContour:
             sparse_contour(field, dom, 4, 1)
         assert str(sparse.value) == str(dense.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(spec=KEYED_SPECS, n=st.integers(12, 64), tiles=st.integers(1, 3),
+           shift=st.tuples(*2 * [st.one_of(st.just(0.0), st.floats(-0.5, 0.5))]), block=st.integers(2, 5),
+           blocks=st.integers(1, 4), workers=st.integers(1, 3))
+    # a band of two layers, and one of three whose lattice has exact zeros
+    @example(spec=ShapeSpec2D("lame", p=2.0), n=40, tiles=1, shift=(0.0, 0.0), block=4, blocks=4, workers=2)
+    @example(spec=ShapeSpec2D("lame", p=1.0), n=24, tiles=2, shift=(0.0, 0.0), block=3, blocks=2, workers=3)
+    def test_bands_of_block_layers_match_sampled_grid(self, spec, n, tiles, shift, block, blocks, workers):
+        # bands of at most `blocks` blocks' samples: where the layers hold
+        # few unproven blocks a band spans several and ends mid-lattice; the
+        # bands pooled on `workers` threads, exact zeros included. The
+        # lattice, of more than SLAB_SAMPLES = cap samples, takes the route.
+        field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
+        cap = blocks * (block + 1) ** 2
+        bounds, sparse, mesh_bands = [], contour2d._sparse_bands, contour2d._mesh_bands
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "BLOCK_CELLS", block)
+            mp.setattr(contour2d, "SLAB_SAMPLES", cap)
+            mp.setattr(contour2d, "BAND_SAMPLES", (block + 1) ** 2)
+            mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+            mp.setattr(contour2d, "_sparse_bands", lambda *a: sparse(*a[:5], workers, *a[6:]))
+            mp.setattr(contour2d, "_mesh_bands", lambda *a, **k: bounds.append(a[1]) or mesh_bands(*a, **k))
+            got = contour(field, dom)
+        assert (n + 1) ** 2 > cap and len(bounds) == 1  # the route's, not the band kernel's
+        assert_same_as_sampled_grid(got, field, dom)
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
+        assert_bands_of_block_layers(list(bounds[0]), signs, block, cap, n)
+
+    @pytest.mark.parametrize("family, kw, tiles", [
+        ("lame", dict(p=4.5), 1), ("periodic", dict(s=0.78), 3), ("oblique", dict(s=0.77), 3),
+        ("oblique", dict(s=1.0), 2)])
+    def test_peak_memory_below_a_quarter_of_the_grid(self, family, kw, tiles):
+        # the sampled grid alone is 2049^2 float64 samples, 33.6 MB; the
+        # route holds one band at a time on the calling thread, whatever
+        # the workers, exact zeros (s = 1) included, where two pooled dense
+        # slabs would peak near 0.32 of the grid
+        spec = ShapeSpec2D(family, **kw)
+        field, dom = make_field2d(spec), default_domain2d(spec, 2048, tiles)
+        tracemalloc.start()
+        try:
+            contour(field, dom, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 2049**2 * 8
+
     def test_fields_without_keys_and_small_lattices_stay_dense(self, monkeypatch):
         called = []
-        monkeypatch.setattr(contour2d, "_sparse_mesh", lambda *args: called.append(args))
+        monkeypatch.setattr(contour2d, "_sparse_bands", lambda *args: called.append(args))
         spec = ShapeSpec2D("lame", p=3.0)
         big = default_domain2d(spec, 724, 1)
         assert (big.nx + 1) * (big.ny + 1) > contour2d.SLAB_SAMPLES

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -755,6 +755,22 @@ def sparse_polygonize(field, dom, block, workers):
         return polygonize(field, dom, workers=workers), meshes
 
 
+def assert_bands_of_block_layers(bounds, signs, block, cap, cells):
+    """The bands between bounds are runs of whole block layers, each holding
+    at most cap samples of unproven blocks or one layer, and a band ends
+    only where the next layer would pass cap; notes a band of several
+    layers that ends inside the lattice."""
+    assert bounds[0] == 0 and bounds[-1] == cells and all(k % block == 0 for k in bounds[:-1])
+    held = np.count_nonzero(signs.reshape(len(signs), -1) == 0, axis=1) * (block + 1) ** signs.ndim
+    runs = np.split(held, [k // block for k in bounds[1:-1]])
+    for run, after in zip(runs, runs[1:] + [None]):
+        assert len(run) == 1 or run.sum() <= cap
+        if after is not None:
+            assert run.sum() + after[0] > cap
+            if len(run) > 1:
+                event("a band of several block layers ends inside the lattice")
+
+
 class TestSparseSurface:
     @settings(max_examples=120, deadline=None)
     @given(keyed_surfaces(), st.integers(2, 9), st.integers(1, 3))
@@ -766,6 +782,27 @@ class TestSparseSurface:
         got, meshes = sparse_polygonize(field, dom, block, workers)
         assert len(meshes) == 1 and meshes[0] is not None
         assert_mesh_bytes(got, marching_cubes(sample_grid3d(field, dom, workers=1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(keyed_surfaces(), st.integers(2, 6), st.integers(1, 4), st.integers(1, 3))
+    # an empty block layer and the next in one band, with exact zeros
+    @example((make_field3d(ShapeSpec3D("sphube", s=0.75)), default_domain3d(ShapeSpec3D("sphube", s=0.75), 16, 2)),
+             2, 4, 2)
+    def test_bands_of_block_layers_match_sampled_volume(self, surface, block, blocks, workers):
+        # bands of at most `blocks` blocks' samples: where the layers hold
+        # few unproven blocks a band spans several and ends mid-lattice;
+        # pooled bands, sub-cell shifts and exact zeros
+        field, dom = surface
+        cap = blocks * (block + 1) ** 3
+        bounds, mesh_bands = [], contour2d._mesh_bands
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contour2d, "BAND_SAMPLES", cap)
+            mp.setattr(contour2d, "_mesh_bands", lambda *a, **k: bounds.append(a[1]) or mesh_bands(*a, **k))
+            got, meshes = sparse_polygonize(field, dom, block, workers)
+        assert meshes[0] is not None and len(bounds) == 1
+        assert_mesh_bytes(got, marching_cubes(sample_grid3d(field, dom, workers=1)))
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
+        assert_bands_of_block_layers(list(bounds[0]), signs, block, cap, dom.nz)
 
     @settings(max_examples=100, deadline=None)
     @given(keyed_surfaces(), st.integers(1, 9))
