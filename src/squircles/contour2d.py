@@ -7,20 +7,20 @@ polylines. Output order and bytes are deterministic for fixed inputs.
 `_mesh_bands` is the extraction kernel of marching squares and of marching
 cubes (in `polygonize3d`). It visits only the active cells (corners of both
 signs) and the crossing edges, and never writes to the samples. One entry,
-`_mesh_lattice`, runs it over the bands of a lattice (rows in 2D, z-slabs in
-3D) for `contour`, `marching_squares` and `polygonize3d`'s `polygonize` and
-`marching_cubes`: from a field, sampled band by band as each starts
-(`_slab_loader`), so no whole lattice is held, or from a sampled lattice.
-`LatticeDomain` is the one body of `Domain2D` and `Domain3D`, and
-`_sample_banded` the one sampler, which checks its own samples. A large
-lattice of a field with keys, curve or surface, is meshed only in the blocks
-the level set may cross (`_sparse_bands`), to the same points and elements:
-`_certify` proves the other blocks' signs, and each band of `_mesh_bands` is
-a run of block layers whose unproven blocks are stacked and sampled
-together. Marching squares' segments follow cell order, and chains follow
-segment order (`_chains`): each chain starts at the first segment no earlier
-chain used, walks forward along each segment's successor, then, if open,
-backward.
+`_mesh_lattice`, runs it for `contour`, `marching_squares` and
+`polygonize3d`'s `polygonize` and `marching_cubes`, with one band body: a
+band is a stack of boxes of cells, sampled together as it starts, from a
+field (so no whole lattice is held) or viewed in a sampled lattice. Each
+band of the dense kernel is one box, a slab of rows in 2D or of z-layers in
+3D. A large lattice of a field with keys, curve or surface, is meshed only
+in the blocks the level set may cross, to the same points and elements:
+`_certify` proves the other blocks' signs, and a band is a run of block
+layers whose unproven blocks are its boxes. `LatticeDomain` is the one body
+of `Domain2D` and `Domain3D`, and `_sample_banded` the one sampler, which
+checks its own samples. Marching squares' segments follow cell order, and
+chains follow segment order (`_chains`): each chain starts at the first
+segment no earlier chain used, walks forward along each segment's
+successor, then, if open, backward.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ BAND_SAMPLES = 1 << 17
 # slabs) by ~10%; meshing at grid 128 (5 slabs) ran ~30% faster.
 POOL_MIN_BANDS = 2
 
-# Most samples one band of `_slab_loader` holds, or of a curve's
-# `_sparse_bands`, chosen by measurement on 2 cores. Against 4x BAND_SAMPLES,
+# Most samples one dense slab of `_mesh_lattice` holds, or one band of a
+# curve's sparse route, chosen by measurement on 2 cores. Against 4x BAND_SAMPLES,
 # slabs of 2x ran 35-60% slower at grid 256 (sphube, oblique3d). Slabs of 8x
 # ran ~20% faster there, but ~30% slower for lame3d at grid 128 (3 slabs, too
 # few to pool), and one such slab alone is half the grid-128 volume, the
@@ -61,11 +61,11 @@ POOL_MIN_BANDS = 2
 SLAB_SAMPLES = 4 * BAND_SAMPLES
 
 # Cells along each side of the blocks of a curve whose sign `_certify` tries
-# to prove (`_sparse_bands`). A grid-2048 curve crosses about 5% of such
-# blocks at tiles 1 and at most 16% at tiles 3.
+# to prove (`_mesh_lattice`'s sparse route). A grid-2048 curve crosses about
+# 5% of such blocks at tiles 1 and at most 16% at tiles 3.
 BLOCK_CELLS = 32
 
-# The same for the blocks of a surface (`_sparse_bands`). At grid 256 a
+# The same for the blocks of a surface. At grid 256 a
 # surface crosses 12-16% of such blocks (lame3d p = 4.5, oblique3d s = 0.9
 # at tiles 2, sphube s = 0.75).
 SURFACE_BLOCK_CELLS = 8
@@ -196,22 +196,20 @@ class Polyline:
 
 
 def _run_bands(run, bounds, workers):
-    """run(spans) over the (lo, hi) spans of the bands between consecutive
+    """run(lo, hi) over the (lo, hi) spans of the bands between consecutive
     bounds: one result per band, in band order.
 
     This is the only thread pool. With at least POOL_MIN_BANDS bands per
-    worker, each of `workers` threads (default: `default_workers()`) runs one
-    contiguous run of them, else the calling thread runs all. A band's work
-    must release the GIL (numpy on large arrays) to gain from the pool.
+    worker, `workers` threads (default: `default_workers()`) take the bands
+    one by one, else the calling thread runs all. A band's work must release
+    the GIL (numpy on large arrays) to gain from the pool.
     """
     spans = list(zip(bounds[:-1], bounds[1:]))
     workers = default_workers() if workers is None else max(1, workers)
     if workers > 1 and len(spans) >= POOL_MIN_BANDS * workers:
-        cuts = [len(spans) * w // workers for w in range(workers + 1)]
-        runs = [spans[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            return [result for results in pool.map(run, runs) for result in results]
-    return run(spans)
+        with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+            return list(pool.map(run, *zip(*spans)))
+    return [run(lo, hi) for lo, hi in spans]
 
 
 def _open_lattice(axes):
@@ -222,23 +220,23 @@ def _open_lattice(axes):
     return [a.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, a in enumerate(axes)]
 
 
-def _sample_banded(field, coords, workers, out=None):
+def _sample_banded(field, coords, workers):
     """Samples of field at coords (x first, arrays that broadcast to the
     samples: `_open_lattice` of a lattice's axes, or a stack of lattices),
     evaluated in bands of their first dimension, and their largest |sample|.
 
     Each band holds at most BAND_SAMPLES samples (at least one index of the
-    first dimension) and is written straight into out (default: a new
-    array): a field whose `fills_out` attribute is true is called with out=
-    the band's view and fills it, any other field's result is assigned to
-    the band. The samples are independent of the band size and the worker
+    first dimension) and is written straight into one new array: a field
+    whose `fills_out` attribute is true is called with out= the band's view
+    and fills it, any other field's result is assigned to the band. The
+    samples are independent of the band size and the worker
     count: each sample is one scalar expression. A non-finite sample raises
     a ValueError naming the first one in index order; each band's max and
     min carry nan and +-inf through, so only a failed check reads the
     samples again.
     """
     shape = np.broadcast_shapes(*(c.shape for c in coords))
-    vals = np.empty(shape) if out is None else out
+    vals = np.empty(shape)
     fills = getattr(field, "fills_out", False)
 
     def run(lo, hi):
@@ -253,7 +251,7 @@ def _sample_banded(field, coords, workers, out=None):
 
     rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
     bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
-    peak = np.max(_run_bands(lambda spans: [run(lo, hi) for lo, hi in spans], bounds, workers))
+    peak = np.max(_run_bands(run, bounds, workers))
     if not math.isfinite(peak):
         index = tuple(np.argwhere(~np.isfinite(vals))[0])
         where = ", ".join(f"{np.broadcast_to(c, shape)[index]}" for c in coords)
@@ -265,39 +263,6 @@ def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D
     """Evaluate a field on the domain lattice, partitioned over row bands.
     `contour` contours a field without holding this grid."""
     return Grid2D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers)[0], field=field)
-
-
-def _slab_bounds(axes):
-    """Cell layers at which the bands over the lattice of axes (x first)
-    start along its slowest axis, then that axis's cell count: each band
-    holds at most SLAB_SAMPLES samples and at least one cell layer."""
-    layer = math.prod(len(a) for a in axes[:-1])
-    layers = max(1, SLAB_SAMPLES // layer - 1)
-    cells = len(axes[-1]) - 1
-    return np.arange(0, cells + layers, layers).clip(max=cells)
-
-
-def _slab_loader(field, axes):
-    """load(k0, k1, below) for `_mesh_bands`: the samples of field on layers
-    k0..k1 of the lattice of axes (x first) along its slowest axis, indexed
-    slowest axis first, and the largest |sample| of those it sampled.
-
-    below is None or layer k0 as the band below loaded it: then that layer
-    is copied, not sampled again, with the same bits (each sample is one
-    scalar expression), nor checked again. `_sample_banded` checks the rest,
-    so no band is meshed, or handed up, with a non-finite sample.
-    """
-    *across, slow = _open_lattice(axes)
-    layer = tuple(len(a) for a in reversed(axes[:-1]))
-
-    def load(k0, k1, below):
-        vals = np.empty((k1 - k0 + 1,) + layer)
-        first = 0 if below is None else 1
-        if first:
-            vals[0] = below
-        return vals, _sample_banded(field, (*across, slow[k0 + first:k1 + 1]), 1, vals[first:])[1]
-
-    return load
 
 
 def _active_cells(inside, ndim=None):
@@ -412,50 +377,11 @@ def _edge_points(index, t, coords, steps, axis):
     return pts
 
 
-def _band(load, k0, k1, below, top, slots, cases):
-    """The part of the level set in the band of cell layers k0..k1 along the
-    slowest axis, whose samples and largest |sample| load(k0, k1, below)
-    gives (layers k0..k1 of the lattice, slowest axis first).
-
-    Returns that largest |sample|, a copy of the band's top layer (the next
-    band's below) and its part: None when no edge of the band crosses, else:
-    - per axis, its crossings as the flat lattice index (within the band) of
-      each edge's low end and the edge fraction v0 / (v0 - v1) of its end
-      samples, plus the positions and end samples of the crossings with an
-      end sample of exactly 0, whose fraction the zero nudge changes;
-    - the rows that cases(k0, cells, code) gives for the band's active cells
-      (band-local flat indices and sign codes), as band-local ids: each
-      axis's crossings are ranked in lattice order, after all the crossings
-      of the axes before it;
-    - the first band-local id of each axis.
-    The ids count every crossing in the band's layers, but the crossings of
-    the other axes in its top layer are returned only when top is set:
-    otherwise the next band's bottom layer holds them.
-    """
-    # each array is dropped once read: with the crossings and elements of
-    # the bands before it, a band's largest arrays set the kernel's peak
-    vals, peak = load(k0, k1, below)
-    layer = vals[-1].copy()
-    inside = vals < 0
-    crossings = _edge_crossings(vals, inside)
-    del vals
-    if not any(len(lo) for _, lo, _, _ in crossings):
-        return peak, layer, None
-    kept, indices, first_ids = _band_crossings(crossings, k1 - k0, top)
-    del crossings
-    cells, code = _active_cells(inside)
-    cell_shape = tuple(s - 1 for s in inside.shape)
-    del inside
-    ids = _slot_ids(code, slots, indices, cell_shape, first_ids)
-    del indices
-    return peak, layer, (kept, _element_ids(cases(k0, cells, code), ids), first_ids)
-
-
 def _band_crossings(crossings, layers, top):
-    """`_band`'s crossings of a band of `layers` cell layers, from the
-    `_edge_crossings` of all its layers in lattice order: the part it
-    returns of each axis, the lattice index of every crossing and the first
-    band-local id of each axis."""
+    """The crossings of a band of `layers` cell layers that its part holds
+    (see `_mesh_bands`), from the `_edge_crossings` of all its layers in
+    lattice order: the part's share of each axis, the lattice index of every
+    crossing and the first band-local id of each axis."""
     kept = []
     for axis, (index, lo, v0, v1) in enumerate(crossings):
         n = len(lo) if top or axis == len(crossings) - 1 else np.searchsorted(index[0], layers)
@@ -481,29 +407,33 @@ def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
     (x first) spaced by steps, in bands of cell layers along the slowest axis
     (Lorensen & Cline's slice-wise formulation, for any dimension).
 
-    Each band between consecutive bounds runs band(k0, k1, below, top),
-    which returns what `_band` returns, in runs of bands on
-    `_run_bands(..., workers)`: a run goes bottom to top and hands each
-    band's top layer to the next as below (None for its first band); top is
-    set for the last band. A weld in band order turns the band-local ids
-    into global ones. The points are every x-edge crossing in lattice order,
-    then every y-edge crossing, and so on; the elements are the rows of the
-    band's cases over point ids. A zero sample ending a crossing edge counts
-    as +ZERO_NUDGE times peak(the bands' largest |sample|s), which is taken
-    only then; the default, their max, is the lattice's largest |sample|
-    when the bands sample all of it. The output depends on neither the
-    bands nor the worker count.
+    Each band of cell layers k0..k1 between consecutive bounds runs
+    band(k0, k1, top) on `_run_bands(..., workers)`; top is set for the last
+    band. Bands share nothing, so the pool takes them in any order. A band
+    returns its largest |sample| and its part: None when no edge of the band
+    crosses, else:
+    - per axis, its crossings as the flat lattice index (within the band) of
+      each edge's low end and the edge fraction v0 / (v0 - v1) of its end
+      samples, plus the positions and end samples of the crossings with an
+      end sample of exactly 0, whose fraction the zero nudge changes;
+    - the rows of its cases for its active cells, as band-local ids: each
+      axis's crossings are ranked in lattice order, after all the crossings
+      of the axes before it;
+    - the first band-local id of each axis.
+    The ids count every crossing in the band's layers, but the crossings of
+    the other axes in its top layer are in its part only when top is set:
+    otherwise the next band's bottom layer holds them (`_band_crossings`).
+    A weld in band order turns the band-local ids into global ones. The
+    points are every x-edge crossing in lattice order, then every y-edge
+    crossing, and so on; the elements are the rows of the bands' cases over
+    point ids. A zero sample ending a crossing edge counts as +ZERO_NUDGE
+    times peak(the bands' largest |sample|s), which is taken only then; the
+    default, their max, is the lattice's largest |sample| when the bands
+    sample all of it. The output depends on neither the bands nor the worker
+    count.
     """
     n = len(coords)
-
-    def run(spans):
-        below, results = None, []
-        for k0, k1 in spans:
-            largest, below, part = band(k0, k1, below, k1 == bounds[-1])
-            results.append((largest, part))
-        return results
-
-    peaks, bands = zip(*_run_bands(run, bounds, workers))
+    peaks, bands = zip(*_run_bands(lambda k0, k1: band(k0, k1, k1 == bounds[-1]), bounds, workers))
     parts = [(k0, *band) for k0, band in zip(bounds, bands) if band is not None]
     del bands  # parts alone holds the bands' output, dropped as it is welded
 
@@ -546,28 +476,6 @@ def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
             start += len(lo)
             kept[axis] = None
     return points, elements
-
-
-def _mesh_lattice(source, domain, slots, cases, workers):
-    """Points and elements of the zero level set on the lattice of domain:
-    `_mesh_bands` over the bands of `_slab_bounds`, on `workers` threads
-    (default `default_workers()`), with cases(k0, cells, code) as its cases.
-
-    source is a field, sampled band by band by `_slab_loader` as each band
-    starts, or the samples of the whole lattice, slowest axis first, meshed
-    over views (their largest |sample| taken once).
-    """
-    axes = domain.axes()
-    if callable(source):
-        load = _slab_loader(source, axes)
-    else:
-        peak = max(source.max(), -source.min())
-
-        def load(k0, k1, below):
-            return source[k0:k1 + 1], peak
-
-    return _mesh_bands(lambda k0, k1, below, top: _band(load, k0, k1, below, top, slots, cases),
-                       _slab_bounds(axes), axes, domain.steps(), workers)
 
 
 def _key_blocks(key, n, block):
@@ -621,105 +529,138 @@ def _certify(field, keys, axes, block):
     return proven * ((low > margin).astype(np.int8) - (high < -margin)), bound, corners
 
 
-def _sparse_bands(field, keys, domain, slots, cases, workers, block, samples):
-    """`_mesh_lattice`'s points and elements for a field with keys, from the
-    samples of the blocks of `block` cells a side whose sign `_certify` does
-    not prove, or None where one of those samples is not finite (the band
-    kernel then names the first).
+def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
+    """Points and elements of the zero level set on the lattice of domain:
+    `_mesh_bands` over bands of cell layers along the slowest axis, on
+    `workers` threads (default `default_workers()`), with cases(k0, cells,
+    code) as its cases.
 
-    A band is a run of whole block layers along the slowest axis whose
-    unproven blocks hold at most `samples` samples together, or a single
-    layer, run by `_mesh_bands` on `_run_bands(..., workers)`. Its unproven
-    blocks' closed sample ranges (past the lattice's last sample each
-    repeats that sample) are stacked along a last axis, as (block + 1, ...,
-    block + 1, blocks) samples, and sampled by `_sample_banded`. A proven block
-    has no active cell nor crossing edge, so a crossing edge is in every
-    block that holds it and an active cell in one. Along each axis but its
-    own, an edge is kept by the block that holds it below that block's upper
-    face, or on the lattice's end or the band's top, which drops the copies;
-    the crossings of each axis and the active cells are put in lattice order
-    (one argsort each). The band then returns `_band`'s very tuple, with no
-    top layer. The zero nudge takes the lattice's largest |sample|, found
+    A band is a stack of boxes of cells whose closed sample ranges (past the
+    lattice's last sample each repeats that sample) are sampled together as
+    the band starts, on its thread: by `_sample_banded` from source, a
+    field, or viewed in source, the samples of the whole lattice, slowest
+    axis first (their largest |sample| taken once). So each band samples
+    and checks its own layers, and none is meshed with a non-finite sample.
+    Without sparse, each band is one box: a slab of the whole lattice's
+    width, of at most SLAB_SAMPLES samples (at least one cell layer). With
+    sparse, (keys, block, samples) for a field with keys, the boxes are the
+    blocks of `block` cells a side whose sign `_certify` does not prove, and
+    a band is a run of whole block layers whose unproven blocks hold at most
+    `samples` samples together, or one layer. A proven block has no active
+    cell nor crossing edge, so the same points and elements come out; where
+    a corner or a sampled block's sample is not finite, the slabs run
+    instead and name the first bad sample.
+
+    A band that is one box spanning it meshes its samples as they are.
+    A real stack lies along a last axis, (box + 1, ..., blocks), so numpy's
+    inner loops run along it, and a stack of the last box layer alone ends
+    at the lattice's end. Along each axis but its own, an edge is kept by
+    the box that holds it below that box's upper face, or on the lattice's
+    end or the band's top, which drops the copies; the crossings of each
+    axis and the active cells are put in lattice order (one argsort each).
+    The zero nudge of the blocks takes the lattice's largest |sample|, found
     exactly: the largest of the sampled blocks', of the corners' and of the
     samples of each proven block whose bound on |samples| reaches those.
     """
     axes = domain.axes()
-    n, b = len(axes), block
-    signs, bound, corners = _certify(field, keys, axes, b)
-    if not np.isfinite(corners).all():
-        return None
-    # cell counts, slowest axis first, and the side of a block's closed sample range
-    cells, span = tuple(len(a) - 1 for a in reversed(axes)), np.arange(b + 1)
+    n = len(axes)
+    # cell counts, slowest axis first
+    cells = tuple(len(a) - 1 for a in reversed(axes))
+    if sparse is None:
+        # one box a band: a slab as wide as the lattice; a cap of 0 makes
+        # each box layer a band
+        layers = max(1, SLAB_SAMPLES // math.prod(len(a) for a in axes[:-1]) - 1)
+        box, cap, peak = (layers,) + cells[1:], 0, max
+        need = np.ones((-(-cells[0] // layers),) + (1,) * (n - 1), dtype=bool)
+    else:
+        keys, block, cap = sparse
+        signs, bound, corners = _certify(source, keys, axes, block)
+        if not np.isfinite(corners).all():
+            return _mesh_lattice(source, domain, slots, cases, workers)
+        box, need = (block,) * n, signs == 0
 
-    def sample(where):
-        # the stacked samples of the blocks at where (per block, its block
-        # index, slowest axis first), on this thread, as the band is; numpy's
-        # inner loops run along the stack
-        coords = [a[np.minimum(b * where[:, n - 1 - k] + span[:, None], len(a) - 1)].reshape(
-            (1,) * (n - 1 - k) + (b + 1,) + (1,) * k + (len(where),)) for k, a in enumerate(axes)]
-        return _sample_banded(field, coords, 1)
+        def peak(peaks):
+            top = max(max(peaks), np.abs(corners).max())
+            far = np.argwhere((signs != 0) & (bound >= top))
+            return max(top, sample(np.multiply(box, far), box, True)[1]) if len(far) else top
 
-    def band(k0, k1, below, top):
-        where = np.argwhere(signs[k0 // b:-(-k1 // b)] == 0)
-        if not len(where):
-            return 0.0, None, None
-        # per axis, slowest first, each block's first band-local lattice index
-        first = list(b * where.T)
-        where[:, 0] += k0 // b
-        vals, largest = sample(where)
-        # the band's cell counts, slowest axis first
-        ends = (k1 - k0,) + cells[1:]
+    if callable(source):
+        def sample(origin, shape, stacked):
+            # the samples of the boxes of shape cells at origin (per box, its
+            # first lattice index, slowest axis first), on this thread
+            coords = []
+            for k, a in enumerate(axes):
+                d = n - 1 - k
+                index = np.minimum(origin[:, d] + np.arange(shape[d] + 1)[:, None], len(a) - 1)
+                coords.append(a[index].reshape((1,) * d + (-1,) + (1,) * k + ((len(origin),) if stacked else ())))
+            return _sample_banded(source, coords, 1)
+    else:
+        largest = max(source.max(), -source.min())
+
+        def sample(origin, shape, stacked):
+            return source[origin[0, 0]:origin[0, 0] + shape[0] + 1], largest
+
+    def band(k0, k1, top):
+        # per box, its first lattice index in the band, slowest axis first
+        first = np.multiply(box, np.argwhere(need[k0 // box[0]:-(-k1 // box[0])]))
+        if not len(first):
+            return 0.0, None
+        # the band's cell counts and its boxes', slowest axis first
+        ends, shape = (k1 - k0,) + cells[1:], (min(box[0], k1 - k0),) + box[1:]
+        stacked = shape != ends
+        vals, largest = sample(first + ((k0,) + (0,) * (n - 1)), shape, stacked)
 
         def lattice(index):
             # the band-local lattice index of the points at a stacked index
-            return [f[index[n]] + i for f, i in zip(first, index)]
+            return [f[index[n]] + i for f, i in zip(first.T, index)]
 
+        # each array is dropped once read: with the crossings and elements of
+        # the bands before it, a band's largest arrays set the kernel's peak
         inside = vals < 0
-        crossings = []
-        for axis, (index, _, v0, v1) in enumerate(_edge_crossings(vals, inside, n)):
+        crossings = _edge_crossings(vals, inside, n)
+        del vals
+        for axis, (index, _, v0, v1) in enumerate(crossings if stacked else ()):
             at, keep = lattice(index), np.ones(len(v0), dtype=bool)
             for d in range(n):
                 if d != n - 1 - axis:
-                    keep &= (index[d] < b) & (at[d] < ends[d]) | (at[d] == ends[d])
+                    keep &= (index[d] < shape[d]) & (at[d] < ends[d]) | (at[d] == ends[d])
             at = tuple(i[keep] for i in at)
             lo = np.ravel_multi_index(at, tuple(e + 1 for e in ends))
             order = np.argsort(lo)
-            crossings.append((tuple(i[order] for i in at), lo[order], v0[keep][order], v1[keep][order]))
-        del vals
+            crossings[axis] = tuple(i[order] for i in at), lo[order], v0[keep][order], v1[keep][order]
         if not any(len(lo) for _, lo, _, _ in crossings):
-            return largest, None, None
+            return largest, None
         kept, indices, first_ids = _band_crossings(crossings, ends[0], top)
         del crossings
         cell, code = _active_cells(inside, n)
         del inside
-        at = lattice(np.unravel_index(cell, (b,) * n + (len(where),)))
-        # past the lattice's end, a cell is a copy
-        keep = np.logical_and.reduce([i < e for i, e in zip(at, ends)])
-        cell = np.ravel_multi_index(tuple(i[keep] for i in at), ends)
-        order = np.argsort(cell)
-        cell, code = cell[order], code[keep][order]
+        if stacked:
+            at = lattice(np.unravel_index(cell, shape + (len(first),)))
+            # past the lattice's end, a cell is a copy
+            keep = np.logical_and.reduce([i < e for i, e in zip(at, ends)])
+            cell = np.ravel_multi_index(tuple(i[keep] for i in at), ends)
+            order = np.argsort(cell)
+            cell, code = cell[order], code[keep][order]
         ids = _slot_ids(code, slots, indices, ends, first_ids)
-        return largest, None, (kept, _element_ids(cases(k0, cell, code), ids), first_ids)
+        del indices
+        return largest, (kept, _element_ids(cases(k0, cell, code), ids), first_ids)
 
-    def peak(peaks):
-        top = max(max(peaks), np.abs(corners).max())
-        far = np.argwhere((signs != 0) & (bound >= top))
-        return max(top, sample(far)[1]) if len(far) else top
-
-    # each band's first block layer: a new band starts where the samples of
-    # the unproven blocks since the last start would pass `samples`
-    per_layer = np.count_nonzero(signs.reshape(len(signs), -1) == 0, axis=1) * (b + 1) ** n
+    # each band's first box layer: a new band starts where the samples of
+    # the boxes since the last start would pass cap
+    per_layer = np.count_nonzero(need.reshape(len(need), -1), axis=1) * math.prod(s + 1 for s in box)
     starts, held = [0], 0
     for layer, count in enumerate(per_layer):
-        if layer and held + count > samples:
+        if layer and held + count > cap:
             starts.append(layer)
             held = 0
         held += count
+    bounds = np.minimum(box[0] * np.array(starts + [len(per_layer)]), cells[0])
     try:
-        return _mesh_bands(band, np.minimum(b * np.array(starts + [len(per_layer)]), cells[0]), axes,
-                           domain.steps(), workers, peak=peak)
+        return _mesh_bands(band, bounds, axes, domain.steps(), workers, peak=peak)
     except ValueError:
-        return None
+        if sparse is None:
+            raise
+    return _mesh_lattice(source, domain, slots, cases, workers)
 
 
 def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polyline]:
@@ -727,15 +668,16 @@ def contour(field, domain: Domain2D, workers: int | None = None) -> list[Polylin
     `marching_squares` of `sample_grid2d`, byte for byte, without holding the
     sampled grid.
 
-    A field with keys (`fields2d.Keys`) on a lattice of more than
-    SLAB_SAMPLES samples is sampled and meshed only in the blocks of
-    BLOCK_CELLS cells a side whose sign `_certify` does not prove
-    (`_sparse_bands`), on the calling thread, exact zeros included. Any
-    other, or one of those with a non-finite sample, runs the band kernel
-    (`_mesh_lattice`) over row bands of at most SLAB_SAMPLES samples, each
-    sampled as it starts, one run of bands per thread (`workers`, default
-    `default_workers()`). A non-finite sample raises the ValueError
-    `sample_grid2d` raises.
+    This is the band kernel (`_mesh_lattice`) over row bands of at most
+    SLAB_SAMPLES samples, each sampled as it starts, the threads (`workers`,
+    default `default_workers()`) taking the bands one by one; each band
+    samples its own rows, so a row two bands share is sampled twice. A
+    field with keys (`fields2d.Keys`) on a lattice of more than SLAB_SAMPLES
+    samples is sampled and meshed only in the blocks of BLOCK_CELLS cells a
+    side whose sign `_certify` does not prove, on the calling thread, exact
+    zeros included; where one of those samples is not finite, the row bands
+    run instead. A non-finite sample raises the ValueError `sample_grid2d`
+    raises.
     """
     return _polylines(field, domain, field, workers)
 
@@ -749,8 +691,8 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     boundary are open; all others are closed.
 
     This is the band kernel of marching cubes (`_mesh_lattice`), run over
-    views of the samples: the row bands of `contour`, on
-    `default_workers()` threads. Only active cells are visited and only
+    views of the samples: the row bands of `contour`, each one box of rows,
+    on `default_workers()` threads. Only active cells are visited and only
     crossing edges get a vertex: every x-edge crossing in (j, i) lattice
     order, then every y-edge crossing. Exact-zero samples count as outside
     and are nudged toward positive (by ZERO_NUDGE times the grid's largest
@@ -768,7 +710,7 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
 def _polylines(source, domain, field, workers):
     """The polylines of `_mesh_lattice(source, domain, ...)` on `workers`
     threads, or, for a field with keys on a lattice of more than
-    SLAB_SAMPLES samples, of `_sparse_bands` on the calling thread, which
+    SLAB_SAMPLES samples, of its sparse route on the calling thread, which
     gives the same points and segments, chained by `_chains`.
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
@@ -797,7 +739,7 @@ def _polylines(source, domain, field, workers):
         return _SEGMENTS[key]
 
     keys = getattr(field, "keys", None) if callable(source) else None
-    mesh = None
+    sparse = None
     if keys is not None and len(xs) * len(ys) > SLAB_SAMPLES:
         # Bands of up to SLAB_SAMPLES samples, sampled in field calls of
         # BAND_SAMPLES, as the dense bands are. With bands of BAND_SAMPLES,
@@ -805,10 +747,8 @@ def _polylines(source, domain, field, workers):
         # and the heap gave both back to the system after each band: 470-770
         # minor page faults per grid-2048 curve (ru_minflt), and the
         # `curves_2d` command loop ran 20-30% slower.
-        mesh = _sparse_bands(field, keys, domain, _SLOTS, cases, 1, BLOCK_CELLS, SLAB_SAMPLES)
-    if mesh is None:
-        mesh = _mesh_lattice(source, domain, _SLOTS, cases, workers)
-    points, segments = mesh
+        sparse, workers = (keys, BLOCK_CELLS, SLAB_SAMPLES), 1
+    points, segments = _mesh_lattice(source, domain, _SLOTS, cases, workers, sparse)
     return _chains(*segments.T, points)
 
 

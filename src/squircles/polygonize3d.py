@@ -10,10 +10,11 @@ of both signs) and the crossing edges; it builds no per-edge id volume and
 never writes to the samples.
 
 Extraction is the band kernel of marching squares (`contour2d._mesh_bands`)
-over z-slabs of cell layers, with the marching-cubes table as its cases, run
-through `contour2d._mesh_lattice`: `polygonize` samples each slab as it goes,
-as `contour2d.contour` does, so the whole (nx+1)(ny+1)(nz+1) volume is never
-held; `marching_cubes` runs the same slabs over views of a sampled grid.
+with the marching-cubes table as its cases, run through its one band body,
+`contour2d._mesh_lattice`, over z-slabs of cell layers, each slab one box:
+`polygonize` samples each slab as it starts, as `contour2d.contour` does, so
+the whole (nx+1)(ny+1)(nz+1) volume is never held; `marching_cubes` runs
+the same slabs over views of a sampled grid.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour2d
-from .contour2d import LatticeDomain, _mesh_lattice, _open_lattice, _sample_banded
+from .contour2d import LatticeDomain, _open_lattice, _sample_banded
 from .mc_tables import TRI_TABLE
 
 # Most lattice samples for which `polygonize` meshes a field with keys in
 # full; on a larger lattice it meshes only the blocks the surface may cross
-# (`contour2d._sparse_bands`). 2^24 is a cube of side 256: the default
+# (`contour2d._mesh_lattice`'s sparse route). 2^24 is a cube of side 256: the default
 # lattice of grid 256 (257^3 samples) takes the route, that of grid 254
 # (255^3) does not. Measured in-process on 2 cores: at grid 256 the route
 # took x0.44-0.85 of the full kernel's time
@@ -138,30 +139,26 @@ def polygonize(field, domain: Domain3D, workers: int | None = None) -> TriangleM
     `sample_grid3d`, byte for byte, without holding the sampled volume.
 
     This is the band kernel (`contour2d._mesh_lattice`) over z-slabs of at
-    most `contour2d.SLAB_SAMPLES` samples, each sampled as it starts, one run
-    of slabs per thread (`workers`, default `contour2d.default_workers()`);
-    a slab takes its bottom plane from the slab below in its run. A field
-    with keys (`fields2d.Keys`) on a lattice of more than SPARSE_MIN_SAMPLES
-    samples is sampled and meshed only in the blocks of
-    `contour2d.SURFACE_BLOCK_CELLS` cells a side whose sign
-    `contour2d._certify` does not prove (`contour2d._sparse_bands`, the
-    route of large curves too), to the same bytes, in pooled bands of block
-    layers whose unproven blocks hold at most `contour2d.BAND_SAMPLES`
-    samples; where one of those samples is not finite, the band kernel
-    meshes it. A non-finite sample raises the ValueError `sample_grid3d`
-    raises.
+    most `contour2d.SLAB_SAMPLES` samples, each sampled as it starts, the
+    threads (`workers`, default `contour2d.default_workers()`) taking the
+    slabs one by one; each slab samples its own planes, so a plane two slabs
+    share is sampled twice. A field with keys (`fields2d.Keys`) on a lattice
+    of more than SPARSE_MIN_SAMPLES samples is sampled and meshed only in the
+    blocks of `contour2d.SURFACE_BLOCK_CELLS` cells a side whose sign
+    `contour2d._certify` does not prove (the sparse route of large curves
+    too), to the same bytes, in pooled bands of block layers whose unproven
+    blocks hold at most `contour2d.BAND_SAMPLES` samples; where one of those
+    samples is not finite, the slabs run instead. A non-finite sample raises
+    the ValueError `sample_grid3d` raises.
     """
-    mesh = None
     keys = getattr(field, "keys", None)
+    sparse = None
     if keys is not None and math.prod(len(a) for a in domain.axes()) > SPARSE_MIN_SAMPLES:
         # a band's crossing arrays, ~35 B per sampled point, set the route's
         # peak: bands of 1.5x BAND_SAMPLES put the grid-128 sphube's
         # tracemalloc peak at 1.05x half its volume, against 0.95x
-        mesh = contour2d._sparse_bands(field, keys, domain, _SLOTS, _cell_triangles, workers,
-                                       contour2d.SURFACE_BLOCK_CELLS, contour2d.BAND_SAMPLES)
-    if mesh is None:
-        mesh = _mesh_lattice(field, domain, _SLOTS, _cell_triangles, workers)
-    return TriangleMesh(*mesh)
+        sparse = keys, contour2d.SURFACE_BLOCK_CELLS, contour2d.BAND_SAMPLES
+    return TriangleMesh(*contour2d._mesh_lattice(field, domain, _SLOTS, _cell_triangles, workers, sparse))
 
 
 def marching_cubes(grid: Grid3D) -> TriangleMesh:
@@ -179,7 +176,7 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
 
     This is the band kernel of `polygonize` and `marching_squares`
     (`contour2d._mesh_lattice`), run over views of the samples: slabs of at
-    most `contour2d.SLAB_SAMPLES` samples, on `contour2d.default_workers()`
-    threads. The output depends on neither.
+    most `contour2d.SLAB_SAMPLES` samples, each one box, on
+    `contour2d.default_workers()` threads. The output depends on neither.
     """
-    return TriangleMesh(*_mesh_lattice(grid.view3d(), grid.domain, _SLOTS, _cell_triangles, None))
+    return TriangleMesh(*contour2d._mesh_lattice(grid.view3d(), grid.domain, _SLOTS, _cell_triangles, None))

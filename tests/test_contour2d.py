@@ -368,6 +368,14 @@ def assert_same_polylines(grid):
     return got
 
 
+def band_bounds(mp):
+    """The bounds of each `_mesh_bands` call made while mp's patches hold,
+    as lists."""
+    bounds, mesh_bands = [], contour2d._mesh_bands
+    mp.setattr(contour2d, "_mesh_bands", lambda *a, **k: bounds.append(list(a[1])) or mesh_bands(*a, **k))
+    return bounds
+
+
 def saddle_field(x, y):
     # polynomial, so scalar and array calls give the same bits
     return (x - 0.3) * (y + 0.2) - 0.05
@@ -484,9 +492,9 @@ class TestBandKernel:
         # bytes, saddle centers and whole-grid nudge scale included
         kernel = contour2d._mesh_bands
 
-        def banded(load, bounds, *args):
+        def banded(band, bounds, *args, **kwargs):
             ny = bounds[-1]
-            return kernel(load, np.arange(0, ny + rows, rows).clip(max=ny), *args[:-1], workers)
+            return kernel(band, np.arange(0, ny + rows, rows).clip(max=ny), *args[:-1], workers, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour2d, "_mesh_bands", banded)
@@ -513,12 +521,12 @@ class TestBandKernel:
 
         monkeypatch.setattr(contour2d, "ThreadPoolExecutor", Counted)
         monkeypatch.setattr(contour2d, "SLAB_SAMPLES", 5 * 37)
-        assert len(contour2d._slab_bounds(grid.domain.axes())) - 1 == 9
+        bounds = band_bounds(monkeypatch)
         runs = []
         for workers in (1, 3):
             monkeypatch.setenv("SQUIRCLES_WORKERS", str(workers))
             runs.append(assert_same_polylines(grid))
-        assert pools == [3]
+        assert pools == [3] and [len(b) - 1 for b in bounds] == [9, 9]
         assert [(p.closed, p.points.tobytes()) for p in runs[0]] == [(p.closed, p.points.tobytes()) for p in runs[1]]
 
     def test_ids_past_int32_are_exact(self):
@@ -603,14 +611,16 @@ def assert_fused_matches(field, dom, layers, workers):
     """contour, in row bands of `layers` cell rows on `workers` threads
     (pooled whenever workers > 1), gives marching_squares of sample_grid2d
     byte for byte; a field with keys takes the band kernel too, not the
-    sparse route its lattice would take (see TestSparseContour)."""
+    sparse route its lattice would take (see TestSparseContour), on the
+    same workers."""
     want = marching_squares(sample_grid2d(field, dom, workers=1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contour2d, "SLAB_SAMPLES", (layers + 1) * (dom.nx + 1))
         mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
-        mp.setattr(contour2d, "_sparse_bands", lambda *args: None)
-        assert len(contour2d._slab_bounds((dom.xs(), dom.ys()))) - 1 == -(-dom.ny // layers)
+        lattice_calls(mp, workers, None)
+        bounds = band_bounds(mp)
         got = contour(field, dom, workers=workers)
+    assert [len(b) - 1 for b in bounds] == [-(-dom.ny // layers)]
     assert [g.closed for g in got] == [w.closed for w in want]
     for g, w in zip(got, want):
         assert g.points.dtype == w.points.dtype
@@ -659,7 +669,8 @@ class TestFusedContour:
         assert str(fused.value) == str(whole.value)
 
     def test_one_worker_samples_each_row_once(self):
-        # 10 bands of 4 cell rows share 9 rows; the circle has no saddle cell
+        # 10 bands of 4 cell rows, each sampling its own 5 rows: the lattice
+        # plus the 9 rows two bands share; the circle has no saddle cell
         dom = Domain2D(-2, 2, -2, 2, 40, 40)
         sizes = []
 
@@ -670,12 +681,13 @@ class TestFusedContour:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour2d, "SLAB_SAMPLES", 5 * 41)
             (loop,) = contour(counted, dom, workers=1)
-        assert loop.closed and sum(sizes) == 41 * 41
+        assert loop.closed and sum(sizes) == 41 * 41 + 9 * 41
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_bands_sample_the_lattice_and_one_row_per_extra_run(self, workers):
-        # the 10 bands go in one run per thread, each run sampling its first
-        # row itself; the count is exact on every call, with threads
+        # the 10 bands go to the threads one by one, each band sampling its
+        # own rows: the lattice plus one row per band after the first, as on
+        # one worker; the count is exact on every call, with threads
         # switching every microsecond
         dom = Domain2D(-2, 2, -2, 2, 40, 40)
         sizes = []
@@ -688,16 +700,17 @@ class TestFusedContour:
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour2d, "SLAB_SAMPLES", 5 * 41)
-            assert len(contour2d._slab_bounds((dom.xs(), dom.ys()))) - 1 >= contour2d.POOL_MIN_BANDS * workers
+            bounds = band_bounds(mp)
             sys.setswitchinterval(1e-6)
             try:
                 for _ in range(20):
                     sizes.clear()
                     (loop,) = contour(counted, dom, workers=workers)
                     assert loop.points.tobytes() == want[0].points.tobytes()
-                    assert sum(sizes) == 41 * 41 + (workers - 1) * 41
+                    assert sum(sizes) == 41 * 41 + 9 * 41
             finally:
                 sys.setswitchinterval(interval)
+        assert len(bounds[0]) - 1 == 10 >= contour2d.POOL_MIN_BANDS * workers
 
     @pytest.mark.parametrize("family, tiles", [("fg", 1), ("periodic", 3)])
     def test_peak_memory_below_half_the_grid(self, family, tiles):
@@ -730,23 +743,38 @@ def shifted_domain(spec, n, tiles, shift):
     return Domain2D(d.xmin + ox, d.xmax + ox, d.ymin + oy, d.ymax + oy, n, n)
 
 
+def lattice_calls(mp, workers=None, sparse=...):
+    """Spies on `_mesh_lattice` while mp's patches hold: the list of its
+    calls, each as (sparse, what the call gave, None if it raised); with
+    workers or sparse set, each call runs on them instead of its own. The
+    route's fallback to the slabs is a second call."""
+    calls, mesh_lattice = [], contour2d._mesh_lattice
+
+    def spy(source, domain, slots, cases, given_workers, given_sparse=None):
+        calls.append([given_sparse, None])
+        calls[-1][1] = mesh_lattice(source, domain, slots, cases, given_workers if workers is None else workers,
+                                    given_sparse if sparse is ... else sparse)
+        return calls[-1][1]
+
+    mp.setattr(contour2d, "_mesh_lattice", spy)
+    return calls
+
+
 def sparse_contour(field, dom, block, workers):
     """contour on blocks of `block` cells, in bands of two blocks' samples
     (at least one block layer) sampled in field calls of about one block,
-    and what each `_sparse_bands` call gave."""
-    meshes = []
-    sparse = contour2d._sparse_bands
-
-    def spy(*args):
-        meshes.append(sparse(*args))
-        return meshes[-1]
-
+    and the `_mesh_lattice` calls it made (see `lattice_calls`)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contour2d, "BLOCK_CELLS", block)
         mp.setattr(contour2d, "SLAB_SAMPLES", 2 * (block + 1) ** 2)
         mp.setattr(contour2d, "BAND_SAMPLES", (block + 1) ** 2)
-        mp.setattr(contour2d, "_sparse_bands", spy)
-        return contour(field, dom, workers=workers), meshes
+        calls = lattice_calls(mp)
+        return contour(field, dom, workers=workers), calls
+
+
+# keys under which `_certify` proves no block: their bound on the field's
+# terms is inf, and so is the margin
+NO_PROOF = Keys(lambda c: c, lambda *k: math.inf)
 
 
 def assert_same_as_sampled_grid(got, field, dom):
@@ -783,15 +811,15 @@ class TestSparseContour:
         # points, closed flags and order as marching squares of the lattice,
         # from the very points and segments the band kernel gives the chains
         field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
-        got, meshes = sparse_contour(field, dom, block, workers)
-        assert len(meshes) == 1 and meshes[0] is not None  # exact zeros stay on the route
+        got, calls = sparse_contour(field, dom, block, workers)
+        assert [sparse is not None for sparse, _ in calls] == [True]  # exact zeros stay on the route
         assert_same_as_sampled_grid(got, field, dom)
         chained = []
         chains = contour2d._chains
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour2d, "_chains", lambda a, b, points: chained.append((a, b, points)) or chains(a, b, points))
             contour(field, dom, workers=1)  # one slab: the band kernel
-        (a, b, points), (sparse_points, segments) = chained[0], meshes[0]
+        (a, b, points), (sparse_points, segments) = chained[0], calls[0][1]
         assert sparse_points.tobytes() == points.tobytes()
         assert segments.dtype == a.dtype and np.array_equal(segments, np.column_stack([a, b]))
 
@@ -803,8 +831,8 @@ class TestSparseContour:
         spec = ShapeSpec2D("oblique", s=1.0, h=h)
         field, dom = make_field2d(spec), default_domain2d(spec, n, tiles)
         assert np.count_nonzero(sample_grid2d(field, dom).samples == 0.0) > 0
-        got, meshes = sparse_contour(field, dom, 4, 2)
-        assert len(meshes) == 1 and meshes[0] is not None
+        got, calls = sparse_contour(field, dom, 4, 2)
+        assert [sparse is not None for sparse, _ in calls] == [True]
         assert_same_as_sampled_grid(got, field, dom)
 
     @settings(max_examples=100, deadline=None)
@@ -876,19 +904,47 @@ class TestSparseContour:
         # lattice, of more than SLAB_SAMPLES = cap samples, takes the route.
         field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
         cap = blocks * (block + 1) ** 2
-        bounds, sparse, mesh_bands = [], contour2d._sparse_bands, contour2d._mesh_bands
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contour2d, "BLOCK_CELLS", block)
             mp.setattr(contour2d, "SLAB_SAMPLES", cap)
             mp.setattr(contour2d, "BAND_SAMPLES", (block + 1) ** 2)
             mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
-            mp.setattr(contour2d, "_sparse_bands", lambda *a: sparse(*a[:5], workers, *a[6:]))
-            mp.setattr(contour2d, "_mesh_bands", lambda *a, **k: bounds.append(a[1]) or mesh_bands(*a, **k))
+            calls = lattice_calls(mp, workers)
+            bounds = band_bounds(mp)
             got = contour(field, dom)
-        assert (n + 1) ** 2 > cap and len(bounds) == 1  # the route's, not the band kernel's
+        # the route's bands, not the slabs'
+        assert (n + 1) ** 2 > cap and [sparse is not None for sparse, _ in calls] == [True] and len(bounds) == 1
         assert_same_as_sampled_grid(got, field, dom)
         signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
-        assert_bands_of_block_layers(list(bounds[0]), signs, block, cap, n)
+        assert_bands_of_block_layers(bounds[0], signs, block, cap, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(FIELD_FAMILIES_2D), s=st.floats(0, 1),
+           n=st.integers(9, 70), tiles=st.integers(1, 3),
+           shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), block=st.integers(1, 9),
+           blocks=st.integers(1, 6), workers=st.integers(1, 3))
+    # each block layer a band, the last one 2 cells high, alone
+    @example(family="lame", s=0.5, n=10, tiles=1, shift=(0.0, 0.0), block=4, blocks=1, workers=2)
+    def test_stacked_bands_match_one_box_bands(self, family, s, n, tiles, shift, block, blocks, workers):
+        # with no block proven, every band of the route is a real stack of
+        # blocks, restacked into lattice order; it gives the points and
+        # segments of the slabs, which mesh their samples as they are
+        spec = ShapeSpec2D(family, s=s, p=1.0 + 4.0 * s)
+        field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
+        meshes = []
+        for sparse in (None, (NO_PROOF, block, blocks * (block + 1) ** 2)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+                calls = lattice_calls(mp, workers, sparse)
+                bounds = band_bounds(mp)
+                contour(field, dom)
+            meshes.append(calls[0][1])
+        assert len(calls) == 1 and len(bounds) == 1  # no fallback
+        if bounds[0][-1] - bounds[0][-2] < block:
+            event("the last block layer alone, shorter than a block")
+        (want_points, want_segments), (points, segments) = meshes
+        assert points.tobytes() == want_points.tobytes()
+        assert segments.dtype == want_segments.dtype and segments.tobytes() == want_segments.tobytes()
 
     @pytest.mark.parametrize("family, kw, tiles", [
         ("lame", dict(p=4.5), 1), ("periodic", dict(s=0.78), 3), ("oblique", dict(s=0.77), 3),
@@ -909,8 +965,7 @@ class TestSparseContour:
         assert peak <= 0.25 * 2049**2 * 8
 
     def test_fields_without_keys_and_small_lattices_stay_dense(self, monkeypatch):
-        called = []
-        monkeypatch.setattr(contour2d, "_sparse_bands", lambda *args: called.append(args))
+        calls = lattice_calls(monkeypatch, sparse=None)
         spec = ShapeSpec2D("lame", p=3.0)
         big = default_domain2d(spec, 724, 1)
         assert (big.nx + 1) * (big.ny + 1) > contour2d.SLAB_SAMPLES
@@ -918,9 +973,8 @@ class TestSparseContour:
         contour(circle_field, big)
         contour(make_field2d(spec), default_domain2d(spec, 723, 1))
         marching_squares(sample_grid2d(make_field2d(spec), big))
-        assert not called
         contour(make_field2d(spec), big)
-        assert len(called) == 1
+        assert [sparse is not None for sparse, _ in calls] == [False] * 4 + [True]
 
 
 def test_a_loop_the_weld_shrinks_to_two_points_is_dropped():
