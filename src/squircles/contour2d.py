@@ -35,8 +35,9 @@ import numpy as np
 
 from .fields2d import frantz_point
 
-# Relative nudge applied to exact-zero samples so the case lookup never sees a
-# vertex sitting on the contour.
+# An exact-zero sample counts as outside, so a crossing edge that ends in one
+# puts its vertex this fraction of the edge away from that end rather than on
+# the sample, whatever the other samples are.
 ZERO_NUDGE = 1e-12
 
 # Most samples one field call evaluates (a band is at least one row). A band's
@@ -223,7 +224,7 @@ def _open_lattice(axes):
 def _sample_banded(field, coords, workers):
     """Samples of field at coords (x first, arrays that broadcast to the
     samples: `_open_lattice` of a lattice's axes, or a stack of lattices),
-    evaluated in bands of their first dimension, and their largest |sample|.
+    evaluated in bands of their first dimension.
 
     Each band holds at most BAND_SAMPLES samples (at least one index of the
     first dimension) and is written straight into one new array: a field
@@ -251,18 +252,17 @@ def _sample_banded(field, coords, workers):
 
     rows = max(1, BAND_SAMPLES // math.prod(shape[1:]))
     bounds = np.arange(0, shape[0] + rows, rows).clip(max=shape[0])
-    peak = np.max(_run_bands(run, bounds, workers))
-    if not math.isfinite(peak):
+    if not math.isfinite(np.max(_run_bands(run, bounds, workers))):
         index = tuple(np.argwhere(~np.isfinite(vals))[0])
         where = ", ".join(f"{np.broadcast_to(c, shape)[index]}" for c in coords)
         raise ValueError(f"non-finite field value at sample ({where})")
-    return vals, peak
+    return vals
 
 
 def sample_grid2d(field, domain: Domain2D, workers: int | None = None) -> Grid2D:
     """Evaluate a field on the domain lattice, partitioned over row bands.
     `contour` contours a field without holding this grid."""
-    return Grid2D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers)[0], field=field)
+    return Grid2D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers), field=field)
 
 
 def _active_cells(inside, ndim=None):
@@ -288,14 +288,15 @@ def _active_cells(inside, ndim=None):
     return cells, code.reshape(-1)[cells] + 1
 
 
-def _nudge_zeros(peak, *gathered):
-    """Set the exact zeros in arrays of gathered samples to +ZERO_NUDGE times
-    peak, the largest |sample|, so that they count as outside."""
-    zeros = [g == 0.0 for g in gathered]
-    if any(z.any() for z in zeros):
-        nudge = ZERO_NUDGE * (float(peak) or 1.0)
-        for g, z in zip(gathered, zeros):
-            g[z] = nudge
+def _fractions(v0, v1):
+    """The fractions t of crossing edges, from their low ends, at which the
+    level set crosses them, given the end samples v0, v1: v0 / (v0 - v1) by
+    linear interpolation, but ZERO_NUDGE of the edge from an end sample of
+    exactly 0 (outside, as the other end is inside)."""
+    t = v0 / (v0 - v1)
+    t[v0 == 0.0] = ZERO_NUDGE
+    t[v1 == 0.0] = 1.0 - ZERO_NUDGE
+    return t
 
 
 def _edge_crossings(vals, inside, ndim=None):
@@ -369,8 +370,7 @@ def _slot_crossings(slots):
 
 def _edge_points(index, t, coords, steps, axis):
     """Points on the axis-parallel edges with low ends at the lattice index
-    (slowest axis first), at the fractions t = v0 / (v0 - v1) of the edges
-    that linear interpolation between the end samples v0, v1 gives."""
+    (slowest axis first), at the fractions t of the edges (`_fractions`)."""
     n = len(coords)
     pts = np.column_stack([coords[k][index[n - 1 - k]] for k in range(n)])
     pts[:, axis] += t * steps[axis]
@@ -380,14 +380,12 @@ def _edge_points(index, t, coords, steps, axis):
 def _band_crossings(crossings, layers, top):
     """The crossings of a band of `layers` cell layers that its part holds
     (see `_mesh_bands`), from the `_edge_crossings` of all its layers in
-    lattice order: the part's share of each axis, the lattice index of every
-    crossing and the first band-local id of each axis."""
+    lattice order: the part's share of each axis as (lo, t), the lattice
+    index of every crossing and the first band-local id of each axis."""
     kept = []
     for axis, (index, lo, v0, v1) in enumerate(crossings):
         n = len(lo) if top or axis == len(crossings) - 1 else np.searchsorted(index[0], layers)
-        v0, v1 = v0[:n], v1[:n]
-        zero = np.flatnonzero((v0 == 0.0) | (v1 == 0.0))
-        kept.append((lo[:n].copy(), v0 / (v0 - v1), zero, v0[zero], v1[zero]))
+        kept.append((lo[:n].copy(), _fractions(v0[:n], v1[:n])))
     first_ids = np.cumsum([0] + [len(c[1]) for c in crossings[:-1]])
     return kept, [c[0] for c in crossings], first_ids
 
@@ -402,7 +400,7 @@ def _element_ids(rows, ids):
     return ids.reshape(-1)[ends * ids.shape[1] + (pick // rows.shape[1])[:, None]]
 
 
-def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
+def _mesh_bands(band, bounds, coords, steps, workers):
     """Points and elements of the zero level set on the lattice of coords
     (x first) spaced by steps, in bands of cell layers along the slowest axis
     (Lorensen & Cline's slice-wise formulation, for any dimension).
@@ -410,12 +408,9 @@ def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
     Each band of cell layers k0..k1 between consecutive bounds runs
     band(k0, k1, top) on `_run_bands(..., workers)`; top is set for the last
     band. Bands share nothing, so the pool takes them in any order. A band
-    returns its largest |sample| and its part: None when no edge of the band
-    crosses, else:
+    returns its part: None when no edge of the band crosses, else:
     - per axis, its crossings as the flat lattice index (within the band) of
-      each edge's low end and the edge fraction v0 / (v0 - v1) of its end
-      samples, plus the positions and end samples of the crossings with an
-      end sample of exactly 0, whose fraction the zero nudge changes;
+      each edge's low end and the edge's fraction (`_fractions`);
     - the rows of its cases for its active cells, as band-local ids: each
       axis's crossings are ranked in lattice order, after all the crossings
       of the axes before it;
@@ -426,14 +421,10 @@ def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
     A weld in band order turns the band-local ids into global ones. The
     points are every x-edge crossing in lattice order, then every y-edge
     crossing, and so on; the elements are the rows of the bands' cases over
-    point ids. A zero sample ending a crossing edge counts as +ZERO_NUDGE
-    times peak(the bands' largest |sample|s), which is taken only then; the
-    default, their max, is the lattice's largest |sample| when the bands
-    sample all of it. The output depends on neither the bands nor the worker
-    count.
+    point ids. The output depends on neither the bands nor the worker count.
     """
     n = len(coords)
-    peaks, bands = zip(*_run_bands(lambda k0, k1: band(k0, k1, k1 == bounds[-1]), bounds, workers))
+    bands = _run_bands(lambda k0, k1: band(k0, k1, k1 == bounds[-1]), bounds, workers)
     parts = [(k0, *band) for k0, band in zip(bounds, bands) if band is not None]
     del bands  # parts alone holds the bands' output, dropped as it is welded
 
@@ -460,17 +451,12 @@ def _mesh_bands(band, bounds, coords, steps, workers, peak=max):
         start += len(local)
         parts[b] = k0, kept
 
-    zeros = [c[1:] for _, kept in parts for c in kept if len(c[2])]
-    if zeros:
-        _nudge_zeros(peak(peaks), *(v for *_, v0, v1 in zeros for v in (v0, v1)))
-    for t, zero, v0, v1 in zeros:
-        t[zero] = v0 / (v0 - v1)
     shape = tuple(len(c) for c in reversed(coords))
     points = np.empty((counts.sum(), n))
     start = 0
     for axis in range(n):
         for k0, kept in parts:
-            lo, t = kept[axis][:2]
+            lo, t = kept[axis]
             index = np.unravel_index(lo + k0 * math.prod(shape[1:]), shape)
             points[start:start + len(lo)] = _edge_points(index, t, coords, steps, axis)
             start += len(lo)
@@ -494,20 +480,18 @@ def _key_blocks(key, n, block):
 def _certify(field, keys, axes, block):
     """Per block of `block` cells a side of the lattice of axes (x first),
     indexed by block, slowest axis first: the proven sign of every sample in
-    it, +1 or -1, or 0 where no sign is proven; a bound on its |samples|,
-    which holds where a sign is proven; and the field at its corners, the
-    2^n samples that pair each axis's least and greatest key in the block,
-    shaped (2,) * n + the block counts (axis k's pair on dimension n-1-k).
+    it, +1 or -1, or 0 where no sign is proven.
 
     The field, or each of `keys.parts` (the field is their max), is
     monotone or multilinear in the keys (`fields2d.Keys`), so its least and
-    greatest value at the corners bound it over the block; a max of parts is
-    bounded below by the greatest of their least values and above by the
-    greatest of their greatest. A sign is proven when the corners are finite
-    and the bounds lie beyond the margin, CERTIFY_MARGIN times `keys.terms`
-    of the block's largest |keys|, a normal float; the bound on |samples| is
-    the larger |bound| plus the margin. The corners are the field's values
-    at those lattice samples, the same bits as sampling gives them.
+    greatest value at the block's corners, the 2^n samples that pair each
+    axis's least and greatest key in the block, bound it over the block; a
+    max of parts is bounded below by the greatest of their least values and
+    above by the greatest of their greatest. A sign is proven when the
+    corners are finite and the bounds lie beyond the margin, CERTIFY_MARGIN
+    times `keys.terms` of the block's largest |keys|, a normal float. So no
+    block with a non-finite corner is proven, and the sparse route samples
+    it.
     """
     n = len(axes)
     pairs = tuple(range(n))
@@ -523,10 +507,9 @@ def _certify(field, keys, axes, block):
             largest.reshape((1,) * (n - 1 - k) + (-1,) + (1,) * k) for k, (_, _, largest) in enumerate(ends)))
         low = functools.reduce(np.maximum, [p.min(axis=pairs) for p in parts])
         high = functools.reduce(np.maximum, [p.max(axis=pairs) for p in parts])
-        bound = np.maximum(high, -low) + margin
     corners = functools.reduce(np.maximum, parts)
     proven = np.isfinite(corners).all(axis=pairs) & (margin >= np.finfo(float).tiny) & (margin < np.inf)
-    return proven * ((low > margin).astype(np.int8) - (high < -margin)), bound, corners
+    return proven * ((low > margin).astype(np.int8) - (high < -margin))
 
 
 def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
@@ -539,17 +522,17 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
     lattice's last sample each repeats that sample) are sampled together as
     the band starts, on its thread: by `_sample_banded` from source, a
     field, or viewed in source, the samples of the whole lattice, slowest
-    axis first (their largest |sample| taken once). So each band samples
-    and checks its own layers, and none is meshed with a non-finite sample.
-    Without sparse, each band is one box: a slab of the whole lattice's
-    width, of at most SLAB_SAMPLES samples (at least one cell layer). With
-    sparse, (keys, block, samples) for a field with keys, the boxes are the
-    blocks of `block` cells a side whose sign `_certify` does not prove, and
-    a band is a run of whole block layers whose unproven blocks hold at most
-    `samples` samples together, or one layer. A proven block has no active
-    cell nor crossing edge, so the same points and elements come out; where
-    a corner or a sampled block's sample is not finite, the slabs run
-    instead and name the first bad sample.
+    axis first. So each band samples and checks its own layers, and none is
+    meshed with a non-finite sample. Without sparse, each band is one box:
+    a slab of the whole lattice's width, of at most SLAB_SAMPLES samples (at
+    least one cell layer). With sparse, (keys, block, samples) for a field
+    with keys, the boxes are the blocks of `block` cells a side whose sign
+    `_certify` does not prove, and a band is a run of whole block layers
+    whose unproven blocks hold at most `samples` samples together, or one
+    layer. A proven block has no active cell nor crossing edge, and a
+    vertex depends only on its edge's two samples, so the same points and
+    elements come out; where a sampled block's sample is not finite, the
+    slabs run instead and name the first bad sample.
 
     A band that is one box spanning it meshes its samples as they are.
     A real stack lies along a last axis, (box + 1, ..., blocks), so numpy's
@@ -558,9 +541,6 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
     the box that holds it below that box's upper face, or on the lattice's
     end or the band's top, which drops the copies; the crossings of each
     axis and the active cells are put in lattice order (one argsort each).
-    The zero nudge of the blocks takes the lattice's largest |sample|, found
-    exactly: the largest of the sampled blocks', of the corners' and of the
-    samples of each proven block whose bound on |samples| reaches those.
     """
     axes = domain.axes()
     n = len(axes)
@@ -570,19 +550,11 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
         # one box a band: a slab as wide as the lattice; a cap of 0 makes
         # each box layer a band
         layers = max(1, SLAB_SAMPLES // math.prod(len(a) for a in axes[:-1]) - 1)
-        box, cap, peak = (layers,) + cells[1:], 0, max
+        box, cap = (layers,) + cells[1:], 0
         need = np.ones((-(-cells[0] // layers),) + (1,) * (n - 1), dtype=bool)
     else:
         keys, block, cap = sparse
-        signs, bound, corners = _certify(source, keys, axes, block)
-        if not np.isfinite(corners).all():
-            return _mesh_lattice(source, domain, slots, cases, workers)
-        box, need = (block,) * n, signs == 0
-
-        def peak(peaks):
-            top = max(max(peaks), np.abs(corners).max())
-            far = np.argwhere((signs != 0) & (bound >= top))
-            return max(top, sample(np.multiply(box, far), box, True)[1]) if len(far) else top
+        box, need = (block,) * n, _certify(source, keys, axes, block) == 0
 
     if callable(source):
         def sample(origin, shape, stacked):
@@ -595,20 +567,18 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
                 coords.append(a[index].reshape((1,) * d + (-1,) + (1,) * k + ((len(origin),) if stacked else ())))
             return _sample_banded(source, coords, 1)
     else:
-        largest = max(source.max(), -source.min())
-
         def sample(origin, shape, stacked):
-            return source[origin[0, 0]:origin[0, 0] + shape[0] + 1], largest
+            return source[origin[0, 0]:origin[0, 0] + shape[0] + 1]
 
     def band(k0, k1, top):
         # per box, its first lattice index in the band, slowest axis first
         first = np.multiply(box, np.argwhere(need[k0 // box[0]:-(-k1 // box[0])]))
         if not len(first):
-            return 0.0, None
+            return None
         # the band's cell counts and its boxes', slowest axis first
         ends, shape = (k1 - k0,) + cells[1:], (min(box[0], k1 - k0),) + box[1:]
         stacked = shape != ends
-        vals, largest = sample(first + ((k0,) + (0,) * (n - 1)), shape, stacked)
+        vals = sample(first + ((k0,) + (0,) * (n - 1)), shape, stacked)
 
         def lattice(index):
             # the band-local lattice index of the points at a stacked index
@@ -629,7 +599,7 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
             order = np.argsort(lo)
             crossings[axis] = tuple(i[order] for i in at), lo[order], v0[keep][order], v1[keep][order]
         if not any(len(lo) for _, lo, _, _ in crossings):
-            return largest, None
+            return None
         kept, indices, first_ids = _band_crossings(crossings, ends[0], top)
         del crossings
         cell, code = _active_cells(inside, n)
@@ -643,7 +613,7 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
             cell, code = cell[order], code[keep][order]
         ids = _slot_ids(code, slots, indices, ends, first_ids)
         del indices
-        return largest, (kept, _element_ids(cases(k0, cell, code), ids), first_ids)
+        return kept, _element_ids(cases(k0, cell, code), ids), first_ids
 
     # each band's first box layer: a new band starts where the samples of
     # the boxes since the last start would pass cap
@@ -656,7 +626,7 @@ def _mesh_lattice(source, domain, slots, cases, workers, sparse=None):
         held += count
     bounds = np.minimum(box[0] * np.array(starts + [len(per_layer)]), cells[0])
     try:
-        return _mesh_bands(band, bounds, axes, domain.steps(), workers, peak=peak)
+        return _mesh_bands(band, bounds, axes, domain.steps(), workers)
     except ValueError:
         if sparse is None:
             raise
@@ -694,10 +664,10 @@ def marching_squares(grid: Grid2D) -> list[Polyline]:
     views of the samples: the row bands of `contour`, each one box of rows,
     on `default_workers()` threads. Only active cells are visited and only
     crossing edges get a vertex: every x-edge crossing in (j, i) lattice
-    order, then every y-edge crossing. Exact-zero samples count as outside
-    and are nudged toward positive (by ZERO_NUDGE times the grid's largest
-    |sample|) where they end a crossing edge; `grid.samples` is left
-    untouched. Segments follow cell order; a segment whose ends coincide is
+    order, then every y-edge crossing. Exact-zero samples count as outside,
+    and a crossing edge that ends in one has its vertex ZERO_NUDGE of the
+    edge away from it (`_fractions`); `grid.samples` is left untouched.
+    Segments follow cell order; a segment whose ends coincide is
     flat, walked through without a point (`_chains`). Each polyline is the
     chain of one first segment (the first non-flat one not yet used), walked
     forward from its tail, then, if open, backward from it; polylines are
@@ -715,12 +685,10 @@ def _polylines(source, domain, field, workers):
 
     A saddle cell (codes 6 and 9) joins its inside corners when its centre is
     inside: by the field's value there, one call for all of a band's saddles,
-    or, when field is None, by the sum of its corners in the samples source
-    holds, zeros nudged by their largest |sample|.
+    or, when field is None, by the sum of its four corners in the samples
+    source holds.
     """
     xs, ys = domain.axes()
-    if field is None:
-        peak = max(source.max(), -source.min())
 
     def cases(k0, cells, code):
         key = code.astype(np.intp)
@@ -732,9 +700,7 @@ def _polylines(source, domain, field, workers):
                 with np.errstate(**_FIELD_ERRSTATE):
                     center = field(xs[i] + 0.5 * domain.dx, ys[j] + 0.5 * domain.dy)
             else:
-                corners = [source[j, i], source[j, i + 1], source[j + 1, i], source[j + 1, i + 1]]
-                _nudge_zeros(peak, *corners)
-                center = corners[0] + corners[1] + corners[2] + corners[3]
+                center = source[j, i] + source[j, i + 1] + source[j + 1, i] + source[j + 1, i + 1]
             key[saddle] += 16 * (np.broadcast_to(np.asarray(center, dtype=float), saddle.shape) < 0)
         return _SEGMENTS[key]
 

@@ -98,7 +98,7 @@ class TriangleMesh:
 def sample_grid3d(field, domain: Domain3D, workers: int | None = None) -> Grid3D:
     """Evaluate a field on the whole voxel lattice, in bands of z-planes.
     `polygonize` meshes a field without holding this volume."""
-    return Grid3D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers)[0].reshape(-1))
+    return Grid3D(domain, _sample_banded(field, _open_lattice(domain.axes()), workers).reshape(-1))
 
 
 # (dk, dj, di) lattice offset of cell corners 0-7 in mc_tables' numbering
@@ -170,9 +170,9 @@ def marching_cubes(grid: Grid3D) -> TriangleMesh:
     built. Vertex order: every x-edge crossing in (k, j, i) lattice order,
     then every y-edge, then every z-edge crossing; every crossing is used by a
     triangle, so none is compacted away. Triangles follow cell order.
-    Exact-zero samples count as outside and are nudged toward positive (by
-    ZERO_NUDGE times the grid's largest |sample|) where they end a crossing
-    edge; `grid.samples` is left untouched.
+    Exact-zero samples count as outside, and a crossing edge that ends in
+    one has its vertex `contour2d.ZERO_NUDGE` of the edge away from it
+    (`contour2d._fractions`); `grid.samples` is left untouched.
 
     This is the band kernel of `polygonize` and `marching_squares`
     (`contour2d._mesh_lattice`), run over views of the samples: slabs of at

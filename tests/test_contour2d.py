@@ -230,18 +230,19 @@ REF_CASE_SEGMENTS = {
 }
 
 
-def ref_nudged(samples):
-    scale = float(np.max(np.abs(samples)))
-    if scale == 0.0:
-        scale = 1.0
-    out = samples.copy()
-    out[out == 0.0] = ZERO_NUDGE * scale
-    return out
+def ref_fraction(v0, v1):
+    # an exact zero counts as outside; the vertex of an edge ending in one
+    # sits ZERO_NUDGE of the edge away from it
+    if v0 == 0.0:
+        return ZERO_NUDGE
+    if v1 == 0.0:
+        return 1.0 - ZERO_NUDGE
+    return v0 / (v0 - v1)
 
 
 def ref_marching_squares(grid):
     dom = grid.domain
-    vals = ref_nudged(grid.samples)
+    vals = grid.samples
     xs, ys = dom.xs(), dom.ys()
     inside = vals < 0
     case = (
@@ -268,12 +269,10 @@ def ref_marching_squares(grid):
         if pt is None:
             kind, i, j = key
             if kind == "h":
-                v0, v1 = vals[j, i], vals[j, i + 1]
-                t = v0 / (v0 - v1)
+                t = ref_fraction(vals[j, i], vals[j, i + 1])
                 pt = (xs[i] + t * dom.dx, ys[j])
             else:
-                v0, v1 = vals[j, i], vals[j + 1, i]
-                t = v0 / (v0 - v1)
+                t = ref_fraction(vals[j, i], vals[j + 1, i])
                 pt = (xs[i], ys[j] + t * dom.dy)
             verts[key] = pt
         return pt
@@ -445,22 +444,22 @@ class TestActiveCellKernel:
         (left, _), middle, (_, bottom) = line.points.tolist()
         assert (left, middle, bottom) == (o, [o + 1, o + 1], o)
 
-    def test_saddle_fallback_sums_nudged_corners(self):
-        # Cell (0, 0) is a saddle (inside corners [0, 0] and [1, 1]) whose
-        # corner sum is negative on the raw samples but positive once its zero
-        # corner is nudged. The nudged sum keeps the two inside corners apart:
-        # an open line around [0, 0] and a closed loop around [1, 1].
+    @pytest.mark.parametrize("corner, joined", [(2.0 - 1e-12, True), (2.0, False)], ids=["joined", "apart"])
+    def test_saddle_fallback_sums_raw_corners(self, corner, joined):
+        # Cell (0, 0) is a saddle (inside corners [0, 0] and [1, 1]) with an
+        # exact zero at [0, 1]. Its centre is inside when the sum of its four
+        # raw corners is negative, the zero adding nothing: by 1e-12 its two
+        # inside corners join in one open line, and at a sum of exactly 0
+        # they stay apart, an open line around [0, 0] and a loop around [1, 1].
         samples = np.ones((3, 3))
-        samples[:2, :2] = [[-1.0, 0.0], [2.0 - 1e-12, -1.0]]
-        corners = [samples[0, 0], samples[0, 1], samples[1, 0], samples[1, 1]]
-        raw = corners[0] + corners[1] + corners[2] + corners[3]
-        nudged = corners[0] + ZERO_NUDGE * float(np.max(np.abs(samples))) + corners[2] + corners[3]
-        assert raw < 0 < nudged
+        samples[:2, :2] = [[-1.0, 0.0], [corner, -1.0]]
+        raw = samples[0, 0] + samples[0, 1] + samples[1, 0] + samples[1, 1]
+        assert (raw < 0) == joined
         polylines = assert_same_polylines(Grid2D(Domain2D(0, 2, 0, 2, 2, 2), samples))
-        assert [pl.closed for pl in polylines] == [False, True]
+        assert [pl.closed for pl in polylines] == ([False] if joined else [False, True])
 
     def test_samples_left_untouched(self):
-        # a lattice with many exact zeros, which the kernel nudges positive
+        # a lattice with many exact zeros, which count as outside
         dom = Domain2D(-2, 2, -2, 2, 16, 16)
         grid = sample_grid2d(lambda x, y: np.round(x + y) * np.sign(y - 0.1) + 0 * x, dom)
         assert np.count_nonzero(grid.samples == 0.0) > 30
@@ -489,7 +488,7 @@ class TestBandKernel:
     def test_band_splits_match_reference(self, grid, rows, workers):
         # marching_squares runs the kernel as one band; split into bands of
         # `rows` cell rows (pooled whenever workers > 1) it gives the same
-        # bytes, saddle centers and whole-grid nudge scale included
+        # bytes, saddle centers and exact zeros included
         kernel = contour2d._mesh_bands
 
         def banded(band, bounds, *args, **kwargs):
@@ -505,8 +504,8 @@ class TestBandKernel:
     def test_workers_do_not_change_marching_squares(self, monkeypatch, field):
         # 9 bands of 4 cell rows, pooled on 3 workers; signed zeros and
         # saddles in every band, the largest |sample| in one band only. The
-        # saddle at row 2 is outside only by the nudge of the whole grid's
-        # largest |sample|: 2 x 7e-12 - 2 x 5e-12 > 0 > 2 x 2e-12 - 2 x 5e-12
+        # saddle at row 2 has exact zeros at its outside corners, which end
+        # its four crossing edges and add nothing to its corner sum, -1e-11
         rng = np.random.default_rng(20)
         samples = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(37, 37))
         samples[30, 5] = 7.0
@@ -643,8 +642,8 @@ class TestFusedContour:
     @settings(max_examples=100, deadline=None)
     @given(small_grids(), st.integers(1, 4), st.integers(1, 3))
     def test_small_grids_match_sampled_grid(self, grid, layers, workers):
-        # signed zeros, all-inside and all-outside lattices, and a nudge
-        # scale that one band alone may not see
+        # signed zeros, all-inside and all-outside lattices, and crossing
+        # edges that end in a zero on a row two bands share
         assert_fused_matches(lattice_field2d(grid), grid.domain, layers, workers)
 
     @pytest.mark.filterwarnings("error")  # no band contours the bad row
@@ -668,7 +667,7 @@ class TestFusedContour:
                 contour(field, dom, workers=workers)
         assert str(fused.value) == str(whole.value)
 
-    def test_one_worker_samples_each_row_once(self):
+    def test_each_shared_row_is_sampled_twice(self):
         # 10 bands of 4 cell rows, each sampling its own 5 rows: the lattice
         # plus the 9 rows two bands share; the circle has no saddle cell
         dom = Domain2D(-2, 2, -2, 2, 40, 40)
@@ -684,7 +683,7 @@ class TestFusedContour:
         assert loop.closed and sum(sizes) == 41 * 41 + 9 * 41
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_pooled_bands_sample_the_lattice_and_one_row_per_extra_run(self, workers):
+    def test_pooled_bands_sample_one_extra_row_per_band(self, workers):
         # the 10 bands go to the threads one by one, each band sampling its
         # own rows: the lattice plus one row per band after the first, as on
         # one worker; the count is exact on every call, with threads
@@ -826,8 +825,8 @@ class TestSparseContour:
     @pytest.mark.parametrize("n, tiles, h", [(24, 1, 0.0), (24, 2, 0.0), (48, 2, 0.0), (60, 1, 0.0), (48, 1, 1.0)])
     def test_exact_zeros_stay_on_the_route(self, n, tiles, h):
         # the aligned oblique square at s = 1 samples to exact zeros on its
-        # sides; their nudge takes the largest |sample| of the whole lattice,
-        # which the route finds without meshing the lattice
+        # sides; a vertex on an edge that ends in one depends on that edge's
+        # samples alone, so the route reads nothing of the proven blocks
         spec = ShapeSpec2D("oblique", s=1.0, h=h)
         field, dom = make_field2d(spec), default_domain2d(spec, n, tiles)
         assert np.count_nonzero(sample_grid2d(field, dom).samples == 0.0) > 0
@@ -841,7 +840,7 @@ class TestSparseContour:
     def test_proven_blocks_hold_their_sign(self, spec, n, tiles, shift, block):
         field, dom = make_field2d(spec), shifted_domain(spec, n, tiles, shift)
         samples = sample_grid2d(field, dom).samples
-        signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)
         assert signs.shape == (-(-n // block),) * 2
         for (bj, bi), sign in np.ndenumerate(signs):
             if sign:
@@ -854,7 +853,7 @@ class TestSparseContour:
         spec = ShapeSpec2D(family, **kw)
         field = make_field2d(spec)
         signs = contour2d._certify(field, field.keys, default_domain2d(spec, 2048, tiles).axes(),
-                                   contour2d.BLOCK_CELLS)[0]
+                                   contour2d.BLOCK_CELLS)
         assert signs.shape == (64, 64) and np.mean(signs == 0) <= share
 
     @pytest.mark.filterwarnings("error")
@@ -915,7 +914,7 @@ class TestSparseContour:
         # the route's bands, not the slabs'
         assert (n + 1) ** 2 > cap and [sparse is not None for sparse, _ in calls] == [True] and len(bounds) == 1
         assert_same_as_sampled_grid(got, field, dom)
-        signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)
         assert_bands_of_block_layers(bounds[0], signs, block, cap, n)
 
     @settings(max_examples=100, deadline=None)
@@ -984,3 +983,67 @@ def test_a_loop_the_weld_shrinks_to_two_points_is_dropped():
     samples = np.full((6, 4), -2.0)
     samples[4, 2] = -0.0
     assert marching_squares(Grid2D(Domain2D(2048.0, 2049.0, 4096.0, 4097.0, 3, 5), samples)) == []
+
+
+class TestZeroEnds:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FIELD_FAMILIES_2D), s=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+           n=st.integers(4, 32).map(lambda k: 2 * k), tiles=st.integers(1, 3), sparse=st.booleans(),
+           height=st.integers(1, 4), workers=st.integers(1, 3))
+    # the aligned oblique square, whose sides sample to exact zeros
+    @example(family="oblique", s=1.0, n=48, tiles=2, sparse=True, height=3, workers=2)
+    def test_a_zero_end_puts_its_vertex_a_nudge_from_it(self, family, s, n, tiles, sparse, height, workers):
+        # On the row bands (of `height` cell rows) or the sparse route
+        # (blocks of `height` + 1 cells, no block proven without keys),
+        # pooled on `workers` threads: each point on an edge that ends in an
+        # exact zero lies ZERO_NUDGE of a cell from that sample, along the
+        # edge, and scaling every sample that ends no crossing edge by 2^20
+        # (signs and zeros kept) moves no point nor segment.
+        spec = ShapeSpec2D(family, s=s, p=1.0 + 4.0 * s)
+        field, dom = make_field2d(spec), default_domain2d(spec, n, tiles)
+        vals = sample_grid2d(field, dom, workers=1).samples
+        inside, ends = vals < 0, np.zeros(vals.shape, dtype=bool)
+        for d in range(2):
+            cross = np.diff(inside, axis=d)
+            ends[(slice(None),) * d + (slice(1, None),)] |= cross
+            ends[(slice(None),) * d + (slice(None, -1),)] |= cross
+        xs, ys = dom.axes()
+
+        def scaled(x, y):
+            # a saddle centre, off the lattice, takes its upper neighbour's factor
+            j, i = np.searchsorted(ys, y), np.searchsorted(xs, x)
+            return field(x, y) * np.where(ends[j, i], 1.0, 2.0**20)
+
+        block = height + 1
+        meshes = []
+        for f in (field, scaled):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+                mp.setattr(contour2d, "SLAB_SAMPLES", (height + 1) * (dom.nx + 1))
+                route = (getattr(field, "keys", None) or NO_PROOF, block, 2 * (block + 1) ** 2)
+                calls = lattice_calls(mp, workers, route if sparse else None)
+                contour(f, dom)
+            assert len(calls) == 1  # no fallback
+            meshes.append(calls[0][1])
+        (points, segments), (scaled_points, scaled_segments) = meshes
+        assert scaled_points.tobytes() == points.tobytes() and scaled_segments.tobytes() == segments.tobytes()
+        # the points are every x-edge crossing in lattice order, then every
+        # y-edge crossing
+        # the rounding of a point: a few ulps of the largest coordinate
+        ulps = [np.spacing(np.abs(a).max()) for a in (xs, ys)]
+        start, zeros = 0, 0
+        for axis, step in enumerate(dom.steps()):
+            low = np.argwhere(np.diff(inside, axis=1 - axis))
+            high = low + np.eye(2, dtype=np.intp)[1 - axis]
+            got = points[start:start + len(low)]
+            start += len(low)
+            for at in (low, high):
+                zero = vals[tuple(at.T)] == 0.0
+                sample = np.column_stack([xs[at[zero, 1]], ys[at[zero, 0]]])
+                off = got[zero] - sample
+                assert not off[:, 1 - axis].any()
+                assert np.allclose(np.abs(off[:, axis]), ZERO_NUDGE * step, rtol=0, atol=4 * ulps[axis])
+                zeros += np.count_nonzero(zero)
+        assert start == len(points)
+        if zeros:
+            event("a crossing edge ends in an exact zero")

@@ -134,14 +134,14 @@ RECIPE_SHA256 = {
     "fig22/fig22_01.obj": "ab128119fad64bb4171fd01654cdd427984addf3e867c580a016e1171f968df4",
     "fig22/fig22_02.obj": "8d09f909bec82e6190e949062f1a9c2236d38536e9fae4de89de87070d8baaf3",
     "fig22/fig22_03.obj": "c79f469b49d413acb00a194d8ea125b4ad3b292229ecd377ed180394809f2115",
-    "fig22/fig22_04.obj": "6851c7b55c3bad9515ac0e1586e204eaabe2196034c08ccb8be1eb857bca4879",
+    "fig22/fig22_04.obj": "0caa1b84c99a5dde66a1b99b0cb18c306cb49675b4ccddbf3e7912079f98568c",
     "fig23/fig23_square.obj": "4729baae4e081be014cca4b40d8c31095d162627b4939954a3337a38741aab3c",
     "fig23/fig23_torus.obj": "d52be17ac3f9b412980b263f98a866efe956d885b377852b518b8444a63b5a7c",
     "fig24/fig24_00.obj": "5266c6940ecec63cfe26b589547d1442cbf1e674ec76f47a530851f0208686ae",
     "fig24/fig24_01.obj": "39f3df96ca7e1d5f486a5af71951dfbafc086de5f57033b52676ca09836cf1af",
     "fig24/fig24_02.obj": "55eef1abd34580ba7f7171df62a149d5a9477f52879ee33d0af844f36a463f90",
-    "fig24/fig24_03.obj": "6a0c40157b827f6fd9b3b1d58139cd0e2d2f916d288fecb29095f4748b5c8e7c",
-    "fig25/fig25.obj": "33dc49af7354dc6218171fd28ece217eb04e51b0f8afb86db5a0a04f25e06020",
+    "fig24/fig24_03.obj": "56bd49c27c7d00afb42750fec6dbf3a8a44b9d52d69f8263684f0434514b2d28",
+    "fig25/fig25.obj": "65bf939d897d7a211e09f5f3cf4723a7c30b6985f7664dbc6066317c763b9a37",
     "fig26/fig26_00.obj": "07c686203428c8f7f6fa17bcc41a1bd3fee40fa482e83e9165ea420106f8d89b",
     "fig26/fig26_01.obj": "8b58d769e24652ac5ea9c3160b30f2d745f6bd98b52b08638763096957a43c98",
     "fig26/fig26_02.obj": "c232d23388aafd8731f4110119361053400fa88a261f7c0b298f797a42ad44dd",
@@ -150,7 +150,7 @@ RECIPE_SHA256 = {
 }
 
 COMMAND_SHA256 = {
-    "cone_fg.obj": "96fb93263650ae5b39cc3b8889363c7e9659dabe6bbea97f8636821b79bbb382",
+    "cone_fg.obj": "18cd2addc9df4f2c75327bd64331b0d0c11dfd5d5102e8ad5ff7d0b0f636fd82",
     "cone_lame.obj": "70bf7ee35bc5fca5adac4a38a5ff63c636f149e8de416779ad19fbcec6028652",
     "cubocta.stl": "b418aaff2f3d63b6e9a8f3f744ca7b119bfc54948b4218b0c3ae3cac0d2a98f4",
     "fg.csv": "9a1e624572e3a770d52a682d1fa407d729d1686664f0ddee757233aed5285340",

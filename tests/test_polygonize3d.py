@@ -169,8 +169,8 @@ class TestTriangleMesh:
 # --- byte-identity against the dense whole-volume kernel -------------------
 #
 # The reference below is the dense marching-cubes implementation that the
-# active-cell kernel replaced: it copies and zero-nudges the whole volume,
-# builds an int64 case code and one int64 id volume per edge axis, and
+# active-cell kernel replaced: it builds an int64 case code and one int64 id
+# volume per edge axis over the whole volume, exact zeros outside, and
 # compacts the vertices with np.unique. The active-cell kernel must give the
 # same vertex and triangle bytes.
 
@@ -186,7 +186,10 @@ def _dense_edge_vertices(vals, lo_axis_coords, axis):
     ids = np.full(v0.shape, -1, dtype=np.int64)
     n = int(cross.sum())
     ids[cross] = np.arange(n)
-    t = v0[cross] / (v0[cross] - v1[cross])
+    a, b = v0[cross], v1[cross]
+    # an edge that ends in an exact zero has its vertex ZERO_NUDGE of the
+    # edge away from it
+    t = np.where(a == 0.0, ZERO_NUDGE, np.where(b == 0.0, 1.0 - ZERO_NUDGE, a / (a - b)))
     kk, jj, ii = np.nonzero(cross)
     xs, ys, zs, dx, dy, dz = lo_axis_coords
     px = xs[ii] + (t * dx if axis == 0 else 0.0)
@@ -197,10 +200,7 @@ def _dense_edge_vertices(vals, lo_axis_coords, axis):
 
 def dense_marching_cubes(grid):
     dom = grid.domain
-    vals = grid.view3d().copy()
-    scale = float(np.max(np.abs(vals))) or 1.0
-    vals[vals == 0.0] = ZERO_NUDGE * scale
-
+    vals = grid.view3d()
     inside = vals < 0
     case = (
         inside[:-1, :-1, :-1].astype(np.int64)
@@ -317,7 +317,7 @@ class TestActiveCellKernel:
         assert peak(marching_cubes) <= 0.6 * peak(dense_marching_cubes)
 
     def test_samples_left_untouched(self):
-        # a lattice with many exact zeros, which the kernel nudges positive
+        # a lattice with many exact zeros, which count as outside
         dom = Domain3D(-2, 2, -2, 2, -2, 2, 8, 8, 8)
         grid = sample_grid3d(lambda x, y, z: np.round(x + y) * np.sign(z) + 0 * x, dom)
         assert np.count_nonzero(grid.samples == 0.0) > 100
@@ -340,8 +340,9 @@ class TestActiveCellKernel:
 #
 # ref_marching_cubes is the whole-volume active-cell kernel that the slab
 # kernel replaced: one pass of cell codes and crossings over the whole
-# sampled volume, the zero nudge scaled by the whole volume's largest
-# |sample|, and the vertex ids of every edge slot paired by rank.
+# sampled volume, each vertex interpolated from its edge's two samples (or
+# ZERO_NUDGE of the edge from an end that is an exact zero), and the vertex
+# ids of every edge slot paired by rank.
 
 
 def ref_marching_cubes(grid):
@@ -361,18 +362,14 @@ def ref_marching_cubes(grid):
         index = np.unravel_index(np.flatnonzero(cross), cross.shape)
         lo = np.ravel_multi_index(index, vals.shape)
         crossings.append((index, flat[lo], flat[lo + math.prod(vals.shape[n - axis:])]))
-    gathered = [v for _, v0, v1 in crossings for v in (v0, v1)]
-    if any((g == 0.0).any() for g in gathered):
-        nudge = ZERO_NUDGE * (float(max(vals.max(), -vals.min())) or 1.0)
-        for g in gathered:
-            g[g == 0.0] = nudge
 
     points = []
     ids = np.zeros((len(_SLOTS), len(code)), dtype=np.int64)
     first_id = 0
     for axis, (index, v0, v1) in enumerate(crossings):
         pts = np.column_stack([coords[k][index[n - 1 - k]] for k in range(n)])
-        pts[:, axis] += v0 / (v0 - v1) * steps[axis]
+        t = [ZERO_NUDGE if a == 0.0 else 1.0 - ZERO_NUDGE if b == 0.0 else a / (a - b) for a, b in zip(v0, v1)]
+        pts[:, axis] += np.array(t, dtype=float) * steps[axis]
         points.append(pts)
         for e, (edge_axis, offset) in enumerate(_SLOTS):
             if edge_axis != axis:
@@ -484,21 +481,23 @@ class TestSlabKernel:
     @settings(max_examples=30, deadline=None)
     @given(nz=st.integers(8, 24), layers=st.integers(1, 3), workers=st.integers(1, 3),
            data=st.data())
-    def test_zeros_nudged_by_a_far_slab(self, nz, layers, workers, data):
+    def test_a_far_slab_moves_no_zero_vertex(self, nz, layers, workers, data):
         # samples in {-1, 0, 1} with exact zeros, and the largest |sample|
         # at one end of the volume, slabs away from the zero that ends a
-        # crossing at plane nz // 2: the nudge must be scaled by that far
-        # sample, not by the zero's own slab
+        # crossing at plane nz // 2: that crossing's vertex sits ZERO_NUDGE
+        # of a cell from the zero, whatever the far sample is
         dom = Domain3D(-1, 1, -2, 2, 0, 3, 4, 5, nz)
         vals = data.draw(hnp.arrays(np.float64, (nz + 1, 6, 5), elements=st.sampled_from([-1.0, 0.0, 1.0])))
         top = data.draw(st.booleans())
         far = slice(nz + 1 - layers, None) if top else slice(0, layers)
         vals[far] = 1.0
-        vals[-1 if top else 0, 2, 2] = data.draw(st.sampled_from([-7.0, 7.0]))
+        vals[-1 if top else 0, 2, 2] = data.draw(st.sampled_from([-7.0, 7.0, 2.0**40]))
         vals[nz // 2, 2, 2] = 0.0
-        vals[nz // 2, 2, 3] = -1.0  # a crossing edge ending at the zero
+        vals[nz // 2, 2, 3] = -1.0  # a crossing x-edge from the zero
         grid = Grid3D(dom, vals.reshape(-1))
         assert_slab_kernel_matches(grid, layers, workers)
+        vertex = [dom.xs()[2] + ZERO_NUDGE * dom.dx, dom.ys()[2], dom.zs()[nz // 2]]
+        assert (marching_cubes(grid).vertices == vertex).all(axis=1).any()
 
     @pytest.mark.parametrize("value", [-2.0, -0.0, 0.0, 1.0])
     @pytest.mark.parametrize("workers", [1, 3])
@@ -580,7 +579,7 @@ class TestSharedPlanes:
     # each plane two slabs share is sampled twice
     @pytest.mark.parametrize("fills", [True, False])
     @pytest.mark.parametrize("family", ["sphube", "oblique3d", "lame3d", "cone_lame"])
-    def test_one_worker_samples_each_plane_once(self, family, fills):
+    def test_each_shared_plane_is_sampled_twice(self, family, fills):
         spec = ShapeSpec3D(family, s=0.75, p=1.5)
         dom = default_domain3d(spec, 40, 1)
         field, sizes = counted(make_field3d(spec), fills)
@@ -803,7 +802,7 @@ class TestSparseSurface:
     def test_families_match_sampled_volume(self, surface, block, workers):
         # blocks that need not divide the grid, sub-cell shifts, radii and
         # pooled bands: the bytes of marching cubes of the sampled volume,
-        # exact zeros (nudged by the whole lattice's peak) included
+        # exact zeros included
         field, dom = surface
         got, calls = sparse_polygonize(field, dom, block, workers)
         assert [sparse is not None for sparse, _ in calls] == [True]
@@ -826,7 +825,7 @@ class TestSparseSurface:
             got, calls = sparse_polygonize(field, dom, block, workers)
         assert [sparse is not None for sparse, _ in calls] == [True] and len(bounds) == 1
         assert_mesh_bytes(got, marching_cubes(sample_grid3d(field, dom, workers=1)))
-        signs = contour2d._certify(field, field.keys, dom.axes(), block)[0]
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)
         assert_bands_of_block_layers(bounds[0], signs, block, cap, dom.nz)
 
     @settings(max_examples=60, deadline=None)
@@ -864,14 +863,13 @@ class TestSparseSurface:
         # the clipped field's own corners
         field, dom = surface
         vals = sample_grid3d(field, dom, workers=1).view3d()
-        signs, bound, _ = contour2d._certify(field, field.keys, dom.axes(), block)
+        signs = contour2d._certify(field, field.keys, dom.axes(), block)
         assert signs.shape == tuple(-(-n // block) for n in (dom.nz, dom.ny, dom.nx))
         for (bk, bj, bi), sign in np.ndenumerate(signs):
             if sign:
                 part = vals[bk * block:(bk + 1) * block + 1, bj * block:(bj + 1) * block + 1,
                             bi * block:(bi + 1) * block + 1]
                 assert (sign * part > 0).all()
-                assert np.abs(part).max() <= bound[bk, bj, bi]
 
     def test_a_max_of_parts_is_bounded_by_its_parts(self):
         # max(0.9 - x, x - 1.1) is 0.9 at both ends of the block x in [0, 2]
@@ -884,29 +882,30 @@ class TestSparseSurface:
 
         field.keys = Keys(lambda c: c, lambda kx, ky, kz: kx + 1.1, parts=parts)
         dom = Domain3D(0, 2, 0, 1, 0, 1, 4, 2, 2)
-        signs, _, corners = contour2d._certify(field, field.keys, dom.axes(), 4)
-        assert (corners > 0).all() and signs.tolist() == [[[0]]]
+        assert (field(*np.meshgrid([0.0, 2.0], [0.0, 1.0], [0.0, 1.0])) > 0).all()
+        assert contour2d._certify(field, field.keys, dom.axes(), 4).tolist() == [[[0]]]
         assert sample_grid3d(field, dom, workers=1).samples.min() < 0
 
     @pytest.mark.parametrize("n", [24, 32, 48])
-    def test_face_centre_zeros_take_the_exact_peak(self, n):
+    def test_face_centre_zeros_sit_a_nudge_from_their_samples(self, n):
         # the default sphube domain is its cube, so at an even grid the six
         # face centres (|x| = r, y = z = 0) sample to exact zeros that end
         # crossing edges; the lattice's largest |sample| sits at the cube's
-        # corners, in proven blocks, and must scale their nudge
+        # corners, in proven blocks the route never samples. The x-edges
+        # into the two x faces' centres put their vertices ZERO_NUDGE of a
+        # cell inside them.
         spec = ShapeSpec3D("sphube", s=0.75)
         field, dom = make_field3d(spec), default_domain3d(spec, n, 1)
         vals = sample_grid3d(field, dom, workers=1).view3d()
         assert vals[n // 2, n // 2, 0] == vals[n // 2, n // 2, n] == 0.0
-        peaks = []
-        nudge = contour2d._nudge_zeros
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour2d, "_nudge_zeros", lambda peak, *g: peaks.append(peak) or nudge(peak, *g))
-            got, calls = sparse_polygonize(field, dom, 4, 2)
-        assert [sparse is not None for sparse, _ in calls] == [True] and peaks == [np.abs(vals).max()]
-        signs = contour2d._certify(field, field.keys, dom.axes(), 4)[0]
+        got, calls = sparse_polygonize(field, dom, 4, 2)
+        assert [sparse is not None for sparse, _ in calls] == [True]
+        signs = contour2d._certify(field, field.keys, dom.axes(), 4)
         assert signs[0, 0, 0] == 1  # the peak's block was proven, not sampled
         assert_mesh_bytes(got, marching_cubes(sample_grid3d(field, dom, workers=1)))
+        xs, y, z = dom.xs(), dom.ys()[n // 2], dom.zs()[n // 2]
+        for x in (xs[0] + ZERO_NUDGE * dom.dx, xs[n - 1] + (1.0 - ZERO_NUDGE) * dom.dx):
+            assert (got.vertices == [x, y, z]).all(axis=1).any()
 
     @pytest.mark.parametrize("family, kw, tiles", [("sphube", dict(s=0.75, r=1.1), 1),
                                                   ("oblique3d", dict(s=0.9, r=0.95), 2)])
@@ -915,13 +914,14 @@ class TestSparseSurface:
         # zeros included, with the bytes of the band kernel
         spec = ShapeSpec3D(family, **kw)
         field, dom = make_field3d(spec), default_domain3d(spec, 256, tiles)
-        peaks = []
-        nudge = contour2d._nudge_zeros
+        zero_ends = []
+        fractions = contour2d._fractions
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contour2d, "_nudge_zeros", lambda peak, *g: peaks.append(peak) or nudge(peak, *g))
+            mp.setattr(contour2d, "_fractions", lambda v0, v1: zero_ends.append(
+                np.count_nonzero(v0 == 0.0) + np.count_nonzero(v1 == 0.0)) or fractions(v0, v1))
             calls = lattice_calls(mp)
             got = polygonize(field, dom, workers=2)
-        assert [sparse is not None for sparse, _ in calls] == [True] and len(peaks) == 1
+        assert [sparse is not None for sparse, _ in calls] == [True] and sum(zero_ends) > 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polygonize3d, "SPARSE_MIN_SAMPLES", math.inf)
             want = polygonize(field, dom, workers=2)
@@ -987,3 +987,79 @@ class TestSparseSurface:
                 tracemalloc.stop()
         assert not mesh.empty
         assert peak <= 0.5 * 129**3 * 8
+
+
+# --- exact zeros: a vertex depends on its own edge alone --------------------
+
+
+def far_scaled(field, vals, dom):
+    """field times 2^20 at each lattice sample of dom that ends no crossing
+    edge of vals (field's samples there), and as is elsewhere. Every sample
+    keeps its sign, zeros stay zeros and the ends of every crossing edge are
+    unchanged, so no vertex may move; the lattice's largest |sample| does.
+    Keys (field's own, or NO_PROOF) ride along for the sparse route."""
+    inside, ends = vals < 0, np.zeros(vals.shape, dtype=bool)
+    for d in range(3):
+        cross = np.diff(inside, axis=d)
+        ends[(slice(None),) * d + (slice(1, None),)] |= cross
+        ends[(slice(None),) * d + (slice(None, -1),)] |= cross
+    axes = dom.axes()
+
+    def scaled(x, y, z):
+        index = [np.searchsorted(a, c) for a, c in zip(axes, (x, y, z))]
+        return field(x, y, z) * np.where(ends[index[2], index[1], index[0]], 1.0, 2.0**20)
+
+    scaled.keys = getattr(field, "keys", NO_PROOF)
+    return scaled
+
+
+class TestZeroEnds:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FAMILIES_3D), s=st.one_of(st.sampled_from([0.0, 0.5, 0.75, 0.8, 1.0]), st.floats(0, 1)),
+           n=st.integers(4, 16).map(lambda k: 2 * k), sparse=st.booleans(), height=st.integers(1, 4),
+           workers=st.integers(1, 3))
+    # fig25's `cone_fg` at grid 48, whose apex at the origin is a lattice
+    # sample of exactly 0, on both routes
+    @example(family="cone_fg", s=0.8, n=48, sparse=False, height=3, workers=2)
+    @example(family="cone_fg", s=0.8, n=48, sparse=True, height=3, workers=2)
+    def test_a_zero_end_puts_its_vertex_a_nudge_from_it(self, family, s, n, sparse, height, workers):
+        # On the dense route (slabs of `height` cell layers) or the sparse
+        # one (blocks of `height` + 1 cells, no block proven without keys),
+        # pooled on `workers` threads: each vertex on an edge that ends in an
+        # exact zero lies ZERO_NUDGE of a cell from that sample, along the
+        # edge, and scaling every sample that ends no crossing edge (the
+        # far slabs, the proven blocks) moves no vertex.
+        spec = ShapeSpec3D(family, s=s, p=1.0 + s, c=3.0)
+        field, dom = make_field3d(spec), default_domain3d(spec, n, 1)
+        vals = sample_grid3d(field, dom, workers=1).view3d()
+        block = height + 1
+        meshes = []
+        for f in (field, far_scaled(field, vals, dom)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(contour2d, "POOL_MIN_BANDS", 0)
+                mp.setattr(contour2d, "SLAB_SAMPLES", (height + 1) * (dom.nx + 1) * (dom.ny + 1))
+                route = (f.keys if hasattr(f, "keys") else NO_PROOF, block, 2 * (block + 1) ** 3)
+                calls = lattice_calls(mp, route if sparse else None)
+                meshes.append(polygonize(f, dom, workers=workers))
+            assert len(calls) == 1  # no fallback
+        assert_mesh_bytes(meshes[1], meshes[0])
+        # the vertices are every x-edge crossing in lattice order, then
+        # every y-edge, then every z-edge crossing
+        axes, steps, inside = dom.axes(), dom.steps(), vals < 0
+        start, zeros = 0, 0
+        for axis in range(3):
+            d = 2 - axis
+            low = np.argwhere(np.diff(inside, axis=d))
+            high = low + np.eye(3, dtype=np.intp)[d]
+            got = meshes[0].vertices[start:start + len(low)]
+            start += len(low)
+            for ends, zero in ((low, vals[tuple(low.T)] == 0.0), (high, vals[tuple(high.T)] == 0.0)):
+                sample = np.column_stack([axes[k][ends[zero, 2 - k]] for k in range(3)])
+                off = got[zero] - sample
+                assert not np.delete(off, axis, axis=1).any()
+                ulps = np.spacing(np.abs(axes[axis]).max())  # a point's rounding
+                assert np.allclose(np.abs(off[:, axis]), ZERO_NUDGE * steps[axis], rtol=0, atol=4 * ulps)
+                zeros += np.count_nonzero(zero)
+        assert start == len(meshes[0].vertices)
+        if zeros:
+            event("a crossing edge ends in an exact zero")
